@@ -10,21 +10,8 @@ Usage: python scripts/braid_survey.py [--model abelian|ising] [--max-len L] [--t
 import argparse
 import itertools
 
-from anyonmask.braid import BraidOp, verify_invariance
+from anyonmask.braid import op_set, verify_invariance
 from anyonmask.masker import abelian_standard_scheme, ising_cyclic_scheme
-
-
-def op_set(kind: str) -> list[BraidOp]:
-    ops = [
-        BraidOp(kind="exchange", x=0, y=1),
-        BraidOp(kind="exchange", x=1, y=2),
-        BraidOp(kind="circle", x=0, y=1),
-        BraidOp(kind="circle", x=0, y=2),
-        BraidOp(kind="circle", x=1, y=2),
-    ]
-    if kind == "ising":
-        ops.append(BraidOp(kind="tripartite"))
-    return ops
 
 
 def main() -> None:

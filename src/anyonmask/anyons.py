@@ -217,16 +217,6 @@ def fuse(model: AnyonModel, a: str, b: str) -> FusionOutcome:
     return FusionOutcome(model.fusion[(a, b)])
 
 
-def unique_channel(model: AnyonModel, a: str, b: str) -> str:
-    """The single fusion channel of a x b; error if the fusion splits."""
-    outcome = fuse(model, a, b)
-    if outcome.is_split:
-        raise FusionChannelError(
-            f"fusion {a} x {b} has {len(outcome)} channels; a channel must be chosen"
-        )
-    return outcome.channels[0]
-
-
 def r_angle(model: AnyonModel, a: str, b: str, channel: str) -> int:
     """Exchange phase of a over b in the given channel, as a pi/8 multiple mod 16."""
     if channel not in fuse(model, a, b):

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .anyons import (
     EPS,
     SIGMA,
@@ -33,8 +31,9 @@ from .anyons import (
     phase_from_eighths,
     r_angle,
 )
-from .masker import MaskingReport, MaskingScheme, encode, random_unit_coeffs, verify_masking
-from .qstate import BasisKet, StateVector, norm
+from .masker import MaskingReport, MaskingScheme, encode, encode_basis, verify_masking
+from .qstate import BasisKet, StateVector
+from .trials import evaluate_trials, replay_coeffs
 
 EXCHANGE = "exchange"
 CIRCLE = "circle"
@@ -232,6 +231,19 @@ def tripartite_braid(model: AnyonModel, state: StateVector) -> StateVector:
     return StateVector(out)
 
 
+def op_set(kind: str) -> tuple[BraidOp, ...]:
+    """The single ops of the exhaustive sweep: both adjacent exchanges, all
+    three circles, and, for the Ising model, the tripartite braid."""
+    ops = (
+        BraidOp(kind=EXCHANGE, x=0, y=1),
+        BraidOp(kind=EXCHANGE, x=1, y=2),
+        BraidOp(kind=CIRCLE, x=0, y=1),
+        BraidOp(kind=CIRCLE, x=0, y=2),
+        BraidOp(kind=CIRCLE, x=1, y=2),
+    )
+    return ops + (BraidOp(kind=TRIPARTITE),) if kind == "ising" else ops
+
+
 def apply_op(model: AnyonModel, state: StateVector, op: BraidOp) -> StateVector:
     if op.kind == EXCHANGE:
         return exchange(model, state, op.x, op.y, op.mode)
@@ -288,31 +300,18 @@ def verify_invariance(
 
     The verdict passes iff every braided trial's marginals stay within
     ``tol`` of I/d and the norm never drifts past the unitarity bound.
+    Every op is linear, so the d encoder rows are braided once and the
+    trials run as one batch over them (``evaluate_trials``).  The worst
+    trial is replayed through ``encode`` and ``apply_ops`` for the pre- and
+    post-braid reports.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     ops = tuple(ops)
     model = scheme.model
     alphabet = model.alphabet
-    rng = np.random.default_rng(seed)
-    coeff_draws = [random_unit_coeffs(scheme.d, rng) for _ in range(trials)]
-    worst = -1.0
-    defect = 0.0
-    verdict = True
-    worst_coeffs = coeff_draws[0]
-    for coeffs in coeff_draws:
-        pre_state = encode(scheme, coeffs)
-        post_state = apply_ops(model, pre_state, ops)
-        defect = max(defect, abs(norm(post_state) - norm(pre_state)))
-        post = verify_masking(post_state, alphabet, tol=tol, seed=seed)
-        if post.worst_deviation > worst:
-            worst = post.worst_deviation
-            worst_coeffs = coeffs
-        if not post.verdict:
-            verdict = False
-    if defect > UNITARITY_TOL:
-        verdict = False
-    pre_state = encode(scheme, worst_coeffs)
+    rows = [encode_basis(scheme, j) for j in range(scheme.d)]
+    braided = [apply_ops(model, row, ops) for row in rows]
+    batch = evaluate_trials(rows, braided, alphabet, trials, seed, tol)
+    pre_state = encode(scheme, replay_coeffs(scheme.d, seed, batch.worst_trial))
     pre_report = verify_masking(pre_state, alphabet, tol=tol, seed=seed)
     post_report = verify_masking(apply_ops(model, pre_state, ops), alphabet, tol=tol, seed=seed)
     return BraidReport(
@@ -320,9 +319,13 @@ def verify_invariance(
         trials=trials,
         seed=seed,
         tol=tol,
-        worst_deviation=worst,
-        unitarity_defect=defect,
-        verdict=verdict and pre_report.verdict,
+        worst_deviation=batch.worst_deviation,
+        unitarity_defect=batch.norm_defect,
+        verdict=(
+            batch.failed_trials == 0
+            and batch.norm_defect <= UNITARITY_TOL
+            and pre_report.verdict
+        ),
         pre_report=pre_report,
         post_report=post_report,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -79,11 +80,15 @@ def parse_model(selector: str) -> AnyonModel:
     raise ValueError(f"unknown model selector {selector!r} (use abelian or ising[:c])")
 
 
+def _default_scheme_name(model: AnyonModel) -> str:
+    return "standard-d4" if model.kind == "abelian" else "cyclic-d3"
+
+
 def resolve_scheme(model: AnyonModel, selector: Optional[str]) -> MaskingScheme:
     from .latin import cyclic_triple, standard_squares_d4
 
     if selector is None:
-        selector = "standard-d4" if model.kind == "abelian" else "cyclic-d3"
+        selector = _default_scheme_name(model)
     if selector == "standard-d4":
         triple = standard_squares_d4()
     elif selector == "cyclic-d3":
@@ -185,25 +190,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, int]:
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {tol}")
+
+
+def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, str, int]:
+    """The scheme, the scheme name for the report, and the seed."""
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    _check_tol(args.tol)
     model = parse_model(args.model)
-    scheme = resolve_scheme(model, args.scheme)
+    name = args.scheme or _default_scheme_name(model)
+    scheme = resolve_scheme(model, name)
     seed = args.seed if args.seed is not None else _default_seed()
-    return scheme, seed
+    return scheme, name, seed
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    scheme, seed = _validate_campaign(args)
+    scheme, scheme_name, seed = _validate_campaign(args)
     result = run_masking_campaign(scheme, trials=args.trials, seed=seed, tol=args.tol)
     payload = {
         "command": "verify",
         "config": {
             "model": scheme.model.name,
-            "scheme": args.scheme or ("standard-d4" if scheme.model.kind == "abelian" else "cyclic-d3"),
+            "scheme": scheme_name,
             "trials": args.trials,
             "seed": seed,
             "tol": args.tol,
@@ -222,14 +233,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_braid(args: argparse.Namespace) -> int:
-    scheme, seed = _validate_campaign(args)
+    scheme, scheme_name, seed = _validate_campaign(args)
     ops = parse_ops(args.ops)
     report = verify_invariance(scheme, ops, trials=args.trials, tol=args.tol, seed=seed)
     payload = {
         "command": "braid",
         "config": {
             "model": scheme.model.name,
-            "scheme": args.scheme or ("standard-d4" if scheme.model.kind == "abelian" else "cyclic-d3"),
+            "scheme": scheme_name,
             "ops": args.ops,
             "trials": args.trials,
             "seed": seed,
@@ -265,6 +276,7 @@ def cmd_mols(args: argparse.Namespace) -> int:
 def cmd_teleport(args: argparse.Namespace) -> int:
     import numpy as np
 
+    _check_tol(args.tol)
     parts = [token for token in args.input.split(",")]
     if len(parts) != 3:
         raise ValueError(f"teleport input needs exactly 3 coefficients, got {len(parts)}")

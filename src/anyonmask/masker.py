@@ -83,11 +83,18 @@ def encode_basis(scheme: MaskingScheme, j: int) -> StateVector:
     )
 
 
+def _finite_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (d,):
+        raise ValueError(f"expected {d} coefficients, got shape {coeffs.shape}")
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"coefficients must be finite, got {coeffs}")
+    return coeffs
+
+
 def encode(scheme: MaskingScheme, coeffs: Sequence[complex]) -> StateVector:
     """Encode a unit coefficient vector; the result has norm 1."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (scheme.d,):
-        raise ValueError(f"expected {scheme.d} coefficients, got shape {coeffs.shape}")
+    coeffs = _finite_coeffs(coeffs, scheme.d)
     total = float(np.sum(np.abs(coeffs) ** 2))
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"coefficients must have unit norm, got |coeffs|^2 = {total}")
@@ -118,7 +125,7 @@ class MaskingReport:
 
     @property
     def worst_deviation(self) -> float:
-        return max(self.deviations)
+        return float(np.max(self.deviations))
 
     def record(self) -> dict:
         rec = {
@@ -162,7 +169,7 @@ def verify_masking(
         marginals=marginals,
         deviations=deviations,
         tol=tol,
-        verdict=max(deviations) <= tol,
+        verdict=all(dev <= tol for dev in deviations),
         seed=seed,
         pair_deviations=pair_devs,
     )
@@ -207,22 +214,22 @@ def run_masking_campaign(
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     alphabet = scheme.model.alphabet
-    worst = 0.0
     per_party = [0.0, 0.0, 0.0]
     failed = 0
     for _ in range(trials):
         coeffs = random_unit_coeffs(scheme.d, rng)
         report = verify_masking(encode(scheme, coeffs), alphabet, tol=tol, seed=seed)
-        worst = max(worst, report.worst_deviation)
-        for party in range(3):
-            per_party[party] = max(per_party[party], report.deviations[party])
+        for party, deviation in enumerate(report.deviations):
+            # a NaN sticks, where max(worst, nan) would keep the old worst
+            if deviation > per_party[party] or math.isnan(deviation):
+                per_party[party] = deviation
         if not report.verdict:
             failed += 1
     return MaskingCampaignResult(
         trials=trials,
         seed=seed,
         tol=tol,
-        worst_deviation=worst,
+        worst_deviation=float(np.max(per_party)),
         per_party_worst=tuple(per_party),
         failed_trials=failed,
         verdict=failed == 0,
@@ -231,10 +238,8 @@ def run_masking_campaign(
 
 def bipartite_encode(triple: SchemeTriple, alphabet: Sequence[str], coeffs: Sequence[complex]) -> StateVector:
     """Two-register analog |j> -> (1/sqrt(d)) sum_k |B[j][k], C[j][k]>."""
-    coeffs = np.asarray(coeffs, dtype=complex)
     d = triple.d
-    if coeffs.shape != (d,):
-        raise ValueError(f"expected {d} coefficients, got shape {coeffs.shape}")
+    coeffs = _finite_coeffs(coeffs, d)
     amp = 1.0 / math.sqrt(d)
     out: dict[BasisKet, complex] = {}
     for j in range(d):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +37,8 @@ class StateVector:
     """A finite map of basis kets to complex amplitudes.
 
     Amplitudes with magnitude below ``PRUNE_EPS`` are dropped on
-    construction, so a stored amplitude is never an accumulated zero.
+    construction, so a stored amplitude is never an accumulated zero.  A
+    NaN amplitude is an error rather than being pruned as if it were zero.
     """
 
     amplitudes: dict[BasisKet, complex]
@@ -52,8 +52,11 @@ class StateVector:
             elif len(ket.labels) != n_registers:
                 raise ValueError("all kets in a state must have the same register count")
             value = complex(amp)
-            if abs(value) > PRUNE_EPS:
+            magnitude = abs(value)
+            if magnitude > PRUNE_EPS:
                 pruned[ket] = value
+            elif magnitude != magnitude:
+                raise ValueError(f"amplitude of {ket} is NaN: {value}")
         object.__setattr__(self, "amplitudes", pruned)
 
     def items(self):
@@ -146,13 +149,9 @@ class DensityMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T))) if self.dim else 0.0
 
     def positivity_floor(self) -> float:
-        """Smallest principal minor; nonnegative (to tolerance) iff PSD on these sizes."""
-        floor = math.inf
-        for size in range(1, self.dim + 1):
-            for rows in combinations(range(self.dim), size):
-                minor = np.linalg.det(self.entries[np.ix_(rows, rows)]).real
-                floor = min(floor, minor)
-        return floor if self.dim else 0.0
+        """Smallest eigenvalue of the Hermitian part read from the lower
+        triangle; nonnegative (to tolerance) iff PSD."""
+        return float(np.linalg.eigvalsh(self.entries)[0]) if self.dim else 0.0
 
     def validate(self, trace_target: float | None = 1.0, tol: float = 1e-12) -> list[str]:
         problems = []
@@ -236,7 +235,3 @@ def max_amplitude_diff(s1: StateVector, s2: StateVector) -> float:
     if not kets:
         return 0.0
     return max(abs(s1.amplitude(k) - s2.amplitude(k)) for k in kets)
-
-
-def states_close(s1: StateVector, s2: StateVector, tol: float = 1e-12) -> bool:
-    return max_amplitude_diff(s1, s2) <= tol

@@ -50,6 +50,8 @@ def _as_unit_coeffs(coeffs: Sequence[complex]) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=complex)
     if arr.shape != (3,):
         raise ValueError(f"expected 3 coefficients, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"coefficients must be finite, got {arr}")
     total = float(np.sum(np.abs(arr) ** 2))
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"coefficients must have unit norm, got |coeffs|^2 = {total}")

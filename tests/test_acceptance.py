@@ -29,7 +29,7 @@ from anyonmask.anyons import (
     r_phase,
     validate_model,
 )
-from anyonmask.braid import BraidOp, circle, verify_invariance
+from anyonmask.braid import circle, op_set, verify_invariance
 from anyonmask.cli import main
 from anyonmask.latin import find_mols_pair
 from anyonmask.masker import (
@@ -125,23 +125,10 @@ def test_criterion_3_ising_masking_1000_trials():
 
 # criterion 4 -----------------------------------------------------------
 
-def _op_set(kind: str) -> list[BraidOp]:
-    ops = [
-        BraidOp(kind="exchange", x=0, y=1),
-        BraidOp(kind="exchange", x=1, y=2),
-        BraidOp(kind="circle", x=0, y=1),
-        BraidOp(kind="circle", x=0, y=2),
-        BraidOp(kind="circle", x=1, y=2),
-    ]
-    if kind == "ising":
-        ops.append(BraidOp(kind="tripartite"))
-    return ops
-
-
 @pytest.mark.parametrize("model_kind", ["abelian", "ising"])
 def test_criterion_4_braid_invariance_all_sequences(model_kind):
     scheme = abelian_standard_scheme() if model_kind == "abelian" else ising_cyclic_scheme()
-    ops = _op_set(model_kind)
+    ops = op_set(model_kind)
     worst = 0.0
     failures = []
     count = 0

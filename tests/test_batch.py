@@ -1,0 +1,219 @@
+"""The batched trial path against the labeled per-trial path it replaces.
+
+Braid-invariance runs evaluate every seeded trial through per-party
+reduced operators of the d braided encoder rows.  Each test here redoes
+the same trials one at a time with ``encode``, ``apply_ops`` and
+``verify_masking`` and requires the same coefficients, verdicts and
+failure counts, and values within ``ATOL``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from anyonmask import trials
+from anyonmask.braid import apply_ops, op_set, parse_ops, verify_invariance
+from anyonmask.masker import encode, encode_basis, random_unit_coeffs, verify_masking
+from anyonmask.qstate import BasisKet, StateVector, basis_state, norm, scale
+from anyonmask.trials import (
+    TRIAL_CHUNK,
+    _reduced_operators,
+    _trial_chunks,
+    evaluate_trials,
+    random_unit_coeff_block,
+    replay_coeffs,
+)
+from helpers import TAG_ORDER, dense_vector
+
+ATOL = 1e-14
+
+SEQUENCES = {
+    "abelian": ("xAB", "cAC;xBC", "xAB;xBC;cBA"),
+    # xAB and xBC split untagged sigma pairs; t3 splits the all-sigma term
+    "ising": ("xAB", "t3", "t3;xBC", "xAB;t3;cAC", "xBC;xBC;cAB"),
+}
+
+
+def sequential_draws(d, trials, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([random_unit_coeffs(d, rng) for _ in range(trials)])
+
+
+def combine(rows, coeffs):
+    out: dict = {}
+    for c, row in zip(coeffs, rows):
+        for ket, amp in row.items():
+            out[ket] = out.get(ket, 0j) + c * amp
+    return StateVector(out)
+
+
+def batched(pre_rows, post_rows, alphabet, trials, seed):
+    chunks = list(_trial_chunks(pre_rows, post_rows, alphabet, trials, seed))
+    return tuple(np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
+
+
+def scheme_for(kind, abelian_scheme, ising_scheme):
+    return abelian_scheme if kind == "abelian" else ising_scheme
+
+
+class TestCoefficientBlock:
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 7, 20240, 40_123])
+    def test_block_equals_sequential_draws(self, d, seed):
+        block = random_unit_coeff_block(d, 500, np.random.default_rng(seed))
+        assert np.array_equal(block, sequential_draws(d, 500, seed))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_chunked_trials_equal_sequential_draws(self, d, ising_scheme, abelian_scheme):
+        scheme = ising_scheme if d == 3 else abelian_scheme
+        rows = [encode_basis(scheme, j) for j in range(d)]
+        trials = TRIAL_CHUNK + 37
+        coeffs, _, _ = batched(rows, rows, scheme.model.alphabet, trials, 11)
+        assert np.array_equal(coeffs, sequential_draws(d, trials, 11))
+
+    @pytest.mark.parametrize("trial", [0, 1, 99, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 5])
+    def test_replay_coeffs_is_the_sequential_draw(self, trial):
+        draws = sequential_draws(4, TRIAL_CHUNK + 6, 3)
+        assert np.array_equal(replay_coeffs(4, 3, trial), draws[trial])
+
+    def test_block_rejects_non_finite_draws(self):
+        class NanNormal:
+            def standard_normal(self, size):
+                return np.full(size, np.nan)
+
+        with pytest.raises(ValueError, match="not finite and nonzero"):
+            random_unit_coeff_block(3, 4, NanNormal())
+
+
+class TestAgainstLabeledTrials:
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    def test_per_trial_values_match(self, kind, abelian_scheme, ising_scheme):
+        scheme = scheme_for(kind, abelian_scheme, ising_scheme)
+        model, alphabet = scheme.model, scheme.model.alphabet
+        rows = [encode_basis(scheme, j) for j in range(scheme.d)]
+        for seed, text in enumerate(SEQUENCES[kind]):
+            ops = parse_ops(text)
+            braided = [apply_ops(model, row, ops) for row in rows]
+            coeffs, deviations, defects = batched(rows, braided, alphabet, 60, seed)
+            assert np.array_equal(coeffs, sequential_draws(scheme.d, 60, seed))
+            for t, c in enumerate(coeffs):
+                pre = encode(scheme, c)
+                post = apply_ops(model, pre, ops)
+                report = verify_masking(post, alphabet, tol=2e-12)
+                np.testing.assert_allclose(deviations[t], report.deviations, rtol=0, atol=ATOL)
+                assert abs(defects[t] - abs(norm(post) - norm(pre))) <= ATOL
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    def test_verdicts_match(self, kind, abelian_scheme, ising_scheme):
+        scheme = scheme_for(kind, abelian_scheme, ising_scheme)
+        for seed, text in enumerate(SEQUENCES[kind]):
+            ops = parse_ops(text)
+            report = verify_invariance(scheme, ops, trials=40, tol=2e-12, seed=seed)
+            rng = np.random.default_rng(seed)
+            labeled = [
+                verify_masking(
+                    apply_ops(scheme.model, encode(scheme, random_unit_coeffs(scheme.d, rng)), ops),
+                    scheme.model.alphabet,
+                    tol=2e-12,
+                )
+                for _ in range(40)
+            ]
+            assert report.verdict == all(r.verdict for r in labeled)
+            worst = max(r.worst_deviation for r in labeled)
+            assert abs(report.worst_deviation - worst) <= ATOL
+
+
+def test_reduced_operators_against_dense_oracle():
+    # rows sharing kets and tags, so every cross term K_p[j, j'] is nonzero;
+    # masking rows have zero cross terms and would not check them
+    alphabet = ("1", "eps", "sigma")
+    rng = np.random.default_rng(5)
+    kets = [
+        BasisKet(tuple(alphabet[i] for i in rng.integers(0, 3, size=3)), TAG_ORDER[rng.integers(0, 3)])
+        for _ in range(8)
+    ]
+    rows = [
+        StateVector({ket: complex(*rng.standard_normal(2)) for ket in kets[j : j + 5]})
+        for j in range(3)
+    ]
+    k = _reduced_operators(rows, alphabet).reshape(3, 3, 3, 3, 3)
+    for party in range(3):
+        flat = [
+            np.moveaxis(dense_vector(row, alphabet), party, 0).reshape(3, -1) for row in rows
+        ]
+        for j in range(3):
+            for jj in range(3):
+                expected = flat[j] @ flat[jj].conj().T
+                assert np.abs(expected).max() > 1e-3
+                np.testing.assert_allclose(k[j, jj, party], expected, rtol=0, atol=ATOL)
+
+
+class TestNonMaskingRows:
+    """Rows |j j j> leak every input, so both paths must see large deviations."""
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    def test_product_rows_fail_alike(self, kind, abelian_model, ising_model):
+        model = abelian_model if kind == "abelian" else ising_model
+        alphabet = model.alphabet
+        rows = [basis_state((label,) * 3) for label in alphabet]
+        coeffs, deviations, _ = batched(rows, rows, alphabet, 80, 13)
+        labeled = np.array(
+            [verify_masking(combine(rows, c), alphabet).deviations for c in coeffs]
+        )
+        assert labeled.min() > 0.05
+        np.testing.assert_allclose(deviations, labeled, rtol=0, atol=ATOL)
+
+        # a threshold between two labeled values splits the trials the same way
+        worst = np.sort(labeled.max(axis=1))
+        tol = (worst[39] + worst[40]) / 2
+        batch = evaluate_trials(rows, rows, alphabet, 80, 13, tol)
+        assert batch.failed_trials == sum(not (row <= tol).all() for row in labeled) == 40
+        assert batch.worst_trial == int(np.argmax(labeled.max(axis=1)))
+
+    def test_scaled_rows_show_the_norm_defect(self, ising_scheme):
+        alphabet = ising_scheme.model.alphabet
+        rows = [encode_basis(ising_scheme, j) for j in range(3)]
+        grown = [scale(row, 2.0) for row in rows]
+        coeffs, _, defects = batched(rows, grown, alphabet, 30, 17)
+        labeled = [abs(norm(combine(grown, c)) - norm(combine(rows, c))) for c in coeffs]
+        np.testing.assert_allclose(defects, labeled, rtol=0, atol=ATOL)
+        assert min(labeled) > 0.9
+        assert not evaluate_trials(rows, grown, alphabet, 30, 17, 1.0).norm_defect <= 0.9
+
+
+class TestNanSurfaces:
+    """A NaN deviation fails the verdict and is reported as NaN."""
+
+    def test_braid_invariance(self, monkeypatch, ising_scheme):
+        real = trials._reduced_operators
+        monkeypatch.setattr(trials, "_reduced_operators", lambda *args: real(*args) * np.nan)
+        report = verify_invariance(ising_scheme, parse_ops("t3"), trials=20, seed=1)
+        assert not report.verdict
+        assert math.isnan(report.worst_deviation)
+        assert math.isnan(report.record()["worst_deviation"])
+
+    def test_reduction_across_chunks(self, monkeypatch, ising_scheme):
+        chunks = [
+            [[0.1, 0.0, 0.0], [0.5, 0.0, 0.0]],
+            [[0.5, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.9, 0.0, np.nan]],
+        ]
+
+        def fake_chunks(*args):
+            for deviations in chunks:
+                yield None, np.array(deviations), np.zeros(len(deviations))
+
+        monkeypatch.setattr(trials, "_trial_chunks", fake_chunks)
+        batch = evaluate_trials([], [], ising_scheme.model.alphabet, 5, 0, 1.0)
+        assert batch.worst_trial == 3  # the first NaN beats every number
+        assert batch.failed_trials == 2
+        assert math.isnan(batch.per_party_worst[0]) and math.isnan(batch.per_party_worst[2])
+        assert batch.per_party_worst[1] == 0.0
+
+        chunks[1][1:] = []  # ties keep the earliest trial
+        assert evaluate_trials([], [], ising_scheme.model.alphabet, 3, 0, 1.0).worst_trial == 1
+
+
+def test_op_set_is_the_sweep_alphabet():
+    assert ";".join(op.token() for op in op_set("abelian")) == "xAB;xBC;cAB;cAC;cBC"
+    assert ";".join(op.token() for op in op_set("ising")) == "xAB;xBC;cAB;cAC;cBC;t3"

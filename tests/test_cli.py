@@ -108,6 +108,18 @@ class TestVerifyCommand:
         code = main(["verify", "--model", "ising", "--trials", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "braid", "teleport"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12"])
+    def test_bad_tol_is_usage_error(self, capsys, command, tol):
+        # --tol nan used to fail every trial (exit 1) and --tol inf to pass every one
+        extra = {
+            "verify": ["--model", "ising", "--trials", "2"],
+            "braid": ["--model", "ising", "--ops", "t3", "--trials", "2"],
+            "teleport": ["--input", "1,0,0"],
+        }[command]
+        assert main([command, *extra, f"--tol={tol}"]) == 2
+        assert "--tol must be finite and positive" in capsys.readouterr().err
+
     def test_custom_scheme_file(self, tmp_path, capsys):
         model = parse_model("ising")
         path = tmp_path / "triple.txt"

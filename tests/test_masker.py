@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anyonmask import masker
 from anyonmask.latin import SchemeTriple, constant_column_square, cyclic_square
 from anyonmask.masker import (
     MaskingScheme,
@@ -130,6 +131,16 @@ class TestEncode:
         with pytest.raises(ValueError, match="unit norm"):
             encode(abelian_scheme, [1.0, 1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_non_finite_rejected(self, abelian_scheme, bad):
+        # a NaN once passed the norm check and encoded to an empty state
+        with pytest.raises(ValueError, match="finite"):
+            encode(abelian_scheme, [bad, 0.0, 0.0, 0.0])
+
+    def test_bipartite_non_finite_rejected(self, abelian_scheme):
+        with pytest.raises(ValueError, match="finite"):
+            bipartite_encode(abelian_scheme.triple, abelian_scheme.model.alphabet, [math.nan, 0, 0, 0])
+
     @pytest.mark.parametrize("scheme_name", ["abelian", "ising"])
     def test_isometry_on_seeded_pairs(self, scheme_name, abelian_scheme, ising_scheme):
         scheme = abelian_scheme if scheme_name == "abelian" else ising_scheme
@@ -152,6 +163,19 @@ class TestVerifyMasking:
             report = verify_masking(state, scheme.model.alphabet)
             assert report.verdict
             assert report.worst_deviation <= 1e-12
+
+    @pytest.mark.parametrize("party", [0, 1, 2])
+    def test_nan_deviation_fails_and_surfaces(self, monkeypatch, abelian_scheme, party):
+        # max(0.0, nan) is 0.0: a NaN after the first party used to pass
+        real = masker.hs_distance
+        calls = iter(range(3))
+        monkeypatch.setattr(
+            masker, "hs_distance", lambda r1, r2: math.nan if next(calls) == party else real(r1, r2)
+        )
+        state = encode(abelian_scheme, [1.0, 0.0, 0.0, 0.0])
+        report = verify_masking(state, abelian_scheme.model.alphabet)
+        assert not report.verdict
+        assert math.isnan(report.worst_deviation)
 
     @given(coeffs=unit_coeffs(3))
     @settings(max_examples=40, deadline=None)
@@ -269,6 +293,20 @@ class TestCampaign:
     def test_trials_validated(self, ising_scheme):
         with pytest.raises(ValueError, match="trials"):
             run_masking_campaign(ising_scheme, trials=0, seed=1)
+
+    def test_nan_deviation_fails_and_surfaces(self, monkeypatch, abelian_scheme):
+        # max(worst, nan) kept the old worst, so the report hid the NaN
+        real = masker.hs_distance
+        calls = iter(range(1000))
+        monkeypatch.setattr(
+            masker, "hs_distance", lambda r1, r2: math.nan if next(calls) == 7 else real(r1, r2)
+        )
+        result = run_masking_campaign(abelian_scheme, trials=5, seed=1)
+        assert not result.verdict
+        assert result.failed_trials == 1
+        assert math.isnan(result.worst_deviation)
+        assert math.isnan(result.per_party_worst[1])
+        assert not math.isnan(result.per_party_worst[0])
 
 
 class TestBipartiteControl:

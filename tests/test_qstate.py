@@ -226,6 +226,25 @@ class TestDensityMatrix:
         bad = DensityMatrix(basis, np.array([[1.5, 0], [0, -0.5]], dtype=complex))
         assert "not-positive-semidefinite" in bad.validate()
 
+    def test_positivity_floor_is_smallest_eigenvalue(self):
+        # Hermitian, unit trace, non-negative diagonal, eigenvalues 1.25 and -0.25
+        basis = (("1",), ("e",))
+        bad = DensityMatrix(basis, np.array([[0.5, 0.75j], [-0.75j, 0.5]]))
+        assert bad.positivity_floor() == pytest.approx(-0.25, abs=1e-15)
+        assert bad.validate() == ["not-positive-semidefinite"]
+        good = DensityMatrix(basis, np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
+        assert good.positivity_floor() == pytest.approx(0.0, abs=1e-15)
+        assert good.validate() == []
+
+    def test_pair_marginal_checked_by_eigenvalues(self):
+        # 16-dim pair marginal: 2^16 principal minors before, one eigvalsh now
+        state = encoded_d4(np.array([0.5, 0.5j, -0.5, 0.5]))
+        rho = partial_trace(state, {0, 1}, product_basis(ABELIAN, 2))
+        assert rho.validate() == []
+        assert rho.positivity_floor() == pytest.approx(0.0, abs=1e-12)
+        flipped = DensityMatrix(rho.basis, rho.entries - 0.1 * np.eye(16))
+        assert "not-positive-semidefinite" in flipped.validate(trace_target=None)
+
     def test_entries_are_frozen(self):
         rho = DensityMatrix.maximally_mixed(product_basis(ABELIAN, 1))
         with pytest.raises(ValueError):
@@ -236,6 +255,12 @@ class TestStateVector:
     def test_prunes_tiny_amplitudes(self):
         state = StateVector({BasisKet(("e",)): 1e-16, BasisKet(("m",)): 1.0})
         assert list(state.amplitudes) == [BasisKet(("m",))]
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(1, math.nan)])
+    def test_nan_amplitude_rejected(self, bad):
+        # a NaN amplitude used to be pruned away as if it were zero
+        with pytest.raises(ValueError, match="NaN"):
+            StateVector({BasisKet(("e",)): bad, BasisKet(("m",)): 1.0})
 
     def test_mixed_register_counts_rejected(self):
         with pytest.raises(ValueError, match="register count"):

@@ -295,3 +295,9 @@ class TestRunTeleport:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):
             run_teleport([1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # was "encoding needs 3 registers, got 0" from an empty payload state
+        with pytest.raises(ValueError, match="finite"):
+            run_teleport([bad, 0.0, 0.0])

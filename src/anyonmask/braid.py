@@ -32,7 +32,7 @@ from .anyons import (
     r_angle,
 )
 from .masker import MaskingReport, MaskingScheme, encode, encode_basis, verify_masking
-from .qstate import BasisKet, StateVector
+from .qstate import BasisKet, StateVector, check_tol
 from .trials import evaluate_trials, replay_coeffs
 
 EXCHANGE = "exchange"
@@ -305,6 +305,7 @@ def verify_invariance(
     trial is replayed through ``encode`` and ``apply_ops`` for the pre- and
     post-braid reports.
     """
+    check_tol(tol)
     ops = tuple(ops)
     model = scheme.model
     alphabet = model.alphabet

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -31,6 +30,7 @@ from .masker import (
     MaskingScheme,
     run_masking_campaign,
 )
+from .qstate import check_tol
 from .teleport import run_teleport
 
 DEFAULT_SEED = 7
@@ -190,16 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {tol}")
-
-
 def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, str, int]:
     """The scheme, the scheme name for the report, and the seed."""
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    _check_tol(args.tol)
+    check_tol(args.tol, "--tol")
     model = parse_model(args.model)
     name = args.scheme or _default_scheme_name(model)
     scheme = resolve_scheme(model, name)
@@ -276,7 +271,7 @@ def cmd_mols(args: argparse.Namespace) -> int:
 def cmd_teleport(args: argparse.Namespace) -> int:
     import numpy as np
 
-    _check_tol(args.tol)
+    check_tol(args.tol, "--tol")
     parts = [token for token in args.input.split(",")]
     if len(parts) != 3:
         raise ValueError(f"teleport input needs exactly 3 coefficients, got {len(parts)}")

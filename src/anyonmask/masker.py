@@ -26,10 +26,14 @@ from .qstate import (
     BasisKet,
     DensityMatrix,
     StateVector,
+    check_tol,
     hs_distance,
     partial_trace,
     product_basis,
 )
+# random_unit_coeffs lives with the batch draws that must match it bit for
+# bit; it stays importable from here, where callers have always drawn inputs.
+from .trials import evaluate_trials, random_unit_coeffs, replay_coeffs  # noqa: F401
 
 DEFAULT_TOL = 1e-12
 
@@ -151,6 +155,7 @@ def verify_masking(
     Two-party marginals are never part of the verdict; they can be
     attached for information with ``include_pairs``.
     """
+    check_tol(tol)
     if state.n_registers != 3:
         raise ValueError(f"masking verification needs 3 registers, got {state.n_registers}")
     basis = product_basis(alphabet, 1)
@@ -173,12 +178,6 @@ def verify_masking(
         seed=seed,
         pair_deviations=pair_devs,
     )
-
-
-def random_unit_coeffs(d: int, rng: np.random.Generator) -> np.ndarray:
-    """d independent standard complex Gaussians, normalized to the unit sphere."""
-    raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return raw / np.linalg.norm(raw)
 
 
 @dataclass(frozen=True)
@@ -209,30 +208,32 @@ def run_masking_campaign(
     seed: int,
     tol: float = DEFAULT_TOL,
 ) -> MaskingCampaignResult:
-    """Encode `trials` seeded random unit inputs and verify each marginal set."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    alphabet = scheme.model.alphabet
-    per_party = [0.0, 0.0, 0.0]
-    failed = 0
-    for _ in range(trials):
-        coeffs = random_unit_coeffs(scheme.d, rng)
-        report = verify_masking(encode(scheme, coeffs), alphabet, tol=tol, seed=seed)
-        for party, deviation in enumerate(report.deviations):
-            # a NaN sticks, where max(worst, nan) would keep the old worst
-            if deviation > per_party[party] or math.isnan(deviation):
-                per_party[party] = deviation
-        if not report.verdict:
-            failed += 1
+    """Check the marginals of `trials` seeded random unit inputs against I/d.
+
+    The encoder is linear, so every trial is a combination of the d
+    encoder rows: the rows are reduced once per party and every trial is
+    evaluated from them in batches (``evaluate_trials``), drawing the same
+    coefficients as successive ``random_unit_coeffs`` calls.  The first
+    worst trial is replayed through ``encode`` and ``verify_masking``, and
+    the campaign passes iff no trial failed and that replay passes too.
+    """
+    check_tol(tol)
+    rows = [encode_basis(scheme, j) for j in range(scheme.d)]
+    batch = evaluate_trials(rows, rows, scheme.model.alphabet, trials, seed, tol)
+    replay = verify_masking(
+        encode(scheme, replay_coeffs(scheme.d, seed, batch.worst_trial)),
+        scheme.model.alphabet,
+        tol=tol,
+        seed=seed,
+    )
     return MaskingCampaignResult(
         trials=trials,
         seed=seed,
         tol=tol,
-        worst_deviation=float(np.max(per_party)),
-        per_party_worst=tuple(per_party),
-        failed_trials=failed,
-        verdict=failed == 0,
+        worst_deviation=batch.worst_deviation,
+        per_party_worst=batch.per_party_worst,
+        failed_trials=batch.failed_trials,
+        verdict=batch.failed_trials == 0 and replay.verdict,
     )
 
 

@@ -229,6 +229,16 @@ def hs_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
     return float(np.linalg.norm(r1.entries - r2.entries))
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError unless ``tol`` is a finite positive bound.
+
+    An infinite bound passes every state and a NaN bound fails every one,
+    so neither is a tolerance.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and positive, got {tol}")
+
+
 def max_amplitude_diff(s1: StateVector, s2: StateVector) -> float:
     """Largest termwise amplitude difference between two states."""
     kets = set(s1.amplitudes) | set(s2.amplitudes)

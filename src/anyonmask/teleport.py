@@ -27,6 +27,7 @@ from .qstate import (
     DensityMatrix,
     StateVector,
     basis_state,
+    check_tol,
     hs_distance,
     inner,
     partial_trace,
@@ -214,6 +215,7 @@ def run_teleport(coeffs: Sequence[complex], tol: float = DEFAULT_TOL) -> Telepor
     Bob's pre-measurement marginal carries the input populations; its
     distance from I/3 is reported for information only.
     """
+    check_tol(tol)
     coeffs = _as_unit_coeffs(coeffs)
     joint = build_joint(coeffs)
     encoded = permutation_encode(joint)

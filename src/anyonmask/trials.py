@@ -17,12 +17,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .masker import random_unit_coeffs
-from .qstate import StateVector, add, inner, partial_trace, product_basis, scale
+from .qstate import StateVector, add, check_tol, inner, partial_trace, product_basis, scale
 
 # Trials are evaluated this many at a time, so the arrays of one chunk stay
 # small whatever the trial count.
 TRIAL_CHUNK = 128
+
+
+def random_unit_coeffs(d: int, rng: np.random.Generator) -> np.ndarray:
+    """d independent standard complex Gaussians, normalized to the unit sphere."""
+    raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return raw / np.linalg.norm(raw)
 
 
 def random_unit_coeff_block(d: int, trials: int, rng: np.random.Generator) -> np.ndarray:
@@ -148,6 +153,7 @@ def evaluate_trials(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    check_tol(tol)
     per_party = np.zeros(3)
     failed = 0
     worst, worst_trial = -1.0, 0

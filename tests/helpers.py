@@ -1,14 +1,20 @@
-"""Independent dense-array oracles used to cross-check the labeled implementation.
+"""Reference implementations the production code is checked against.
 
-Everything here works on full numpy tensors indexed by alphabet position,
-with the channel tag as one extra axis of size 3 (untagged, vacuum,
-fermion).  No code path is shared with the dict-based state machinery.
+The dense-array oracles work on full numpy tensors indexed by alphabet
+position, with the channel tag as one extra axis of size 3 (untagged,
+vacuum, fermion); they share no code path with the dict-based state
+machinery.  ``labeled_campaign`` is the per-trial masking campaign that
+the batched ``run_masking_campaign`` replaced.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
+import numpy as np
+from hypothesis import strategies as st
+
+from anyonmask.masker import MaskingCampaignResult, encode, random_unit_coeffs, verify_masking
 from anyonmask.qstate import StateVector
 
 TAG_ORDER = (None, "1", "eps")
@@ -66,3 +72,43 @@ def dense_partial_trace(
     d = len(alphabet)
     flat = moved.reshape(d ** len(kept), -1)
     return flat @ flat.conj().T
+
+
+@st.composite
+def unit_coeffs(draw, d):
+    """A hypothesis strategy for unit coefficient vectors of length d."""
+    finite = st.floats(-1, 1, allow_nan=False)
+    vec = np.array(
+        [complex(draw(finite), draw(finite)) for _ in range(d)], dtype=complex
+    )
+    total = np.linalg.norm(vec)
+    if total < 1e-3:
+        vec = np.ones(d, dtype=complex)
+        total = np.linalg.norm(vec)
+    return vec / total
+
+
+def labeled_campaign(scheme, trials: int, seed: int, tol: float) -> MaskingCampaignResult:
+    """A masking campaign that encodes and verifies every trial on its own."""
+    rng = np.random.default_rng(seed)
+    alphabet = scheme.model.alphabet
+    per_party = [0.0, 0.0, 0.0]
+    failed = 0
+    for _ in range(trials):
+        coeffs = random_unit_coeffs(scheme.d, rng)
+        report = verify_masking(encode(scheme, coeffs), alphabet, tol=tol, seed=seed)
+        for party, deviation in enumerate(report.deviations):
+            # a NaN sticks, where max(worst, nan) would keep the old worst
+            if deviation > per_party[party] or math.isnan(deviation):
+                per_party[party] = deviation
+        if not report.verdict:
+            failed += 1
+    return MaskingCampaignResult(
+        trials=trials,
+        seed=seed,
+        tol=tol,
+        worst_deviation=float(np.max(per_party)),
+        per_party_worst=tuple(per_party),
+        failed_trials=failed,
+        verdict=failed == 0,
+    )

@@ -1,10 +1,10 @@
 """The batched trial path against the labeled per-trial path it replaces.
 
-Braid-invariance runs evaluate every seeded trial through per-party
-reduced operators of the d braided encoder rows.  Each test here redoes
-the same trials one at a time with ``encode``, ``apply_ops`` and
-``verify_masking`` and requires the same coefficients, verdicts and
-failure counts, and values within ``ATOL``.
+Masking campaigns and braid-invariance runs evaluate every seeded trial
+through per-party reduced operators of the d (braided) encoder rows.
+Each test here redoes the same trials one at a time with ``encode``,
+``apply_ops`` and ``verify_masking`` and requires the same coefficients,
+verdicts and failure counts, and values within ``ATOL``.
 """
 
 import math
@@ -14,7 +14,16 @@ import pytest
 
 from anyonmask import trials
 from anyonmask.braid import apply_ops, op_set, parse_ops, verify_invariance
-from anyonmask.masker import encode, encode_basis, random_unit_coeffs, verify_masking
+from anyonmask.latin import SchemeTriple, constant_column_square
+from anyonmask.masker import (
+    DEFAULT_TOL,
+    MaskingScheme,
+    encode,
+    encode_basis,
+    random_unit_coeffs,
+    run_masking_campaign,
+    verify_masking,
+)
 from anyonmask.qstate import BasisKet, StateVector, basis_state, norm, scale
 from anyonmask.trials import (
     TRIAL_CHUNK,
@@ -24,7 +33,7 @@ from anyonmask.trials import (
     random_unit_coeff_block,
     replay_coeffs,
 )
-from helpers import TAG_ORDER, dense_vector
+from helpers import TAG_ORDER, dense_vector, labeled_campaign
 
 ATOL = 1e-14
 
@@ -55,6 +64,12 @@ def batched(pre_rows, post_rows, alphabet, trials, seed):
 
 def scheme_for(kind, abelian_scheme, ising_scheme):
     return abelian_scheme if kind == "abelian" else ising_scheme
+
+
+def pinned_first_party(scheme):
+    """The scheme with a constant-row A: party 0 holds the input row label, so it leaks."""
+    triple = SchemeTriple(a=constant_column_square(scheme.d), b=scheme.triple.b, c=scheme.triple.c)
+    return MaskingScheme(model=scheme.model, triple=triple)
 
 
 class TestCoefficientBlock:
@@ -180,6 +195,44 @@ class TestNonMaskingRows:
         np.testing.assert_allclose(defects, labeled, rtol=0, atol=ATOL)
         assert min(labeled) > 0.9
         assert not evaluate_trials(rows, grown, alphabet, 30, 17, 1.0).norm_defect <= 0.9
+
+
+class TestCampaignAgainstLabeledLoop:
+    """``run_masking_campaign`` against the per-trial loop in ``helpers``."""
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    @pytest.mark.parametrize("count", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 1000])
+    def test_same_results(self, kind, count, abelian_scheme, ising_scheme):
+        scheme = scheme_for(kind, abelian_scheme, ising_scheme)
+        for seed in (0, 7, 40_123):
+            batched = run_masking_campaign(scheme, count, seed)
+            labeled = labeled_campaign(scheme, count, seed, DEFAULT_TOL)
+            assert batched.verdict == labeled.verdict
+            assert batched.failed_trials == labeled.failed_trials == 0
+            np.testing.assert_allclose(
+                batched.per_party_worst, labeled.per_party_worst, rtol=0, atol=ATOL
+            )
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    def test_non_masking_scheme_fails_alike(self, kind, abelian_scheme, ising_scheme):
+        scheme = pinned_first_party(scheme_for(kind, abelian_scheme, ising_scheme))
+        batched = run_masking_campaign(scheme, 150, 3)
+        labeled = labeled_campaign(scheme, 150, 3, DEFAULT_TOL)
+        assert not batched.verdict and not labeled.verdict
+        assert batched.failed_trials == labeled.failed_trials == 150
+        np.testing.assert_allclose(batched.per_party_worst, labeled.per_party_worst, rtol=0, atol=ATOL)
+        assert batched.per_party_worst[0] > 0.3
+        assert max(batched.per_party_worst[1:]) <= DEFAULT_TOL
+
+    def test_replay_fails_a_kernel_that_sees_nothing(self, monkeypatch, ising_scheme):
+        def zero_chunks(pre_rows, post_rows, alphabet, count, seed):
+            coeffs = random_unit_coeff_block(len(post_rows), count, np.random.default_rng(seed))
+            yield coeffs, np.zeros((count, 3)), np.zeros(count)
+
+        monkeypatch.setattr(trials, "_trial_chunks", zero_chunks)
+        result = run_masking_campaign(pinned_first_party(ising_scheme), 50, 3)
+        assert result.failed_trials == 0 and result.worst_deviation == 0.0
+        assert not result.verdict  # the labeled replay of trial 0 leaks party 0
 
 
 class TestNanSurfaces:

@@ -1,10 +1,14 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonmask.braid import (
+    CHANNEL_MODES,
     SPLIT,
     BraidError,
     BraidOp,
@@ -13,21 +17,23 @@ from anyonmask.braid import (
     apply_ops,
     circle,
     exchange,
+    op_set,
     parse_ops,
     tripartite_braid,
     verify_invariance,
 )
-from anyonmask.masker import encode, random_unit_coeffs, verify_masking
+from anyonmask.masker import encode, encode_basis, random_unit_coeffs, verify_masking
 from anyonmask.qstate import (
     BasisKet,
     StateVector,
     basis_state,
+    inner,
     max_amplitude_diff,
     norm,
     partial_trace,
     product_basis,
 )
-from helpers import ROWS_D3, ROWS_D4
+from helpers import ROWS_D3, ROWS_D4, unit_coeffs
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 R1_SS = cmath.exp(-1j * math.pi / 8)
@@ -343,3 +349,80 @@ class TestVerifyInvariance:
             picks = rng.integers(0, len(ops_pool), size=3)
             out = apply_ops(ising_scheme.model, state, [ops_pool[i] for i in picks])
             assert abs(norm(out) - 1.0) <= 1e-12
+
+
+def every_op(kind):
+    """The sweep ops plus, for Ising, both exchanges resolved into each channel."""
+    ops = op_set(kind)
+    if kind == "ising":
+        ops += tuple(
+            BraidOp(kind="exchange", x=x, y=x + 1, mode=mode)
+            for x in (0, 1)
+            for mode in CHANNEL_MODES
+            if mode != SPLIT
+        )
+    return ops
+
+
+class TestCodeSpaceProperties:
+    """Every op is an isometry on the encoded states, whatever it does elsewhere."""
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_op_preserves_the_norm_of_encoded_states(self, kind, data, abelian_scheme, ising_scheme):
+        scheme = abelian_scheme if kind == "abelian" else ising_scheme
+        op = data.draw(st.sampled_from(every_op(kind)))
+        state = encode(scheme, data.draw(unit_coeffs(scheme.d)))
+        assert abs(norm(apply_op(scheme.model, state, op)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_braided_encoder_rows_stay_orthonormal(self, kind, data, abelian_scheme, ising_scheme):
+        # (U E)^dagger (U E) = I over the d encoder rows: U is an isometry on the code space
+        scheme = abelian_scheme if kind == "abelian" else ising_scheme
+        ops = data.draw(st.lists(st.sampled_from(op_set(kind)), min_size=1, max_size=3))
+        rows = [apply_ops(scheme.model, encode_basis(scheme, j), ops) for j in range(scheme.d)]
+        gram = np.array([[inner(a, b) for b in rows] for a in rows])
+        np.testing.assert_allclose(gram, np.eye(scheme.d), rtol=0, atol=1e-12)
+
+
+class TestPinnedConventions:
+    """Documented conventions, pinned so that a rewrite cannot change them silently."""
+
+    def test_ising_exchange_is_not_unitary_on_the_tagged_space(self, ising_model):
+        # The untagged sigma-sigma split sends an untagged ket into the same
+        # tagged kets as its tagged twin: orthogonal inputs, overlapping
+        # outputs.  Encoded states are untagged, so this never touches them.
+        untagged = basis_state(["sigma", "sigma", "1"])
+        tagged = basis_state(["sigma", "sigma", "1"], tag="1")
+        assert inner(untagged, tagged) == 0
+        overlap = inner(exchange(ising_model, untagged, 0, 1), exchange(ising_model, tagged, 0, 1))
+        assert abs(overlap) == pytest.approx(INV_SQRT2, abs=1e-15)
+
+    def test_ising_circle_is_not_two_exchanges(self, ising_model):
+        # circle() gives a fermion pair -1, where two exchanges give (-1)^2
+        pair = basis_state(["eps", "eps", "1"])
+        assert circle(ising_model, pair, 1, 0).amplitudes == {BasisKet(("eps", "eps", "1")): -1.0 + 0j}
+        assert apply_ops(ising_model, pair, parse_ops("xAB;xAB")).amplitudes == {
+            BasisKet(("eps", "eps", "1")): 1.0 + 0j
+        }
+        # an untagged sigma pair circles untagged in the vacuum channel,
+        # where the first exchange splits it into tagged branches
+        sigmas = basis_state(["sigma", "sigma", "1"])
+        assert {ket.tag for ket in circle(ising_model, sigmas, 1, 0).amplitudes} == {None}
+        assert {ket.tag for ket in apply_ops(ising_model, sigmas, parse_ops("xAB;xAB")).amplitudes} == {
+            "1",
+            "eps",
+        }
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    def test_braid_relation_holds_on_every_basis_ket(self, kind, abelian_model, ising_model):
+        # xAB;xBC;xAB = xBC;xAB;xBC, tagged or not, split or not
+        model = abelian_model if kind == "abelian" else ising_model
+        left, right = parse_ops("xAB;xBC;xAB"), parse_ops("xBC;xAB;xBC")
+        for labels in itertools.product(model.alphabet, repeat=3):
+            for tag in (None, "1", "eps"):
+                ket = basis_state(labels, tag=tag)
+                assert max_amplitude_diff(apply_ops(model, ket, left), apply_ops(model, ket, right)) <= 1e-15

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from anyonmask import masker
+from anyonmask import masker, trials
 from anyonmask.latin import SchemeTriple, constant_column_square, cyclic_square
 from anyonmask.masker import (
     MaskingScheme,
@@ -20,7 +19,7 @@ from anyonmask.masker import (
     verify_masking,
 )
 from anyonmask.qstate import BasisKet, StateVector, inner, norm, partial_trace, product_basis
-from helpers import ROWS_D3, ROWS_D4, dense_inner, dense_partial_trace
+from helpers import ROWS_D3, ROWS_D4, dense_inner, dense_partial_trace, unit_coeffs
 
 
 def display_state(rows, coeffs):
@@ -31,19 +30,6 @@ def display_state(rows, coeffs):
         for labels in row:
             amps[BasisKet(labels)] = coeffs[j] / math.sqrt(d)
     return StateVector(amps)
-
-
-@st.composite
-def unit_coeffs(draw, d):
-    finite = st.floats(-1, 1, allow_nan=False)
-    vec = np.array(
-        [complex(draw(finite), draw(finite)) for _ in range(d)], dtype=complex
-    )
-    total = np.linalg.norm(vec)
-    if total < 1e-3:
-        vec = np.ones(d, dtype=complex)
-        total = np.linalg.norm(vec)
-    return vec / total
 
 
 class TestEncodeBasis:
@@ -295,12 +281,16 @@ class TestCampaign:
             run_masking_campaign(ising_scheme, trials=0, seed=1)
 
     def test_nan_deviation_fails_and_surfaces(self, monkeypatch, abelian_scheme):
-        # max(worst, nan) kept the old worst, so the report hid the NaN
-        real = masker.hs_distance
-        calls = iter(range(1000))
-        monkeypatch.setattr(
-            masker, "hs_distance", lambda r1, r2: math.nan if next(calls) == 7 else real(r1, r2)
-        )
+        # max(worst, nan) kept the old worst, so the report hid the NaN;
+        # the NaN goes into trial 2's party-1 deviation inside the batch
+        real = trials._trial_chunks
+
+        def nan_chunks(*args):
+            for coeffs, deviations, defects in real(*args):
+                deviations[2, 1] = math.nan
+                yield coeffs, deviations, defects
+
+        monkeypatch.setattr(trials, "_trial_chunks", nan_chunks)
         result = run_masking_campaign(abelian_scheme, trials=5, seed=1)
         assert not result.verdict
         assert result.failed_trials == 1

@@ -1,0 +1,44 @@
+"""Every library entry point that takes a tolerance rejects one that is no bound.
+
+An infinite tolerance passed a product state as masked, and a NaN one
+failed every trial of a correct campaign; both now raise ValueError at
+the call, as ``--tol`` does at the command line.
+"""
+
+import math
+
+import pytest
+
+from anyonmask.braid import parse_ops, verify_invariance
+from anyonmask.masker import encode, encode_basis, run_masking_campaign, verify_masking
+from anyonmask.qstate import basis_state
+from anyonmask.teleport import run_teleport
+from anyonmask.trials import evaluate_trials
+
+BAD_TOLS = [math.inf, math.nan, 0.0, -1.0]
+
+
+def rows(scheme):
+    return [encode_basis(scheme, j) for j in range(scheme.d)]
+
+
+ENTRY_POINTS = {
+    "verify_masking": lambda s, tol: verify_masking(basis_state(("1", "1", "1")), s.model.alphabet, tol=tol),
+    "run_masking_campaign": lambda s, tol: run_masking_campaign(s, 5, 1, tol=tol),
+    "verify_invariance": lambda s, tol: verify_invariance(s, parse_ops("xAB"), 5, tol=tol),
+    "evaluate_trials": lambda s, tol: evaluate_trials(rows(s), rows(s), s.model.alphabet, 5, 1, tol),
+    "run_teleport": lambda s, tol: run_teleport([1.0, 0.0, 0.0], tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_bad_tol_rejected(ising_scheme, name, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        ENTRY_POINTS[name](ising_scheme, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-12, 1.0, 1e300])
+def test_finite_positive_tol_accepted(ising_scheme, tol):
+    report = verify_masking(encode(ising_scheme, [1.0, 0.0, 0.0]), ising_scheme.model.alphabet, tol=tol)
+    assert report.tol == tol

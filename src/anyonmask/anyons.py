@@ -240,13 +240,6 @@ def monodromy(model: AnyonModel, a: str, b: str, channel: str) -> complex:
     return phase_from_eighths(monodromy_angle(model, a, b, channel))
 
 
-def _flat_fuse(model: AnyonModel, labels: tuple[str, ...], extra: str) -> tuple[str, ...]:
-    out: list[str] = []
-    for x in labels:
-        out.extend(model.fusion[(x, extra)])
-    return tuple(sorted(out, key=model.index))
-
-
 def validate_model(model: AnyonModel) -> ModelValidationReport:
     """Check every structural invariant of the model tables by name."""
     bad: list[str] = []

@@ -33,7 +33,7 @@ from .anyons import (
 )
 from .masker import MaskingReport, MaskingScheme, encode, encode_basis, verify_masking
 from .qstate import BasisKet, StateVector, check_tol
-from .trials import evaluate_trials, replay_coeffs
+from .trials import evaluate_trials
 
 EXCHANGE = "exchange"
 CIRCLE = "circle"
@@ -303,16 +303,15 @@ def verify_invariance(
     Every op is linear, so the d encoder rows are braided once and the
     trials run as one batch over them (``evaluate_trials``).  The worst
     trial is replayed through ``encode`` and ``apply_ops`` for the pre- and
-    post-braid reports.
+    post-braid reports, and both must pass too.
     """
     check_tol(tol)
     ops = tuple(ops)
     model = scheme.model
     alphabet = model.alphabet
-    rows = [encode_basis(scheme, j) for j in range(scheme.d)]
-    braided = [apply_ops(model, row, ops) for row in rows]
-    batch = evaluate_trials(rows, braided, alphabet, trials, seed, tol)
-    pre_state = encode(scheme, replay_coeffs(scheme.d, seed, batch.worst_trial))
+    braided = [apply_ops(model, encode_basis(scheme, j), ops) for j in range(scheme.d)]
+    batch = evaluate_trials(braided, alphabet, trials, seed, tol)
+    pre_state = encode(scheme, batch.worst_coeffs)
     pre_report = verify_masking(pre_state, alphabet, tol=tol, seed=seed)
     post_report = verify_masking(apply_ops(model, pre_state, ops), alphabet, tol=tol, seed=seed)
     return BraidReport(
@@ -326,6 +325,7 @@ def verify_invariance(
             batch.failed_trials == 0
             and batch.norm_defect <= UNITARITY_TOL
             and pre_report.verdict
+            and post_report.verdict
         ),
         pre_report=pre_report,
         post_report=post_report,

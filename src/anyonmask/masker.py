@@ -33,7 +33,7 @@ from .qstate import (
 )
 # random_unit_coeffs lives with the batch draws that must match it bit for
 # bit; it stays importable from here, where callers have always drawn inputs.
-from .trials import evaluate_trials, random_unit_coeffs, replay_coeffs  # noqa: F401
+from .trials import evaluate_trials, random_unit_coeffs  # noqa: F401
 
 DEFAULT_TOL = 1e-12
 
@@ -218,14 +218,10 @@ def run_masking_campaign(
     the campaign passes iff no trial failed and that replay passes too.
     """
     check_tol(tol)
+    alphabet = scheme.model.alphabet
     rows = [encode_basis(scheme, j) for j in range(scheme.d)]
-    batch = evaluate_trials(rows, rows, scheme.model.alphabet, trials, seed, tol)
-    replay = verify_masking(
-        encode(scheme, replay_coeffs(scheme.d, seed, batch.worst_trial)),
-        scheme.model.alphabet,
-        tol=tol,
-        seed=seed,
-    )
+    batch = evaluate_trials(rows, alphabet, trials, seed, tol)
+    replay = verify_masking(encode(scheme, batch.worst_coeffs), alphabet, tol=tol, seed=seed)
     return MaskingCampaignResult(
         trials=trials,
         seed=seed,

@@ -87,13 +87,6 @@ def scale(state: StateVector, z: complex) -> StateVector:
     return StateVector({ket: z * amp for ket, amp in state.items()})
 
 
-def add(s1: StateVector, s2: StateVector) -> StateVector:
-    out = dict(s1.amplitudes)
-    for ket, amp in s2.items():
-        out[ket] = out.get(ket, 0j) + amp
-    return StateVector(out)
-
-
 def norm(state: StateVector) -> float:
     return math.sqrt(sum(abs(a) ** 2 for a in state.amplitudes.values()))
 

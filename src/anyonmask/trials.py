@@ -4,10 +4,11 @@ A braid sequence (or any linear map) sends the d encoder rows to d new
 rows, and a trial with coefficients c is the combination sum_j c_j row_j.
 Party p's marginal is then quadratic in c: rho_p = sum_jj' c_j conj(c_j')
 K_p[j, j'] with K_p[j, j'] = Tr_{not p} |row_j><row_j'|.  The K_p are formed
-once from labeled partial traces, after which every trial costs one small
-matrix product.  Coefficients are drawn exactly as successive
-``random_unit_coeffs`` calls, so a seed names the same trials here as in
-the labeled path.
+once from a dense copy of the rows, after which every trial costs one
+small matrix product, and the trace of its party-0 marginal is its squared
+norm.  Coefficients are drawn exactly as successive ``random_unit_coeffs``
+calls, so a seed names the same trials here as in the labeled path; the
+worst trial's coefficients leave the batch with it for a labeled replay.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qstate import StateVector, add, check_tol, inner, partial_trace, product_basis, scale
+from .qstate import StateVector, check_tol
 
 # Trials are evaluated this many at a time, so the arrays of one chunk stay
 # small whatever the trial count.
@@ -46,79 +47,71 @@ def random_unit_coeff_block(d: int, trials: int, rng: np.random.Generator) -> np
     return raw / np.sqrt(squares)
 
 
-def replay_coeffs(d: int, seed: int, trial: int) -> np.ndarray:
-    """The coefficients of trial ``trial`` of a batch seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, trial, TRIAL_CHUNK):
-        rng.standard_normal((min(TRIAL_CHUNK, trial - start), 2, d))
-    return random_unit_coeffs(d, rng)
-
-
 def _reduced_operators(rows: Sequence[StateVector], alphabet: Sequence[str]) -> np.ndarray:
     """K_p[j*n + j', a*d + b] = <a| Tr_{not p} |row_j><row_j'| |b>, parties side by side.
 
     For coefficients c, party p's marginal is vec(c c^dagger) @ K_p with
-    vec(c c^dagger)[j*n + j'] = c_j conj(c_j').  The cross terms come from
-    ``partial_trace`` by polarization: with T(s) = Tr_{not p}|s><s|,
-    |a><b| traces to ((T(a+b) - T(a) - T(b)) + i (T(a+ib) - T(a) - T(b))) / 2.
-    Shape (n^2, 3 d^2).
+    vec(c c^dagger)[j*n + j'] = c_j conj(c_j').  The rows are laid out as
+    one array psi[j, a0, a1, a2, tag] over the channel tags they carry
+    (untagged included), and K_p contracts psi with its conjugate over the
+    other two registers and the tag.  Shape (n^2, 3 d^2).
     """
     n, d = len(rows), len(alphabet)
-    basis = product_basis(alphabet, 1)
-    k = np.zeros((n, n, 3, d, d), dtype=complex)
+    index = {label: i for i, label in enumerate(alphabet)}
+    present = dict.fromkeys(ket.tag for row in rows for ket in row.amplitudes)
+    tags = {tag: i for i, tag in enumerate(present)}
+    psi = np.zeros((n, d, d, d, len(tags)), dtype=complex)
+    for j, row in enumerate(rows):
+        if row.n_registers != 3:
+            raise ValueError(f"row {j} has {row.n_registers} registers, expected 3")
+        for ket, amp in row.items():
+            try:
+                psi[(j, *(index[label] for label in ket.labels), tags[ket.tag])] = amp
+            except KeyError:
+                raise ValueError(f"row {j} has a label outside {tuple(alphabet)}: {ket}") from None
+    k = np.empty((n, n, 3, d, d), dtype=complex)
     for party in range(3):
-        def trace(state: StateVector) -> np.ndarray:
-            return partial_trace(state, {party}, basis).entries
-
-        diag = [trace(row) for row in rows]
-        for j in range(n):
-            k[j, j, party] = diag[j]
-            for jj in range(j + 1, n):
-                both = diag[j] + diag[jj]
-                sym = trace(add(rows[j], rows[jj])) - both
-                skew = 1j * (trace(add(rows[j], scale(rows[jj], 1j))) - both)
-                k[j, jj, party] = (sym + skew) / 2
-                k[jj, j, party] = (sym - skew) / 2
+        flat = np.moveaxis(psi, party + 1, 1).reshape(n * d, -1)
+        k[:, :, party] = (flat @ flat.conj().T).reshape(n, d, n, d).transpose(0, 2, 1, 3)
     return k.reshape(n * n, 3 * d * d)
 
 
-def _gram(rows: Sequence[StateVector]) -> np.ndarray:
-    """G[j*n + j'] = <row_j'|row_j>, so |sum_j c_j row_j|^2 = vec(c c^dagger) @ G."""
-    return np.array([inner(b, a) for a in rows for b in rows])
-
-
 def _trial_chunks(
-    pre_rows: Sequence[StateVector],
-    post_rows: Sequence[StateVector],
+    rows: Sequence[StateVector],
     alphabet: Sequence[str],
     trials: int,
     seed: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(coeffs, deviations, norm defects) of the seeded trials, TRIAL_CHUNK at a time.
 
-    Trial t maps the state sum_j c_tj pre_rows[j] to sum_j c_tj post_rows[j]
-    for the t-th ``random_unit_coeffs(n, default_rng(seed))`` draw c_t.
+    Trial t is the state sum_j c_tj rows[j] for the t-th
+    ``random_unit_coeffs(n, default_rng(seed))`` draw c_t.
     ``deviations[t, p]`` is the Hilbert-Schmidt distance of party p's
-    marginal after the map from I/d, and the norm defect is
-    |norm(after) - norm(before)|.
+    marginal from I/d.  The squared norm of the state is the trace of any
+    marginal, party 0's here, and before the map it was 1 (``encode`` of a
+    unit vector on orthonormal rows), so the norm defect is
+    |sqrt(tr rho_0) - 1|.
     """
-    n, d = len(post_rows), len(alphabet)
-    if len(pre_rows) != n:
-        raise ValueError(f"expected {n} rows before the map, got {len(pre_rows)}")
-    kops = _reduced_operators(post_rows, alphabet)
-    grams = np.stack([_gram(post_rows), _gram(pre_rows)], axis=1)
+    n, d = len(rows), len(alphabet)
+    kops = _reduced_operators(rows, alphabet)
     target = (np.eye(d) / d).reshape(-1)
+    # The block draw equals the per-trial draw only while BLAS sums as
+    # np.linalg.norm does; a numpy that rounds otherwise would shift every
+    # seeded trial, so trial 0 is checked against ``random_unit_coeffs``.
+    first = random_unit_coeffs(n, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     for start in range(0, trials, TRIAL_CHUNK):
         size = min(TRIAL_CHUNK, trials - start)
         coeffs = random_unit_coeff_block(n, size, rng)
+        if start == 0 and not np.array_equal(coeffs[0], first):
+            raise RuntimeError(f"seed {seed}: the block draw of trial 0 is not the per-trial draw")
         cc = (coeffs[:, :, None] * coeffs[:, None, :].conj()).reshape(size, n * n)
-        diff = np.einsum("tk,kp->tp", cc, kops).reshape(size, 3, d * d)
+        diff = (cc @ kops).reshape(size, 3, d * d)
+        norms = np.sqrt(np.abs(diff[:, 0, :: d + 1].real.sum(axis=1)))
         diff -= target
         squares = np.square(diff.view(np.float64), out=diff.view(np.float64))
         deviations = np.sqrt(squares.sum(axis=2))
-        norms = np.sqrt(np.abs(np.einsum("tk,kp->tp", cc, grams).real))
-        yield coeffs, deviations, np.abs(norms[:, 0] - norms[:, 1])
+        yield coeffs, deviations, np.abs(norms - 1)
 
 
 @dataclass(frozen=True)
@@ -128,6 +121,7 @@ class TrialBatch:
     per_party_worst: tuple[float, ...]
     failed_trials: int
     worst_trial: int  # first trial with the largest deviation, a NaN counting as largest
+    worst_coeffs: tuple[complex, ...]  # that trial's coefficients, as drawn
     norm_defect: float
 
     @property
@@ -136,8 +130,7 @@ class TrialBatch:
 
 
 def evaluate_trials(
-    pre_rows: Sequence[StateVector],
-    post_rows: Sequence[StateVector],
+    rows: Sequence[StateVector],
     alphabet: Sequence[str],
     trials: int,
     seed: int,
@@ -145,32 +138,34 @@ def evaluate_trials(
 ) -> TrialBatch:
     """Check every seeded trial's marginals through the rows' reduced operators.
 
-    The map from ``pre_rows`` to ``post_rows`` (a braid sequence, say) is
-    linear, so every trial is a combination of the same rows: the rows are
-    reduced once per party and each trial costs one small matrix product.
-    A trial fails when any party's deviation is above ``tol`` (or NaN).
-    See ``_trial_chunks`` for what a trial is.
+    ``rows`` are the images of the orthonormal encoder rows under a linear
+    map (a braid sequence, say, or the identity), so every trial is a
+    combination of them: the rows are reduced once per party and each
+    trial costs one small matrix product.  A trial fails when any party's
+    deviation is above ``tol`` (or NaN).  See ``_trial_chunks`` for what a
+    trial is.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     check_tol(tol)
     per_party = np.zeros(3)
     failed = 0
-    worst, worst_trial = -1.0, 0
+    worst, worst_trial, worst_coeffs = -1.0, 0, ()
     defect = 0.0
     start = 0
-    for _, deviations, defects in _trial_chunks(pre_rows, post_rows, alphabet, trials, seed):
+    for coeffs, deviations, defects in _trial_chunks(rows, alphabet, trials, seed):
         per_party = np.maximum(per_party, deviations.max(axis=0))
         failed += int(np.count_nonzero(~(deviations <= tol).all(axis=1)))
         trial_worst = deviations.max(axis=1)
         i = int(np.argmax(trial_worst))
         if trial_worst[i] > worst or (np.isnan(trial_worst[i]) and not np.isnan(worst)):
-            worst, worst_trial = trial_worst[i], start + i
+            worst, worst_trial, worst_coeffs = trial_worst[i], start + i, coeffs[i]
         defect = np.maximum(defect, defects.max())
         start += len(deviations)
     return TrialBatch(
         per_party_worst=tuple(float(x) for x in per_party),
         failed_trials=failed,
         worst_trial=worst_trial,
+        worst_coeffs=tuple(complex(c) for c in worst_coeffs),
         norm_defect=float(defect),
     )

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from anyonmask import trials
+from anyonmask import braid, trials
 from anyonmask.braid import apply_ops, op_set, parse_ops, verify_invariance
 from anyonmask.latin import SchemeTriple, constant_column_square
 from anyonmask.masker import (
@@ -31,7 +31,6 @@ from anyonmask.trials import (
     _trial_chunks,
     evaluate_trials,
     random_unit_coeff_block,
-    replay_coeffs,
 )
 from helpers import TAG_ORDER, dense_vector, labeled_campaign
 
@@ -57,8 +56,8 @@ def combine(rows, coeffs):
     return StateVector(out)
 
 
-def batched(pre_rows, post_rows, alphabet, trials, seed):
-    chunks = list(_trial_chunks(pre_rows, post_rows, alphabet, trials, seed))
+def batched(rows, alphabet, trials, seed):
+    chunks = list(_trial_chunks(rows, alphabet, trials, seed))
     return tuple(np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
 
 
@@ -84,13 +83,36 @@ class TestCoefficientBlock:
         scheme = ising_scheme if d == 3 else abelian_scheme
         rows = [encode_basis(scheme, j) for j in range(d)]
         trials = TRIAL_CHUNK + 37
-        coeffs, _, _ = batched(rows, rows, scheme.model.alphabet, trials, 11)
+        coeffs, _, _ = batched(rows, scheme.model.alphabet, trials, 11)
         assert np.array_equal(coeffs, sequential_draws(d, trials, 11))
 
     @pytest.mark.parametrize("trial", [0, 1, 99, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 5])
-    def test_replay_coeffs_is_the_sequential_draw(self, trial):
-        draws = sequential_draws(4, TRIAL_CHUNK + 6, 3)
-        assert np.array_equal(replay_coeffs(4, 3, trial), draws[trial])
+    def test_replay_coeffs_is_the_sequential_draw(self, trial, monkeypatch, abelian_scheme):
+        real = trials._trial_chunks
+
+        def one_bad_trial(*args):
+            start = 0
+            for coeffs, deviations, defects in real(*args):
+                deviations = np.zeros_like(deviations)
+                if start <= trial < start + len(deviations):
+                    deviations[trial - start, 1] = 1.0
+                start += len(deviations)
+                yield coeffs, deviations, defects
+
+        monkeypatch.setattr(trials, "_trial_chunks", one_bad_trial)
+        rows = [encode_basis(abelian_scheme, j) for j in range(4)]
+        batch = evaluate_trials(rows, abelian_scheme.model.alphabet, TRIAL_CHUNK + 6, 3, 0.5)
+        assert batch.worst_trial == trial
+        assert batch.worst_coeffs == tuple(sequential_draws(4, TRIAL_CHUNK + 6, 3)[trial])
+
+    def test_a_block_off_the_sequential_draw_is_refused(self, monkeypatch, ising_scheme):
+        real = trials.random_unit_coeff_block
+        monkeypatch.setattr(
+            trials, "random_unit_coeff_block", lambda *args: real(*args) * (1 + 2**-52)
+        )
+        rows = [encode_basis(ising_scheme, j) for j in range(3)]
+        with pytest.raises(RuntimeError, match="seed 4: the block draw of trial 0 is not the per-trial draw"):
+            evaluate_trials(rows, ising_scheme.model.alphabet, 10, 4, 1e-12)
 
     def test_block_rejects_non_finite_draws(self):
         class NanNormal:
@@ -110,7 +132,7 @@ class TestAgainstLabeledTrials:
         for seed, text in enumerate(SEQUENCES[kind]):
             ops = parse_ops(text)
             braided = [apply_ops(model, row, ops) for row in rows]
-            coeffs, deviations, defects = batched(rows, braided, alphabet, 60, seed)
+            coeffs, deviations, defects = batched(braided, alphabet, 60, seed)
             assert np.array_equal(coeffs, sequential_draws(scheme.d, 60, seed))
             for t, c in enumerate(coeffs):
                 pre = encode(scheme, c)
@@ -164,6 +186,18 @@ def test_reduced_operators_against_dense_oracle():
                 np.testing.assert_allclose(k[j, jj, party], expected, rtol=0, atol=ATOL)
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        (basis_state(("1", "e", "1")), "label outside"),
+        (basis_state(("1", "1")), "has 2 registers"),
+    ],
+)
+def test_reduced_operators_reject_foreign_rows(row, problem):
+    with pytest.raises(ValueError, match=problem):
+        _reduced_operators([basis_state(("1", "1", "1")), row], ("1", "eps", "sigma"))
+
+
 class TestNonMaskingRows:
     """Rows |j j j> leak every input, so both paths must see large deviations."""
 
@@ -172,7 +206,7 @@ class TestNonMaskingRows:
         model = abelian_model if kind == "abelian" else ising_model
         alphabet = model.alphabet
         rows = [basis_state((label,) * 3) for label in alphabet]
-        coeffs, deviations, _ = batched(rows, rows, alphabet, 80, 13)
+        coeffs, deviations, _ = batched(rows, alphabet, 80, 13)
         labeled = np.array(
             [verify_masking(combine(rows, c), alphabet).deviations for c in coeffs]
         )
@@ -182,19 +216,20 @@ class TestNonMaskingRows:
         # a threshold between two labeled values splits the trials the same way
         worst = np.sort(labeled.max(axis=1))
         tol = (worst[39] + worst[40]) / 2
-        batch = evaluate_trials(rows, rows, alphabet, 80, 13, tol)
+        batch = evaluate_trials(rows, alphabet, 80, 13, tol)
         assert batch.failed_trials == sum(not (row <= tol).all() for row in labeled) == 40
         assert batch.worst_trial == int(np.argmax(labeled.max(axis=1)))
+        assert batch.worst_coeffs == tuple(coeffs[batch.worst_trial])
 
     def test_scaled_rows_show_the_norm_defect(self, ising_scheme):
         alphabet = ising_scheme.model.alphabet
         rows = [encode_basis(ising_scheme, j) for j in range(3)]
         grown = [scale(row, 2.0) for row in rows]
-        coeffs, _, defects = batched(rows, grown, alphabet, 30, 17)
+        coeffs, _, defects = batched(grown, alphabet, 30, 17)
         labeled = [abs(norm(combine(grown, c)) - norm(combine(rows, c))) for c in coeffs]
         np.testing.assert_allclose(defects, labeled, rtol=0, atol=ATOL)
         assert min(labeled) > 0.9
-        assert not evaluate_trials(rows, grown, alphabet, 30, 17, 1.0).norm_defect <= 0.9
+        assert not evaluate_trials(grown, alphabet, 30, 17, 1.0).norm_defect <= 0.9
 
 
 class TestCampaignAgainstLabeledLoop:
@@ -225,14 +260,29 @@ class TestCampaignAgainstLabeledLoop:
         assert max(batched.per_party_worst[1:]) <= DEFAULT_TOL
 
     def test_replay_fails_a_kernel_that_sees_nothing(self, monkeypatch, ising_scheme):
-        def zero_chunks(pre_rows, post_rows, alphabet, count, seed):
-            coeffs = random_unit_coeff_block(len(post_rows), count, np.random.default_rng(seed))
+        def zero_chunks(rows, alphabet, count, seed):
+            coeffs = random_unit_coeff_block(len(rows), count, np.random.default_rng(seed))
             yield coeffs, np.zeros((count, 3)), np.zeros(count)
 
         monkeypatch.setattr(trials, "_trial_chunks", zero_chunks)
         result = run_masking_campaign(pinned_first_party(ising_scheme), 50, 3)
         assert result.failed_trials == 0 and result.worst_deviation == 0.0
         assert not result.verdict  # the labeled replay of trial 0 leaks party 0
+
+
+def test_braid_replay_fails_a_kernel_that_sees_nothing(monkeypatch, ising_scheme):
+    real = trials._trial_chunks
+
+    def zero_chunks(*args):
+        for coeffs, deviations, defects in real(*args):
+            yield coeffs, np.zeros_like(deviations), np.zeros_like(defects)
+
+    monkeypatch.setattr(trials, "_trial_chunks", zero_chunks)
+    monkeypatch.setattr(braid, "apply_ops", lambda *args: basis_state(("1", "1", "1")))
+    report = verify_invariance(ising_scheme, parse_ops("xAB"), trials=20, seed=2)
+    assert report.worst_deviation == 0.0 and report.unitarity_defect == 0.0
+    assert report.pre_report.verdict and not report.post_report.verdict
+    assert not report.verdict  # only the post-braid replay sees the leak
 
 
 class TestNanSurfaces:
@@ -253,18 +303,23 @@ class TestNanSurfaces:
         ]
 
         def fake_chunks(*args):
+            start = 0
             for deviations in chunks:
-                yield None, np.array(deviations), np.zeros(len(deviations))
+                coeffs = np.arange(start, start + len(deviations))[:, None] * np.ones(3) + 0j
+                start += len(deviations)
+                yield coeffs, np.array(deviations), np.zeros(len(deviations))
 
         monkeypatch.setattr(trials, "_trial_chunks", fake_chunks)
-        batch = evaluate_trials([], [], ising_scheme.model.alphabet, 5, 0, 1.0)
+        batch = evaluate_trials([], ising_scheme.model.alphabet, 5, 0, 1.0)
         assert batch.worst_trial == 3  # the first NaN beats every number
+        assert batch.worst_coeffs == (3, 3, 3)
         assert batch.failed_trials == 2
         assert math.isnan(batch.per_party_worst[0]) and math.isnan(batch.per_party_worst[2])
         assert batch.per_party_worst[1] == 0.0
 
         chunks[1][1:] = []  # ties keep the earliest trial
-        assert evaluate_trials([], [], ising_scheme.model.alphabet, 3, 0, 1.0).worst_trial == 1
+        batch = evaluate_trials([], ising_scheme.model.alphabet, 3, 0, 1.0)
+        assert batch.worst_trial == 1 and batch.worst_coeffs == (1, 1, 1)
 
 
 def test_op_set_is_the_sweep_alphabet():

@@ -9,7 +9,6 @@ from anyonmask.qstate import (
     BasisKet,
     DensityMatrix,
     StateVector,
-    add,
     basis_state,
     hs_distance,
     inner,
@@ -98,11 +97,6 @@ class TestInnerNormScale:
     @settings(max_examples=60, deadline=None)
     def test_norm_is_sqrt_self_inner(self, s):
         assert norm(s) ** 2 == pytest.approx(inner(s, s).real, abs=1e-10)
-
-    def test_add_accumulates(self):
-        s = add(basis_state(["e"]), scale(basis_state(["e"]), -1.0))
-        assert len(s) == 0
-        assert norm(s) == 0.0
 
 
 class TestPartialTrace:

@@ -26,7 +26,7 @@ ENTRY_POINTS = {
     "verify_masking": lambda s, tol: verify_masking(basis_state(("1", "1", "1")), s.model.alphabet, tol=tol),
     "run_masking_campaign": lambda s, tol: run_masking_campaign(s, 5, 1, tol=tol),
     "verify_invariance": lambda s, tol: verify_invariance(s, parse_ops("xAB"), 5, tol=tol),
-    "evaluate_trials": lambda s, tol: evaluate_trials(rows(s), rows(s), s.model.alphabet, 5, 1, tol),
+    "evaluate_trials": lambda s, tol: evaluate_trials(rows(s), s.model.alphabet, 5, 1, tol),
     "run_teleport": lambda s, tol: run_teleport([1.0, 0.0, 0.0], tol=tol),
 }
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 VAC = "1"
@@ -106,6 +107,24 @@ class AnyonModel:
 
     def check_label(self, label: str) -> None:
         self.index(label)
+
+    @cached_property
+    def content_key(self) -> tuple:
+        """Every table of the model as one hashable value, the name left out.
+
+        Two models built alike have equal keys, so what is derived from a
+        model's tables can be shared between them; it is computed once per
+        model object.
+        """
+        return (
+            self.kind,
+            self.c,
+            self.alphabet,
+            tuple(sorted(self.fusion.items())),
+            tuple(sorted(self.r_eighths.items())),
+            tuple(sorted(self.theta_eighths.items())),
+            tuple(sorted(self.kappa.items())),
+        )
 
     def theta(self, label: str) -> complex:
         self.check_label(label)

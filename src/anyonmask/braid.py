@@ -3,13 +3,22 @@
 Three operations are provided: pairwise exchange of adjacent parties,
 full circling of one party around another, and the Ising tripartite
 braid that splits the all-sigma component into tagged fusion branches.
-All are pure maps from state to state, and all preserve the norm.
+All are pure maps from state to state, and all preserve the norm of
+encoded states.
 
 A sigma-sigma exchange has no unique fusion channel.  A term that
 already carries a channel tag braids in that channel; an untagged term
 either splits into two equal-weight tagged branches (mode ``"split"``)
 or is pushed into one chosen channel (mode ``"1"`` or ``"eps"``).  Both
 conventions leave the masking marginals untouched.
+
+Each op is defined by a per-ket rule, and it sends every tagged basis
+ket (register labels times a channel tag from ``qstate.TAGS``) to at
+most two kets with phases in eighths of pi.  That map depends only on
+the model, so each op is compiled once per model content and register
+count into a gather table over the tagged basis, and every call is a
+gather of dense amplitudes through it.  ``verify_invariance`` gathers
+the d encoder rows as one array the same way.
 
 Braid sequences parse from compact op strings such as ``"xBC;cBA;t3"``
 (exchange B and C, circle B around A, tripartite braid).
@@ -19,20 +28,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NoReturn, Optional, Sequence
+
+import numpy as np
 
 from .anyons import (
     EPS,
     SIGMA,
     VAC,
     AnyonModel,
+    FusionChannelError,
     fuse,
     monodromy_angle,
     phase_from_eighths,
     r_angle,
 )
-from .masker import MaskingReport, MaskingScheme, encode, encode_basis, verify_masking
-from .qstate import BasisKet, StateVector, check_tol
+from .masker import MaskingReport, MaskingScheme, encode, encoder_rows, verify_masking
+from .qstate import PRUNE_EPS, TAGS, BasisKet, StateVector, check_tol, product_basis
 from .trials import evaluate_trials
 
 EXCHANGE = "exchange"
@@ -61,6 +74,12 @@ class BraidOp:
     x: Optional[int] = None
     y: Optional[int] = None
     mode: str = SPLIT
+
+    def __post_init__(self) -> None:
+        if self.kind not in (EXCHANGE, CIRCLE, TRIPARTITE):
+            raise BraidError(f"unknown op kind {self.kind!r}")
+        if self.mode not in CHANNEL_MODES:
+            raise BraidError(f"channel mode must be one of {CHANNEL_MODES}, got {self.mode!r}")
 
     def token(self) -> str:
         if self.kind == EXCHANGE:
@@ -99,6 +118,203 @@ def _sigma_pair_phases(model: AnyonModel) -> tuple[int, int]:
     return r_angle(model, SIGMA, SIGMA, VAC), r_angle(model, SIGMA, SIGMA, EPS)
 
 
+# -- per-ket rules: what one op does to one tagged basis ket ----------------
+
+_Image = list[tuple[BasisKet, complex]]
+
+
+def _exchange_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
+    lo, hi = min(op.x, op.y), max(op.x, op.y)
+    a, b = ket.labels[lo], ket.labels[hi]
+    swapped = list(ket.labels)
+    swapped[lo], swapped[hi] = b, a
+    labels = tuple(swapped)
+    channels = fuse(model, a, b)
+    if not channels.is_split:
+        return [(BasisKet(labels, ket.tag), phase_from_eighths(r_angle(model, a, b, channels.channels[0])))]
+    if ket.tag is not None:
+        if op.mode != SPLIT and op.mode != ket.tag:
+            raise ChannelConflictError(
+                f"term {ket} already fuses in channel {ket.tag!r}; cannot resolve to {op.mode!r}"
+            )
+        return [(BasisKet(labels, ket.tag), phase_from_eighths(r_angle(model, a, b, ket.tag)))]
+    if op.mode == SPLIT:
+        return [
+            (BasisKet(labels, channel), phase_from_eighths(r_angle(model, a, b, channel)) * _INV_SQRT2)
+            for channel in channels
+        ]
+    return [(BasisKet(labels, op.mode), phase_from_eighths(r_angle(model, a, b, op.mode)))]
+
+
+def _circle_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
+    a, b = ket.labels[op.x], ket.labels[op.y]
+    channels = fuse(model, a, b)
+    if channels.is_split:
+        channel = ket.tag if ket.tag is not None else VAC
+        angle = monodromy_angle(model, a, b, channel)
+    elif model.kind == "ising" and a == EPS and b == EPS:
+        angle = 8
+    else:
+        angle = monodromy_angle(model, a, b, channels.channels[0])
+    return [(ket, phase_from_eighths(angle))]
+
+
+def _tripartite_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
+    r1, reps = _sigma_pair_phases(model)
+    kappa_shift = 0 if model.kappa[SIGMA] == 1 else 8
+    labels = ket.labels
+    sigma_count = sum(1 for lab in labels if lab == SIGMA)
+    if sigma_count == 3:
+        if ket.tag is None:
+            return [
+                (BasisKet(labels, VAC), phase_from_eighths(kappa_shift + 2 * r1) * _INV_SQRT2),
+                (BasisKet(labels, EPS), phase_from_eighths(kappa_shift + r1 + reps) * _INV_SQRT2),
+            ]
+        rtag = r1 if ket.tag == VAC else reps
+        return [(BasisKet(labels, ket.tag), phase_from_eighths(kappa_shift + r1 + rtag))]
+    pairs = ((labels[0], labels[1]), (labels[0], labels[2]), (labels[1], labels[2]))
+    angle = 0
+    for a, b in pairs:
+        if (a, b) != (SIGMA, SIGMA):
+            angle += r_angle(model, a, b, fuse(model, a, b).channels[0])
+    if sigma_count < 2:
+        return [(BasisKet(labels, ket.tag), phase_from_eighths(angle))]
+    if ket.tag is not None:
+        rtag = r1 if ket.tag == VAC else reps
+        return [(BasisKet(labels, ket.tag), phase_from_eighths(angle + rtag))]
+    return [
+        (BasisKet(labels, VAC), phase_from_eighths(angle + r1) * _INV_SQRT2),
+        (BasisKet(labels, EPS), phase_from_eighths(angle + reps) * _INV_SQRT2),
+    ]
+
+
+# -- compiled op tables -------------------------------------------------------
+
+@dataclass(frozen=True)
+class _OpTable:
+    """One op on the tagged basis of n registers, as a gather.
+
+    ``kets`` is the basis, d^n label tuples in row-major order times
+    ``TAGS``, and ``index`` its inverse.  Output ket i receives
+    sum_s amp[s, i] * in[src[s, i]] over at most two sources s (one row
+    per source; a missing source has amplitude 0).  ``conflicts`` lists
+    the source kets on which the op raises ``ChannelConflictError``.
+    """
+
+    op: BraidOp
+    kets: tuple[BasisKet, ...]
+    index: dict[BasisKet, int]
+    src: np.ndarray
+    amp: np.ndarray
+    conflicts: np.ndarray
+
+
+_RULES = {EXCHANGE: _exchange_ket, CIRCLE: _circle_ket, TRIPARTITE: _tripartite_ket}
+
+# Tables by (model content, op, register count).  A model is rebuilt for
+# every CLI command, so the key is its content, not its identity; the
+# values are never mutated.
+_TABLES: dict[tuple, _OpTable] = {}
+
+
+@lru_cache(maxsize=None)
+def _tagged_basis(alphabet: tuple[str, ...], n: int) -> tuple[tuple[BasisKet, ...], dict[BasisKet, int]]:
+    kets = tuple(BasisKet(labels, tag) for labels in product_basis(alphabet, n) for tag in TAGS)
+    return kets, {ket: i for i, ket in enumerate(kets)}
+
+
+def _check_domain(model: AnyonModel, op: BraidOp, n: int) -> None:
+    if op.kind == TRIPARTITE:
+        if model.kind != "ising":
+            raise BraidError("the tripartite braid is defined only for Ising-type models")
+        if n != 3:
+            raise BraidError(f"the tripartite braid needs 3 registers, got {n}")
+        return
+    x, y = op.x, op.y
+    if not (0 <= x < n and 0 <= y < n):
+        raise BraidError(f"party indices ({x}, {y}) out of range for {n} registers")
+    if op.kind == EXCHANGE and abs(x - y) != 1:
+        raise BraidError(f"exchange requires adjacent parties, got ({x}, {y})")
+    if op.kind == CIRCLE and x == y:
+        raise BraidError("cannot circle a party around itself")
+
+
+def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
+    """Run the op's per-ket rule once on every tagged basis ket."""
+    _check_domain(model, op, n)
+    rule = _RULES[op.kind]
+    kets, index = _tagged_basis(model.alphabet, n)
+    sources: list[list[tuple[int, complex]]] = [[] for _ in kets]
+    conflicts = []
+    for i, ket in enumerate(kets):
+        try:
+            image = rule(model, ket, op)
+        except ChannelConflictError:
+            conflicts.append(i)
+            continue
+        for out, amp in image:
+            sources[index[out]].append((i, amp))
+    width = max(len(pairs) for pairs in sources)
+    if width > 2:
+        raise RuntimeError(f"{op.token()} sends {width} kets to one ket, at most 2 expected")
+    src = np.zeros((max(width, 1), len(kets)), dtype=np.intp)
+    amp = np.zeros(src.shape, dtype=complex)
+    for i, pairs in enumerate(sources):
+        for s, (source, value) in enumerate(pairs):
+            src[s, i], amp[s, i] = source, value
+    return _OpTable(op, kets, index, src, amp, np.array(conflicts, dtype=np.intp))
+
+
+def _table(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
+    """The op's table for the model and register count, compiled on first use."""
+    key = (model.content_key, op, n)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _compile(model, op, n)
+    return table
+
+
+def _gather(table: _OpTable, psi: np.ndarray) -> np.ndarray:
+    """The op on dense amplitudes over the table's basis (last axis)."""
+    if table.conflicts.size:
+        hit = table.conflicts[(psi[..., table.conflicts] != 0).reshape(-1, table.conflicts.size).any(axis=0)]
+        if hit.size:
+            ket = table.kets[hit[0]]
+            raise ChannelConflictError(
+                f"term {ket} already fuses in channel {ket.tag!r}; cannot resolve to {table.op.mode!r}"
+            )
+    out = table.amp[0] * psi.take(table.src[0], axis=-1)
+    for src, amp in zip(table.src[1:], table.amp[1:]):
+        out += amp * psi.take(src, axis=-1)
+    return out
+
+
+def _apply(model: AnyonModel, op: BraidOp, state: StateVector) -> StateVector:
+    """Apply an op to a labeled state: dense in, gather, dense out."""
+    table = _table(model, op, state.n_registers)
+    psi = np.zeros(len(table.kets), dtype=complex)
+    for ket, amp in state.items():
+        i = table.index.get(ket)
+        if i is None:
+            _refuse(model, op, ket)
+        psi[i] = amp
+    out = _gather(table, psi)
+    return StateVector({table.kets[i]: out[i] for i in np.flatnonzero(out)})
+
+
+def _refuse(model: AnyonModel, op: BraidOp, ket: BasisKet) -> NoReturn:
+    """Raise for a ket outside the tagged basis, as the per-term loop did.
+
+    The op's per-ket rule raises for a foreign label among the op's own
+    parties, or for a foreign tag where it reads the tag; otherwise the
+    first foreign label, or else the tag, is named.
+    """
+    _RULES[op.kind](model, ket, op)
+    for label in ket.labels:
+        model.check_label(label)
+    raise FusionChannelError(f"channel tag {ket.tag!r} is not one of {TAGS}")
+
+
 def exchange(
     model: AnyonModel,
     state: StateVector,
@@ -113,44 +329,7 @@ def exchange(
     channel.  Adjacency mirrors the physical braiding of neighboring
     strands; a non-adjacent exchange must be composed from these.
     """
-    n = state.n_registers
-    if not (0 <= x < n and 0 <= y < n):
-        raise BraidError(f"party indices ({x}, {y}) out of range for {n} registers")
-    if abs(x - y) != 1:
-        raise BraidError(f"exchange requires adjacent parties, got ({x}, {y})")
-    if mode not in CHANNEL_MODES:
-        raise BraidError(f"channel mode must be one of {CHANNEL_MODES}, got {mode!r}")
-    lo, hi = min(x, y), max(x, y)
-    out: dict[BasisKet, complex] = {}
-
-    def put(ket: BasisKet, amp: complex) -> None:
-        out[ket] = out.get(ket, 0j) + amp
-
-    for ket, amp in state.items():
-        a, b = ket.labels[lo], ket.labels[hi]
-        swapped = list(ket.labels)
-        swapped[lo], swapped[hi] = b, a
-        labels = tuple(swapped)
-        channels = fuse(model, a, b)
-        if not channels.is_split:
-            phase = phase_from_eighths(r_angle(model, a, b, channels.channels[0]))
-            put(BasisKet(labels, ket.tag), amp * phase)
-            continue
-        if ket.tag is not None:
-            if mode != SPLIT and mode != ket.tag:
-                raise ChannelConflictError(
-                    f"term {ket} already fuses in channel {ket.tag!r}; cannot resolve to {mode!r}"
-                )
-            phase = phase_from_eighths(r_angle(model, a, b, ket.tag))
-            put(BasisKet(labels, ket.tag), amp * phase)
-        elif mode == SPLIT:
-            for channel in channels:
-                phase = phase_from_eighths(r_angle(model, a, b, channel))
-                put(BasisKet(labels, channel), amp * phase * _INV_SQRT2)
-        else:
-            phase = phase_from_eighths(r_angle(model, a, b, mode))
-            put(BasisKet(labels, mode), amp * phase)
-    return StateVector(out)
+    return _apply(model, BraidOp(EXCHANGE, x, y, mode), state)
 
 
 def circle(model: AnyonModel, state: StateVector, x: int, y: int) -> StateVector:
@@ -164,24 +343,7 @@ def circle(model: AnyonModel, state: StateVector, x: int, y: int) -> StateVector
     accompanying fermion exchange acts trivially on sigma
     (eps x sigma = sigma).
     """
-    n = state.n_registers
-    if not (0 <= x < n and 0 <= y < n):
-        raise BraidError(f"party indices ({x}, {y}) out of range for {n} registers")
-    if x == y:
-        raise BraidError("cannot circle a party around itself")
-    out: dict[BasisKet, complex] = {}
-    for ket, amp in state.items():
-        a, b = ket.labels[x], ket.labels[y]
-        channels = fuse(model, a, b)
-        if channels.is_split:
-            channel = ket.tag if ket.tag is not None else VAC
-            angle = monodromy_angle(model, a, b, channel)
-        elif model.kind == "ising" and a == EPS and b == EPS:
-            angle = 8
-        else:
-            angle = monodromy_angle(model, a, b, channels.channels[0])
-        out[ket] = out.get(ket, 0j) + amp * phase_from_eighths(angle)
-    return StateVector(out)
+    return _apply(model, BraidOp(CIRCLE, x, y), state)
 
 
 def tripartite_braid(model: AnyonModel, state: StateVector) -> StateVector:
@@ -193,42 +355,7 @@ def tripartite_braid(model: AnyonModel, state: StateVector) -> StateVector:
     kappa * R1^2 / sqrt(2) and kappa * R1 * Reps / sqrt(2); a tagged
     all-sigma term evolves inside its channel with kappa * R1 * Rtag.
     """
-    if model.kind != "ising":
-        raise BraidError("the tripartite braid is defined only for Ising-type models")
-    if state.n_registers != 3:
-        raise BraidError(f"the tripartite braid needs 3 registers, got {state.n_registers}")
-    r1, reps = _sigma_pair_phases(model)
-    kappa_shift = 0 if model.kappa[SIGMA] == 1 else 8
-    out: dict[BasisKet, complex] = {}
-
-    def put(ket: BasisKet, amp: complex) -> None:
-        out[ket] = out.get(ket, 0j) + amp
-
-    for ket, amp in state.items():
-        labels = ket.labels
-        sigma_count = sum(1 for lab in labels if lab == SIGMA)
-        if sigma_count == 3:
-            if ket.tag is None:
-                put(BasisKet(labels, VAC), amp * phase_from_eighths(kappa_shift + 2 * r1) * _INV_SQRT2)
-                put(BasisKet(labels, EPS), amp * phase_from_eighths(kappa_shift + r1 + reps) * _INV_SQRT2)
-            else:
-                rtag = r1 if ket.tag == VAC else reps
-                put(BasisKet(labels, ket.tag), amp * phase_from_eighths(kappa_shift + r1 + rtag))
-            continue
-        pairs = ((labels[0], labels[1]), (labels[0], labels[2]), (labels[1], labels[2]))
-        plain = [pair for pair in pairs if pair != (SIGMA, SIGMA)]
-        angle = 0
-        for a, b in plain:
-            angle += r_angle(model, a, b, fuse(model, a, b).channels[0])
-        if sigma_count < 2:
-            put(BasisKet(labels, ket.tag), amp * phase_from_eighths(angle))
-        elif ket.tag is not None:
-            rtag = r1 if ket.tag == VAC else reps
-            put(BasisKet(labels, ket.tag), amp * phase_from_eighths(angle + rtag))
-        else:
-            put(BasisKet(labels, VAC), amp * phase_from_eighths(angle + r1) * _INV_SQRT2)
-            put(BasisKet(labels, EPS), amp * phase_from_eighths(angle + reps) * _INV_SQRT2)
-    return StateVector(out)
+    return _apply(model, BraidOp(TRIPARTITE), state)
 
 
 def op_set(kind: str) -> tuple[BraidOp, ...]:
@@ -249,15 +376,23 @@ def apply_op(model: AnyonModel, state: StateVector, op: BraidOp) -> StateVector:
         return exchange(model, state, op.x, op.y, op.mode)
     if op.kind == CIRCLE:
         return circle(model, state, op.x, op.y)
-    if op.kind == TRIPARTITE:
-        return tripartite_braid(model, state)
-    raise BraidError(f"unknown op kind {op.kind!r}")
+    return tripartite_braid(model, state)
 
 
 def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> StateVector:
     for op in ops:
         state = apply_op(model, state, op)
     return state
+
+
+def _braided_rows(scheme: MaskingScheme, ops: Sequence[BraidOp]) -> np.ndarray:
+    """The d encoder rows after the ops, as one dense array rows[j, a, b, c, tag]."""
+    rows = encoder_rows(scheme)
+    flat = rows.reshape(scheme.d, -1)
+    for op in ops:
+        flat = _gather(_table(scheme.model, op, 3), flat)
+        flat[np.abs(flat) <= PRUNE_EPS] = 0  # as a StateVector prunes
+    return flat.reshape(rows.shape)
 
 
 UNITARITY_TOL = 1e-12
@@ -300,17 +435,17 @@ def verify_invariance(
 
     The verdict passes iff every braided trial's marginals stay within
     ``tol`` of I/d and the norm never drifts past the unitarity bound.
-    Every op is linear, so the d encoder rows are braided once and the
-    trials run as one batch over them (``evaluate_trials``).  The worst
-    trial is replayed through ``encode`` and ``apply_ops`` for the pre- and
-    post-braid reports, and both must pass too.
+    Every op is linear, so the d encoder rows are gathered once through
+    the op tables, as one dense array, and the trials run as one batch
+    over them (``evaluate_trials``).  The worst trial is replayed through
+    ``encode`` and ``apply_ops`` for the pre- and post-braid reports, and
+    both must pass too.
     """
     check_tol(tol)
     ops = tuple(ops)
     model = scheme.model
     alphabet = model.alphabet
-    braided = [apply_ops(model, encode_basis(scheme, j), ops) for j in range(scheme.d)]
-    batch = evaluate_trials(braided, alphabet, trials, seed, tol)
+    batch = evaluate_trials(_braided_rows(scheme, ops), trials, seed, tol)
     pre_state = encode(scheme, batch.worst_coeffs)
     pre_report = verify_masking(pre_state, alphabet, tol=tol, seed=seed)
     post_report = verify_masking(apply_ops(model, pre_state, ops), alphabet, tol=tol, seed=seed)

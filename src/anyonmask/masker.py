@@ -23,6 +23,7 @@ from .latin import (
     validate_triple,
 )
 from .qstate import (
+    TAGS,
     BasisKet,
     DensityMatrix,
     StateVector,
@@ -85,6 +86,20 @@ def encode_basis(scheme: MaskingScheme, j: int) -> StateVector:
             for k in range(scheme.d)
         }
     )
+
+
+def encoder_rows(scheme: MaskingScheme) -> np.ndarray:
+    """All d encoder rows as one dense array rows[j, a, b, c, tag].
+
+    Row j holds ``encode_basis(scheme, j)`` in the dense layout of
+    ``qstate.TAGS``: 1/sqrt(d) at (A[j][k], B[j][k], C[j][k], untagged)
+    for every column k.
+    """
+    d, triple = scheme.d, scheme.triple
+    cells = [np.array(square.cells).reshape(-1) for square in (triple.a, triple.b, triple.c)]
+    rows = np.zeros((d, d, d, d, len(TAGS)), dtype=complex)
+    rows[(np.repeat(np.arange(d), d), *cells, TAGS.index(None))] = scheme.normalization
+    return rows
 
 
 def _finite_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
@@ -211,17 +226,16 @@ def run_masking_campaign(
     """Check the marginals of `trials` seeded random unit inputs against I/d.
 
     The encoder is linear, so every trial is a combination of the d
-    encoder rows: the rows are reduced once per party and every trial is
-    evaluated from them in batches (``evaluate_trials``), drawing the same
-    coefficients as successive ``random_unit_coeffs`` calls.  The first
+    encoder rows (``encoder_rows``, one dense array): the rows are reduced
+    once per party and every trial is evaluated from them in batches
+    (``evaluate_trials``), drawing the same coefficients as successive
+    ``random_unit_coeffs`` calls.  The first
     worst trial is replayed through ``encode`` and ``verify_masking``, and
     the campaign passes iff no trial failed and that replay passes too.
     """
     check_tol(tol)
-    alphabet = scheme.model.alphabet
-    rows = [encode_basis(scheme, j) for j in range(scheme.d)]
-    batch = evaluate_trials(rows, alphabet, trials, seed, tol)
-    replay = verify_masking(encode(scheme, batch.worst_coeffs), alphabet, tol=tol, seed=seed)
+    batch = evaluate_trials(encoder_rows(scheme), trials, seed, tol)
+    replay = verify_masking(encode(scheme, batch.worst_coeffs), scheme.model.alphabet, tol=tol, seed=seed)
     return MaskingCampaignResult(
         trials=trials,
         seed=seed,

@@ -20,6 +20,11 @@ import numpy as np
 
 PRUNE_EPS = 1e-15
 
+# The channel tags a ket can carry, in the order of the tag axis of the
+# dense layout: amplitudes of n-register kets as an array of shape
+# (d,) * n + (len(TAGS),), labels by alphabet position.
+TAGS = (None, "1", "eps")
+
 
 class BasisKet(NamedTuple):
     """One labeled basis ket: register labels plus an optional channel tag."""

@@ -3,22 +3,24 @@
 A braid sequence (or any linear map) sends the d encoder rows to d new
 rows, and a trial with coefficients c is the combination sum_j c_j row_j.
 Party p's marginal is then quadratic in c: rho_p = sum_jj' c_j conj(c_j')
-K_p[j, j'] with K_p[j, j'] = Tr_{not p} |row_j><row_j'|.  The K_p are formed
-once from a dense copy of the rows, after which every trial costs one
-small matrix product, and the trace of its party-0 marginal is its squared
-norm.  Coefficients are drawn exactly as successive ``random_unit_coeffs``
-calls, so a seed names the same trials here as in the labeled path; the
-worst trial's coefficients leave the batch with it for a labeled replay.
+K_p[j, j'] with K_p[j, j'] = Tr_{not p} |row_j><row_j'|.  The rows arrive
+as one dense array over their three registers and the channel tags (the
+layout of ``qstate.TAGS``), the K_p are formed once from it, and after
+that every trial costs one small matrix product; the trace of its party-0
+marginal is its squared norm.  Coefficients are drawn exactly as
+successive ``random_unit_coeffs`` calls, so a seed names the same trials
+here as in the labeled path; the worst trial's coefficients leave the
+batch with it for a labeled replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .qstate import StateVector, check_tol
+from .qstate import check_tol
 
 # Trials are evaluated this many at a time, so the arrays of one chunk stay
 # small whatever the trial count.
@@ -47,38 +49,27 @@ def random_unit_coeff_block(d: int, trials: int, rng: np.random.Generator) -> np
     return raw / np.sqrt(squares)
 
 
-def _reduced_operators(rows: Sequence[StateVector], alphabet: Sequence[str]) -> np.ndarray:
+def _reduced_operators(rows: np.ndarray) -> np.ndarray:
     """K_p[j*n + j', a*d + b] = <a| Tr_{not p} |row_j><row_j'| |b>, parties side by side.
 
     For coefficients c, party p's marginal is vec(c c^dagger) @ K_p with
-    vec(c c^dagger)[j*n + j'] = c_j conj(c_j').  The rows are laid out as
-    one array psi[j, a0, a1, a2, tag] over the channel tags they carry
-    (untagged included), and K_p contracts psi with its conjugate over the
-    other two registers and the tag.  Shape (n^2, 3 d^2).
+    vec(c c^dagger)[j*n + j'] = c_j conj(c_j').  ``rows[j, a0, a1, a2, tag]``
+    holds the n rows in the dense layout of ``qstate.TAGS`` (any number of
+    tag slots), and K_p contracts them with their conjugate over the other
+    two registers and the tag.  Shape (n^2, 3 d^2).
     """
-    n, d = len(rows), len(alphabet)
-    index = {label: i for i, label in enumerate(alphabet)}
-    present = dict.fromkeys(ket.tag for row in rows for ket in row.amplitudes)
-    tags = {tag: i for i, tag in enumerate(present)}
-    psi = np.zeros((n, d, d, d, len(tags)), dtype=complex)
-    for j, row in enumerate(rows):
-        if row.n_registers != 3:
-            raise ValueError(f"row {j} has {row.n_registers} registers, expected 3")
-        for ket, amp in row.items():
-            try:
-                psi[(j, *(index[label] for label in ket.labels), tags[ket.tag])] = amp
-            except KeyError:
-                raise ValueError(f"row {j} has a label outside {tuple(alphabet)}: {ket}") from None
+    if rows.ndim != 5 or not rows.shape[1] == rows.shape[2] == rows.shape[3]:
+        raise ValueError(f"rows must have shape (n, d, d, d, tags), got {rows.shape}")
+    n, d = rows.shape[:2]
     k = np.empty((n, n, 3, d, d), dtype=complex)
     for party in range(3):
-        flat = np.moveaxis(psi, party + 1, 1).reshape(n * d, -1)
+        flat = np.moveaxis(rows, party + 1, 1).reshape(n * d, -1)
         k[:, :, party] = (flat @ flat.conj().T).reshape(n, d, n, d).transpose(0, 2, 1, 3)
     return k.reshape(n * n, 3 * d * d)
 
 
 def _trial_chunks(
-    rows: Sequence[StateVector],
-    alphabet: Sequence[str],
+    rows: np.ndarray,
     trials: int,
     seed: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -92,8 +83,8 @@ def _trial_chunks(
     unit vector on orthonormal rows), so the norm defect is
     |sqrt(tr rho_0) - 1|.
     """
-    n, d = len(rows), len(alphabet)
-    kops = _reduced_operators(rows, alphabet)
+    kops = _reduced_operators(rows)
+    n, d = rows.shape[:2]
     target = (np.eye(d) / d).reshape(-1)
     # The block draw equals the per-trial draw only while BLAS sums as
     # np.linalg.norm does; a numpy that rounds otherwise would shift every
@@ -130,8 +121,7 @@ class TrialBatch:
 
 
 def evaluate_trials(
-    rows: Sequence[StateVector],
-    alphabet: Sequence[str],
+    rows: np.ndarray,
     trials: int,
     seed: int,
     tol: float,
@@ -139,8 +129,9 @@ def evaluate_trials(
     """Check every seeded trial's marginals through the rows' reduced operators.
 
     ``rows`` are the images of the orthonormal encoder rows under a linear
-    map (a braid sequence, say, or the identity), so every trial is a
-    combination of them: the rows are reduced once per party and each
+    map (a braid sequence, say, or the identity), as one dense array
+    ``rows[j, a0, a1, a2, tag]``, so every trial is a combination of
+    them: the rows are reduced once per party and each
     trial costs one small matrix product.  A trial fails when any party's
     deviation is above ``tol`` (or NaN).  See ``_trial_chunks`` for what a
     trial is.
@@ -153,7 +144,7 @@ def evaluate_trials(
     worst, worst_trial, worst_coeffs = -1.0, 0, ()
     defect = 0.0
     start = 0
-    for coeffs, deviations, defects in _trial_chunks(rows, alphabet, trials, seed):
+    for coeffs, deviations, defects in _trial_chunks(rows, trials, seed):
         per_party = np.maximum(per_party, deviations.max(axis=0))
         failed += int(np.count_nonzero(~(deviations <= tol).all(axis=1)))
         trial_worst = deviations.max(axis=1)

@@ -4,7 +4,9 @@ The dense-array oracles work on full numpy tensors indexed by alphabet
 position, with the channel tag as one extra axis of size 3 (untagged,
 vacuum, fermion); they share no code path with the dict-based state
 machinery.  ``labeled_campaign`` is the per-trial masking campaign that
-the batched ``run_masking_campaign`` replaced.
+the batched ``run_masking_campaign`` replaced, and the ``reference_*``
+braid ops are the per-term dict loops that the compiled op tables
+replaced: each term's labels are checked and its phase looked up anew.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from anyonmask.anyons import EPS, SIGMA, VAC, fuse, monodromy_angle, phase_from_eighths, r_angle
+from anyonmask.braid import CIRCLE, EXCHANGE, SPLIT, ChannelConflictError
 from anyonmask.masker import MaskingCampaignResult, encode, random_unit_coeffs, verify_masking
-from anyonmask.qstate import StateVector
+from anyonmask.qstate import BasisKet, StateVector
 
 TAG_ORDER = (None, "1", "eps")
 
@@ -112,3 +116,105 @@ def labeled_campaign(scheme, trials: int, seed: int, tol: float) -> MaskingCampa
         failed_trials=failed,
         verdict=failed == 0,
     )
+
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def reference_exchange(model, state, x, y, mode=SPLIT):
+    lo, hi = min(x, y), max(x, y)
+    out = {}
+
+    def put(ket, amp):
+        out[ket] = out.get(ket, 0j) + amp
+
+    for ket, amp in state.items():
+        a, b = ket.labels[lo], ket.labels[hi]
+        swapped = list(ket.labels)
+        swapped[lo], swapped[hi] = b, a
+        labels = tuple(swapped)
+        channels = fuse(model, a, b)
+        if not channels.is_split:
+            phase = phase_from_eighths(r_angle(model, a, b, channels.channels[0]))
+            put(BasisKet(labels, ket.tag), amp * phase)
+            continue
+        if ket.tag is not None:
+            if mode != SPLIT and mode != ket.tag:
+                raise ChannelConflictError(
+                    f"term {ket} already fuses in channel {ket.tag!r}; cannot resolve to {mode!r}"
+                )
+            phase = phase_from_eighths(r_angle(model, a, b, ket.tag))
+            put(BasisKet(labels, ket.tag), amp * phase)
+        elif mode == SPLIT:
+            for channel in channels:
+                phase = phase_from_eighths(r_angle(model, a, b, channel))
+                put(BasisKet(labels, channel), amp * phase * INV_SQRT2)
+        else:
+            phase = phase_from_eighths(r_angle(model, a, b, mode))
+            put(BasisKet(labels, mode), amp * phase)
+    return StateVector(out)
+
+
+def reference_circle(model, state, x, y):
+    out = {}
+    for ket, amp in state.items():
+        a, b = ket.labels[x], ket.labels[y]
+        channels = fuse(model, a, b)
+        if channels.is_split:
+            channel = ket.tag if ket.tag is not None else VAC
+            angle = monodromy_angle(model, a, b, channel)
+        elif model.kind == "ising" and a == EPS and b == EPS:
+            angle = 8
+        else:
+            angle = monodromy_angle(model, a, b, channels.channels[0])
+        out[ket] = out.get(ket, 0j) + amp * phase_from_eighths(angle)
+    return StateVector(out)
+
+
+def reference_tripartite_braid(model, state):
+    r1, reps = r_angle(model, SIGMA, SIGMA, VAC), r_angle(model, SIGMA, SIGMA, EPS)
+    kappa_shift = 0 if model.kappa[SIGMA] == 1 else 8
+    out = {}
+
+    def put(ket, amp):
+        out[ket] = out.get(ket, 0j) + amp
+
+    for ket, amp in state.items():
+        labels = ket.labels
+        sigma_count = sum(1 for lab in labels if lab == SIGMA)
+        if sigma_count == 3:
+            if ket.tag is None:
+                put(BasisKet(labels, VAC), amp * phase_from_eighths(kappa_shift + 2 * r1) * INV_SQRT2)
+                put(BasisKet(labels, EPS), amp * phase_from_eighths(kappa_shift + r1 + reps) * INV_SQRT2)
+            else:
+                rtag = r1 if ket.tag == VAC else reps
+                put(BasisKet(labels, ket.tag), amp * phase_from_eighths(kappa_shift + r1 + rtag))
+            continue
+        pairs = ((labels[0], labels[1]), (labels[0], labels[2]), (labels[1], labels[2]))
+        plain = [pair for pair in pairs if pair != (SIGMA, SIGMA)]
+        angle = 0
+        for a, b in plain:
+            angle += r_angle(model, a, b, fuse(model, a, b).channels[0])
+        if sigma_count < 2:
+            put(BasisKet(labels, ket.tag), amp * phase_from_eighths(angle))
+        elif ket.tag is not None:
+            rtag = r1 if ket.tag == VAC else reps
+            put(BasisKet(labels, ket.tag), amp * phase_from_eighths(angle + rtag))
+        else:
+            put(BasisKet(labels, VAC), amp * phase_from_eighths(angle + r1) * INV_SQRT2)
+            put(BasisKet(labels, EPS), amp * phase_from_eighths(angle + reps) * INV_SQRT2)
+    return StateVector(out)
+
+
+def reference_op(model, state, op):
+    if op.kind == EXCHANGE:
+        return reference_exchange(model, state, op.x, op.y, op.mode)
+    if op.kind == CIRCLE:
+        return reference_circle(model, state, op.x, op.y)
+    return reference_tripartite_braid(model, state)
+
+
+def reference_ops(model, state, ops):
+    for op in ops:
+        state = reference_op(model, state, op)
+    return state

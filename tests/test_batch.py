@@ -1,25 +1,28 @@
 """The batched trial path against the labeled per-trial path it replaces.
 
 Masking campaigns and braid-invariance runs evaluate every seeded trial
-through per-party reduced operators of the d (braided) encoder rows.
-Each test here redoes the same trials one at a time with ``encode``,
-``apply_ops`` and ``verify_masking`` and requires the same coefficients,
-verdicts and failure counts, and values within ``ATOL``.
+through per-party reduced operators of the d (braided) encoder rows,
+held as one dense array.  Each test here redoes the same trials one at a
+time with ``encode``, the reference braid ops of ``helpers`` and
+``verify_masking`` and requires the same coefficients, verdicts and
+failure counts, and values within ``ATOL``.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from anyonmask import braid, trials
-from anyonmask.braid import apply_ops, op_set, parse_ops, verify_invariance
+from anyonmask.braid import op_set, parse_ops, verify_invariance
 from anyonmask.latin import SchemeTriple, constant_column_square
 from anyonmask.masker import (
     DEFAULT_TOL,
     MaskingScheme,
     encode,
     encode_basis,
+    encoder_rows,
     random_unit_coeffs,
     run_masking_campaign,
     verify_masking,
@@ -32,7 +35,7 @@ from anyonmask.trials import (
     evaluate_trials,
     random_unit_coeff_block,
 )
-from helpers import TAG_ORDER, dense_vector, labeled_campaign
+from helpers import TAG_ORDER, dense_vector, labeled_campaign, reference_ops
 
 ATOL = 1e-14
 
@@ -56,8 +59,13 @@ def combine(rows, coeffs):
     return StateVector(out)
 
 
-def batched(rows, alphabet, trials, seed):
-    chunks = list(_trial_chunks(rows, alphabet, trials, seed))
+def dense_rows(states, alphabet):
+    """Labeled rows as the dense (n, d, d, d, 3) array the batch takes."""
+    return np.stack([dense_vector(state, alphabet) for state in states])
+
+
+def batched(rows, trials, seed):
+    chunks = list(_trial_chunks(rows, trials, seed))
     return tuple(np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
 
 
@@ -81,9 +89,8 @@ class TestCoefficientBlock:
     @pytest.mark.parametrize("d", [3, 4])
     def test_chunked_trials_equal_sequential_draws(self, d, ising_scheme, abelian_scheme):
         scheme = ising_scheme if d == 3 else abelian_scheme
-        rows = [encode_basis(scheme, j) for j in range(d)]
         trials = TRIAL_CHUNK + 37
-        coeffs, _, _ = batched(rows, scheme.model.alphabet, trials, 11)
+        coeffs, _, _ = batched(encoder_rows(scheme), trials, 11)
         assert np.array_equal(coeffs, sequential_draws(d, trials, 11))
 
     @pytest.mark.parametrize("trial", [0, 1, 99, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 5])
@@ -100,8 +107,7 @@ class TestCoefficientBlock:
                 yield coeffs, deviations, defects
 
         monkeypatch.setattr(trials, "_trial_chunks", one_bad_trial)
-        rows = [encode_basis(abelian_scheme, j) for j in range(4)]
-        batch = evaluate_trials(rows, abelian_scheme.model.alphabet, TRIAL_CHUNK + 6, 3, 0.5)
+        batch = evaluate_trials(encoder_rows(abelian_scheme), TRIAL_CHUNK + 6, 3, 0.5)
         assert batch.worst_trial == trial
         assert batch.worst_coeffs == tuple(sequential_draws(4, TRIAL_CHUNK + 6, 3)[trial])
 
@@ -110,9 +116,8 @@ class TestCoefficientBlock:
         monkeypatch.setattr(
             trials, "random_unit_coeff_block", lambda *args: real(*args) * (1 + 2**-52)
         )
-        rows = [encode_basis(ising_scheme, j) for j in range(3)]
         with pytest.raises(RuntimeError, match="seed 4: the block draw of trial 0 is not the per-trial draw"):
-            evaluate_trials(rows, ising_scheme.model.alphabet, 10, 4, 1e-12)
+            evaluate_trials(encoder_rows(ising_scheme), 10, 4, 1e-12)
 
     def test_block_rejects_non_finite_draws(self):
         class NanNormal:
@@ -131,12 +136,12 @@ class TestAgainstLabeledTrials:
         rows = [encode_basis(scheme, j) for j in range(scheme.d)]
         for seed, text in enumerate(SEQUENCES[kind]):
             ops = parse_ops(text)
-            braided = [apply_ops(model, row, ops) for row in rows]
-            coeffs, deviations, defects = batched(braided, alphabet, 60, seed)
+            braided = dense_rows([reference_ops(model, row, ops) for row in rows], alphabet)
+            coeffs, deviations, defects = batched(braided, 60, seed)
             assert np.array_equal(coeffs, sequential_draws(scheme.d, 60, seed))
             for t, c in enumerate(coeffs):
                 pre = encode(scheme, c)
-                post = apply_ops(model, pre, ops)
+                post = reference_ops(model, pre, ops)
                 report = verify_masking(post, alphabet, tol=2e-12)
                 np.testing.assert_allclose(deviations[t], report.deviations, rtol=0, atol=ATOL)
                 assert abs(defects[t] - abs(norm(post) - norm(pre))) <= ATOL
@@ -150,7 +155,7 @@ class TestAgainstLabeledTrials:
             rng = np.random.default_rng(seed)
             labeled = [
                 verify_masking(
-                    apply_ops(scheme.model, encode(scheme, random_unit_coeffs(scheme.d, rng)), ops),
+                    reference_ops(scheme.model, encode(scheme, random_unit_coeffs(scheme.d, rng)), ops),
                     scheme.model.alphabet,
                     tol=2e-12,
                 )
@@ -174,7 +179,7 @@ def test_reduced_operators_against_dense_oracle():
         StateVector({ket: complex(*rng.standard_normal(2)) for ket in kets[j : j + 5]})
         for j in range(3)
     ]
-    k = _reduced_operators(rows, alphabet).reshape(3, 3, 3, 3, 3)
+    k = _reduced_operators(dense_rows(rows, alphabet)).reshape(3, 3, 3, 3, 3)
     for party in range(3):
         flat = [
             np.moveaxis(dense_vector(row, alphabet), party, 0).reshape(3, -1) for row in rows
@@ -187,15 +192,15 @@ def test_reduced_operators_against_dense_oracle():
 
 
 @pytest.mark.parametrize(
-    "row, problem",
+    "shape",
     [
-        (basis_state(("1", "e", "1")), "label outside"),
-        (basis_state(("1", "1")), "has 2 registers"),
+        (2, 3, 3, 4, 3),  # one register over a fourth label
+        (2, 3, 3, 3),  # two registers
     ],
 )
-def test_reduced_operators_reject_foreign_rows(row, problem):
-    with pytest.raises(ValueError, match=problem):
-        _reduced_operators([basis_state(("1", "1", "1")), row], ("1", "eps", "sigma"))
+def test_reduced_operators_reject_foreign_rows(shape):
+    with pytest.raises(ValueError, match=r"rows must have shape \(n, d, d, d, tags\), got " + re.escape(str(shape))):
+        _reduced_operators(np.zeros(shape, dtype=complex))
 
 
 class TestNonMaskingRows:
@@ -206,7 +211,7 @@ class TestNonMaskingRows:
         model = abelian_model if kind == "abelian" else ising_model
         alphabet = model.alphabet
         rows = [basis_state((label,) * 3) for label in alphabet]
-        coeffs, deviations, _ = batched(rows, alphabet, 80, 13)
+        coeffs, deviations, _ = batched(dense_rows(rows, alphabet), 80, 13)
         labeled = np.array(
             [verify_masking(combine(rows, c), alphabet).deviations for c in coeffs]
         )
@@ -216,7 +221,7 @@ class TestNonMaskingRows:
         # a threshold between two labeled values splits the trials the same way
         worst = np.sort(labeled.max(axis=1))
         tol = (worst[39] + worst[40]) / 2
-        batch = evaluate_trials(rows, alphabet, 80, 13, tol)
+        batch = evaluate_trials(dense_rows(rows, alphabet), 80, 13, tol)
         assert batch.failed_trials == sum(not (row <= tol).all() for row in labeled) == 40
         assert batch.worst_trial == int(np.argmax(labeled.max(axis=1)))
         assert batch.worst_coeffs == tuple(coeffs[batch.worst_trial])
@@ -225,11 +230,11 @@ class TestNonMaskingRows:
         alphabet = ising_scheme.model.alphabet
         rows = [encode_basis(ising_scheme, j) for j in range(3)]
         grown = [scale(row, 2.0) for row in rows]
-        coeffs, _, defects = batched(grown, alphabet, 30, 17)
+        coeffs, _, defects = batched(dense_rows(grown, alphabet), 30, 17)
         labeled = [abs(norm(combine(grown, c)) - norm(combine(rows, c))) for c in coeffs]
         np.testing.assert_allclose(defects, labeled, rtol=0, atol=ATOL)
         assert min(labeled) > 0.9
-        assert not evaluate_trials(grown, alphabet, 30, 17, 1.0).norm_defect <= 0.9
+        assert not evaluate_trials(dense_rows(grown, alphabet), 30, 17, 1.0).norm_defect <= 0.9
 
 
 class TestCampaignAgainstLabeledLoop:
@@ -260,7 +265,7 @@ class TestCampaignAgainstLabeledLoop:
         assert max(batched.per_party_worst[1:]) <= DEFAULT_TOL
 
     def test_replay_fails_a_kernel_that_sees_nothing(self, monkeypatch, ising_scheme):
-        def zero_chunks(rows, alphabet, count, seed):
+        def zero_chunks(rows, count, seed):
             coeffs = random_unit_coeff_block(len(rows), count, np.random.default_rng(seed))
             yield coeffs, np.zeros((count, 3)), np.zeros(count)
 
@@ -310,7 +315,7 @@ class TestNanSurfaces:
                 yield coeffs, np.array(deviations), np.zeros(len(deviations))
 
         monkeypatch.setattr(trials, "_trial_chunks", fake_chunks)
-        batch = evaluate_trials([], ising_scheme.model.alphabet, 5, 0, 1.0)
+        batch = evaluate_trials([], 5, 0, 1.0)
         assert batch.worst_trial == 3  # the first NaN beats every number
         assert batch.worst_coeffs == (3, 3, 3)
         assert batch.failed_trials == 2
@@ -318,7 +323,7 @@ class TestNanSurfaces:
         assert batch.per_party_worst[1] == 0.0
 
         chunks[1][1:] = []  # ties keep the earliest trial
-        batch = evaluate_trials([], ising_scheme.model.alphabet, 3, 0, 1.0)
+        batch = evaluate_trials([], 3, 0, 1.0)
         assert batch.worst_trial == 1 and batch.worst_coeffs == (1, 1, 1)
 
 

@@ -1,12 +1,16 @@
 import cmath
+import collections
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from anyonmask import braid
+from anyonmask.anyons import SIGMA, VAC, FusionChannelError, UnknownSectorError, abelian_c0
 from anyonmask.braid import (
     CHANNEL_MODES,
     SPLIT,
@@ -33,7 +37,15 @@ from anyonmask.qstate import (
     partial_trace,
     product_basis,
 )
-from helpers import ROWS_D3, ROWS_D4, unit_coeffs
+from helpers import (
+    ROWS_D3,
+    ROWS_D4,
+    TAG_ORDER,
+    dense_vector,
+    reference_op,
+    reference_ops,
+    unit_coeffs,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 R1_SS = cmath.exp(-1j * math.pi / 8)
@@ -298,6 +310,19 @@ class TestOpStrings:
         with pytest.raises(BraidError, match="empty"):
             parse_ops(" ; ")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "bogus"}, "unknown op kind 'bogus'"),
+            ({"kind": "exchange", "x": 0, "y": 1, "mode": "both"}, "channel mode must be one of"),
+            ({"kind": "circle", "x": 0, "y": 1, "mode": "eps "}, "channel mode must be one of"),
+        ],
+    )
+    def test_op_with_unknown_kind_or_mode_is_refused(self, fields, message):
+        # an op that cannot run must not exist, or its token could name it in a report
+        with pytest.raises(BraidError, match=message):
+            BraidOp(**fields)
+
     def test_apply_op_dispatch(self, ising_scheme):
         _, state = seeded_encoded(ising_scheme, 37)
         assert apply_op(ising_scheme.model, state, BraidOp(kind="tripartite")) == tripartite_braid(
@@ -426,3 +451,142 @@ class TestPinnedConventions:
             for tag in (None, "1", "eps"):
                 ket = basis_state(labels, tag=tag)
                 assert max_amplitude_diff(apply_ops(model, ket, left), apply_ops(model, ket, right)) <= 1e-15
+
+
+def outcome(fn):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def basis_kets(model):
+    return [
+        BasisKet(labels, tag)
+        for labels in itertools.product(model.alphabet, repeat=3)
+        for tag in TAG_ORDER
+    ]
+
+
+class TestOpTables:
+    """The compiled tables against the per-term dict loops they replaced."""
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    def test_every_op_on_every_tagged_basis_ket(self, kind, abelian_model, ising_model):
+        model = abelian_model if kind == "abelian" else ising_model
+        conflicts = 0
+        for op in every_op(kind):
+            for ket in basis_kets(model):
+                state = StateVector({ket: 1.0})
+                got = outcome(lambda: apply_op(model, state, op))
+                want = outcome(lambda: reference_op(model, state, op))
+                if isinstance(want, tuple):
+                    assert got == want
+                    conflicts += 1
+                    continue
+                assert set(got.amplitudes) == set(want.amplitudes), (op, ket)
+                assert max_amplitude_diff(got, want) <= 1e-15, (op, ket)
+        # each resolved exchange refuses the sigma pairs tagged with the other channel
+        assert conflicts == (0 if kind == "abelian" else 4 * 3)
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_tagged_superpositions(self, kind, data, abelian_model, ising_model):
+        model = abelian_model if kind == "abelian" else ising_model
+        op = data.draw(st.sampled_from(every_op(kind)))
+        kets = data.draw(st.lists(st.sampled_from(basis_kets(model)), min_size=1, max_size=12, unique=True))
+        finite = st.floats(-1, 1, allow_nan=False)
+        state = StateVector({ket: complex(data.draw(finite), data.draw(finite)) for ket in kets})
+        assume(len(state))  # an empty state has no register count to braid
+        got = outcome(lambda: apply_op(model, state, op))
+        want = outcome(lambda: reference_op(model, state, op))
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            # with two conflicting terms the reference names the first in
+            # the state's order, the table the first in basis order
+            assert isinstance(got, tuple) and isinstance(want, tuple) and got[0] is want[0]
+            return
+        difference = dense_vector(got, model.alphabet) - dense_vector(want, model.alphabet)
+        assert np.abs(difference).max(initial=0.0) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    def test_braided_rows_equal_the_labeled_rows(self, kind, abelian_scheme, ising_scheme):
+        scheme = abelian_scheme if kind == "abelian" else ising_scheme
+        model, alphabet = scheme.model, scheme.model.alphabet
+        for ops in itertools.product(op_set(kind), repeat=2):
+            labeled = np.stack(
+                [dense_vector(reference_ops(model, encode_basis(scheme, j), ops), alphabet) for j in range(scheme.d)]
+            )
+            np.testing.assert_allclose(braid._braided_rows(scheme, ops), labeled, rtol=0, atol=1e-15)
+
+    def test_a_channel_conflict_on_the_rows_is_refused(self, ising_scheme):
+        ops = (BraidOp("exchange", 0, 1, "eps"), BraidOp("exchange", 0, 1, "1"))
+        with pytest.raises(ChannelConflictError, match="already fuses in channel 'eps'; cannot resolve to '1'"):
+            verify_invariance(ising_scheme, ops, trials=5)
+
+    def test_foreign_label_messages_match_the_dict_loops(self, ising_model):
+        # the op's own parties are checked first, as the dict loops did
+        cases = [
+            (parse_ops("xAB"), ("1", "zz", "eps"), None, UnknownSectorError),
+            (parse_ops("xBC"), ("1", "yy", "zz"), None, UnknownSectorError),
+            (parse_ops("cCA"), ("yy", "1", "zz"), None, UnknownSectorError),
+            (parse_ops("t3"), ("sigma", "zz", "yy"), None, UnknownSectorError),
+            (parse_ops("xAB"), ("sigma", "sigma", "1"), "zz", FusionChannelError),
+        ]
+        for ops, labels, tag, error in cases:
+            state = StateVector({BasisKet(("1", "1", "1")): 0.6, BasisKet(labels, tag): 0.8})
+            want = outcome(lambda: reference_ops(ising_model, state, ops))
+            assert want[0] is error
+            assert outcome(lambda: apply_ops(ising_model, state, ops)) == want
+
+    def test_what_the_dict_loops_passed_on_is_refused(self, ising_model):
+        # they never looked at party C during xAB, nor at a tag they did not read
+        with pytest.raises(UnknownSectorError, match="'zz' is not in the ising-c1 alphabet"):
+            exchange(ising_model, basis_state(("1", "eps", "zz")), 0, 1)
+        with pytest.raises(FusionChannelError, match="channel tag 'zz' is not one of"):
+            circle(ising_model, basis_state(("1", "eps", "1"), tag="zz"), 0, 1)
+
+
+class TestTableMemo:
+    """Tables are compiled once per model content, op and register count."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        monkeypatch.setattr(braid, "_TABLES", {})
+        built = []
+        real = braid._compile
+
+        def counting(model, op, n):
+            built.append((model.kind, op, n))
+            return real(model, op, n)
+
+        monkeypatch.setattr(braid, "_compile", counting)
+        return built
+
+    def test_fresh_models_built_alike_share_one_table(self, compiled):
+        first, second = abelian_c0(), abelian_c0()
+        assert first is not second
+        op = parse_ops("xAB")[0]
+        state = basis_state(("e", "m", "1"))
+        assert exchange(first, state, 0, 1) == exchange(second, state, 0, 1)
+        assert braid._table(first, op, 3) is braid._table(second, op, 3)
+        assert compiled == [("abelian", op, 3)]
+
+    def test_a_changed_phase_gets_its_own_table(self, compiled, ising_model):
+        changed = dataclasses.replace(
+            ising_model, r_eighths={**ising_model.r_eighths, (SIGMA, SIGMA, VAC): 0}
+        )
+        op = parse_ops("cAB")[0]
+        assert braid._table(changed, op, 3) is not braid._table(ising_model, op, 3)
+        assert len(compiled) == 2
+        state = basis_state(("sigma", "sigma", "1"))
+        assert circle(changed, state, 0, 1) != circle(ising_model, state, 0, 1)
+
+    def test_one_sweep_builds_eleven_tables(self, compiled, abelian_scheme, ising_scheme):
+        for kind, scheme in (("abelian", abelian_scheme), ("ising", ising_scheme)):
+            for length in (1, 2, 3):
+                for ops in itertools.product(op_set(kind), repeat=length):
+                    verify_invariance(scheme, ops, trials=1)
+        assert len(compiled) == len(braid._TABLES) == 11
+        assert collections.Counter(kind for kind, _, _ in compiled) == {"abelian": 5, "ising": 6}

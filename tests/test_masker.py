@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 
 from anyonmask import masker, trials
-from anyonmask.latin import SchemeTriple, constant_column_square, cyclic_square
+from anyonmask.latin import (
+    SchemeTriple,
+    constant_column_square,
+    cyclic_square,
+    cyclic_triple,
+    parse_triple,
+    triple_to_text,
+)
 from anyonmask.masker import (
     MaskingScheme,
     abelian_standard_scheme,
@@ -13,13 +20,14 @@ from anyonmask.masker import (
     bipartite_encode,
     encode,
     encode_basis,
+    encoder_rows,
     ising_cyclic_scheme,
     random_unit_coeffs,
     run_masking_campaign,
     verify_masking,
 )
 from anyonmask.qstate import BasisKet, StateVector, inner, norm, partial_trace, product_basis
-from helpers import ROWS_D3, ROWS_D4, dense_inner, dense_partial_trace, unit_coeffs
+from helpers import ROWS_D3, ROWS_D4, dense_inner, dense_partial_trace, dense_vector, unit_coeffs
 
 
 def display_state(rows, coeffs):
@@ -74,6 +82,21 @@ class TestEncodeBasis:
                 assert dense_inner(row_i, row_j, scheme.model.alphabet) == pytest.approx(
                     expected, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("scheme_name", ["abelian", "ising", "file"])
+    def test_dense_rows_are_the_encode_basis_rows(self, scheme_name, abelian_scheme, ising_scheme):
+        if scheme_name == "file":
+            # B and C swapped: a valid triple that no built-in scheme uses
+            model, base = ising_scheme.model, cyclic_triple(3)
+            text = triple_to_text(SchemeTriple(a=base.a, b=base.c, c=base.b), model.alphabet)
+            scheme = MaskingScheme(model=model, triple=parse_triple(text, model.alphabet))
+        else:
+            scheme = abelian_scheme if scheme_name == "abelian" else ising_scheme
+        d, alphabet = scheme.d, scheme.model.alphabet
+        rows = encoder_rows(scheme)
+        assert rows.shape == (d, d, d, d, 3)
+        for j in range(d):
+            assert np.array_equal(rows[j], dense_vector(encode_basis(scheme, j), alphabet))
 
     def test_row_index_out_of_range(self, abelian_scheme):
         with pytest.raises(ValueError, match="out of range"):

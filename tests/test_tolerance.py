@@ -10,7 +10,7 @@ import math
 import pytest
 
 from anyonmask.braid import parse_ops, verify_invariance
-from anyonmask.masker import encode, encode_basis, run_masking_campaign, verify_masking
+from anyonmask.masker import encode, encoder_rows, run_masking_campaign, verify_masking
 from anyonmask.qstate import basis_state
 from anyonmask.teleport import run_teleport
 from anyonmask.trials import evaluate_trials
@@ -18,15 +18,11 @@ from anyonmask.trials import evaluate_trials
 BAD_TOLS = [math.inf, math.nan, 0.0, -1.0]
 
 
-def rows(scheme):
-    return [encode_basis(scheme, j) for j in range(scheme.d)]
-
-
 ENTRY_POINTS = {
     "verify_masking": lambda s, tol: verify_masking(basis_state(("1", "1", "1")), s.model.alphabet, tol=tol),
     "run_masking_campaign": lambda s, tol: run_masking_campaign(s, 5, 1, tol=tol),
     "verify_invariance": lambda s, tol: verify_invariance(s, parse_ops("xAB"), 5, tol=tol),
-    "evaluate_trials": lambda s, tol: evaluate_trials(rows(s), s.model.alphabet, 5, 1, tol),
+    "evaluate_trials": lambda s, tol: evaluate_trials(encoder_rows(s), 5, 1, tol),
     "run_teleport": lambda s, tol: run_teleport([1.0, 0.0, 0.0], tol=tol),
 }
 

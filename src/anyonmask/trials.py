@@ -58,8 +58,16 @@ def _reduced_operators(rows: np.ndarray) -> np.ndarray:
     tag slots), and K_p contracts them with their conjugate over the other
     two registers and the tag.  Shape (n^2, 3 d^2).
     """
-    if rows.ndim != 5 or not rows.shape[1] == rows.shape[2] == rows.shape[3]:
-        raise ValueError(f"rows must have shape (n, d, d, d, tags), got {rows.shape}")
+    if rows.ndim != 5:
+        raise ValueError(
+            f"rows must have shape (n, d, d, d, tags), got {rows.shape}: "
+            f"each row has {max(rows.ndim - 2, 0)} registers, expected 3"
+        )
+    if not rows.shape[1] == rows.shape[2] == rows.shape[3]:
+        raise ValueError(
+            f"rows must have shape (n, d, d, d, tags), got {rows.shape}: "
+            f"a register has a label outside the {rows.shape[1]} of the first"
+        )
     n, d = rows.shape[:2]
     k = np.empty((n, n, 3, d, d), dtype=complex)
     for party in range(3):

@@ -192,15 +192,16 @@ def test_reduced_operators_against_dense_oracle():
 
 
 @pytest.mark.parametrize(
-    "shape",
+    "row, problem",
     [
-        (2, 3, 3, 4, 3),  # one register over a fourth label
-        (2, 3, 3, 3),  # two registers
+        (np.zeros((2, 3, 3, 4, 3), dtype=complex), "label outside"),  # a fourth label
+        (np.zeros((2, 3, 3, 3), dtype=complex), "has 2 registers"),
     ],
 )
-def test_reduced_operators_reject_foreign_rows(shape):
-    with pytest.raises(ValueError, match=r"rows must have shape \(n, d, d, d, tags\), got " + re.escape(str(shape))):
-        _reduced_operators(np.zeros(shape, dtype=complex))
+def test_reduced_operators_reject_foreign_rows(row, problem):
+    shape = re.escape(str(row.shape))
+    with pytest.raises(ValueError, match=r"rows must have shape \(n, d, d, d, tags\), got " + shape + ".*" + problem):
+        _reduced_operators(row)
 
 
 class TestNonMaskingRows:

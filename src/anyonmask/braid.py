@@ -27,6 +27,7 @@ Braid sequences parse from compact op strings such as ``"xBC;cBA;t3"``
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NoReturn, Optional, Sequence
@@ -80,6 +81,12 @@ class BraidOp:
             raise BraidError(f"unknown op kind {self.kind!r}")
         if self.mode not in CHANNEL_MODES:
             raise BraidError(f"channel mode must be one of {CHANNEL_MODES}, got {self.mode!r}")
+        # range and adjacency depend on the register count, checked on use
+        if self.kind == TRIPARTITE:
+            if self.x is not None or self.y is not None:
+                raise BraidError(f"the tripartite braid takes no parties, got x={self.x!r}, y={self.y!r}")
+        elif not (_is_index(self.x) and _is_index(self.y)):
+            raise BraidError(f"{self.kind} needs integer parties x and y, got x={self.x!r}, y={self.y!r}")
 
     def token(self) -> str:
         if self.kind == EXCHANGE:
@@ -87,6 +94,17 @@ class BraidOp:
         if self.kind == CIRCLE:
             return f"c{_PARTY_NAMES[self.x]}{_PARTY_NAMES[self.y]}"
         return "t3"
+
+
+def _is_index(value) -> bool:
+    """Whether ``value`` is an integer: anything ``operator.index`` takes, but not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def parse_ops(text: str) -> tuple[BraidOp, ...]:

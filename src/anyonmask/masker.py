@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -158,6 +159,16 @@ class MaskingReport:
         return rec
 
 
+@lru_cache(maxsize=None)
+def _maximally_mixed(alphabet: tuple[str, ...], n_registers: int) -> tuple[tuple, DensityMatrix]:
+    """The product basis of ``n_registers`` and I/d^n over it, built once per alphabet.
+
+    A ``DensityMatrix``'s entries are read-only, so every caller can share it.
+    """
+    basis = product_basis(alphabet, n_registers)
+    return basis, DensityMatrix.maximally_mixed(basis)
+
+
 def verify_masking(
     state: StateVector,
     alphabet: Sequence[str],
@@ -173,14 +184,12 @@ def verify_masking(
     check_tol(tol)
     if state.n_registers != 3:
         raise ValueError(f"masking verification needs 3 registers, got {state.n_registers}")
-    basis = product_basis(alphabet, 1)
-    target = DensityMatrix.maximally_mixed(basis)
+    basis, target = _maximally_mixed(tuple(alphabet), 1)
     marginals = tuple(partial_trace(state, {party}, basis) for party in range(3))
     deviations = tuple(hs_distance(rho, target) for rho in marginals)
     pair_devs = None
     if include_pairs:
-        pair_basis = product_basis(alphabet, 2)
-        pair_target = DensityMatrix.maximally_mixed(pair_basis)
+        pair_basis, pair_target = _maximally_mixed(tuple(alphabet), 2)
         pair_devs = {
             f"{i}{j}": hs_distance(partial_trace(state, {i, j}, pair_basis), pair_target)
             for i, j in ((0, 1), (0, 2), (1, 2))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -195,29 +196,41 @@ def partial_trace(
     if kept[0] < 0 or (n and kept[-1] >= n):
         raise ValueError(f"keep indices {kept} out of range for {n} registers")
     traced = [i for i in range(n) if i not in kept]
-
-    groups: dict[tuple, list[tuple[tuple[str, ...], complex]]] = {}
-    for ket, amp in state.items():
-        kept_labels = tuple(ket.labels[i] for i in kept)
-        env = (tuple(ket.labels[i] for i in traced), ket.tag)
-        groups.setdefault(env, []).append((kept_labels, amp))
+    take_kept, take_traced = _label_getter(kept), _label_getter(traced)
 
     if basis is None:
-        basis = tuple(sorted({kl for members in groups.values() for kl, _ in members}))
+        basis = tuple(sorted({take_kept(ket.labels) for ket in state.amplitudes}))
     else:
-        basis = tuple(tuple(b) for b in basis)
+        basis = tuple(map(tuple, basis))
     index = {b: i for i, b in enumerate(basis)}
 
-    rho = np.zeros((len(basis), len(basis)), dtype=complex)
+    # kets sharing the traced labels and the tag, as (row of rho, amplitude)
+    groups: dict[tuple, list[tuple[int, complex]]] = {}
+    for ket, amp in state.items():
+        i = index.get(take_kept(ket.labels))
+        if i is None:
+            raise ValueError(f"state label tuple {take_kept(ket.labels)} missing from the supplied basis")
+        groups.setdefault((take_traced(ket.labels), ket.tag), []).append((i, amp))
+
+    # rho entries add as Python complex numbers, group by group in ket order:
+    # the adds of numpy's per-entry += in the same order, without its
+    # per-entry indexing cost
+    dim = len(basis)
+    rho = [0j] * (dim * dim)
     for members in groups.values():
-        for kb, ab in members:
-            try:
-                i = index[kb]
-            except KeyError:
-                raise ValueError(f"state label tuple {kb} missing from the supplied basis") from None
-            for kc, ac in members:
-                rho[i, index[kc]] += ab * ac.conjugate()
-    return DensityMatrix(basis, rho)
+        for i, ab in members:
+            row = i * dim
+            for j, ac in members:
+                rho[row + j] += ab * ac.conjugate()
+    return DensityMatrix(basis, np.array(rho, dtype=complex).reshape(dim, dim))
+
+
+def _label_getter(indices: list[int]):
+    """labels -> the tuple of the labels at the sorted ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    # itemgetter of one index returns the bare label; a slice keeps the tuple
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0, 0))
 
 
 def hs_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
@@ -235,11 +248,3 @@ def check_tol(tol: float, name: str = "tol") -> None:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"{name} must be finite and positive, got {tol}")
-
-
-def max_amplitude_diff(s1: StateVector, s2: StateVector) -> float:
-    """Largest termwise amplitude difference between two states."""
-    kets = set(s1.amplitudes) | set(s2.amplitudes)
-    if not kets:
-        return 0.0
-    return max(abs(s1.amplitude(k) - s2.amplitude(k)) for k in kets)

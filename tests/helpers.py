@@ -4,9 +4,11 @@ The dense-array oracles work on full numpy tensors indexed by alphabet
 position, with the channel tag as one extra axis of size 3 (untagged,
 vacuum, fermion); they share no code path with the dict-based state
 machinery.  ``labeled_campaign`` is the per-trial masking campaign that
-the batched ``run_masking_campaign`` replaced, and the ``reference_*``
-braid ops are the per-term dict loops that the compiled op tables
-replaced: each term's labels are checked and its phase looked up anew.
+the batched ``run_masking_campaign`` replaced, ``reference_evaluate_trials``
+and ``reference_partial_trace`` are the batched kernel and the partial
+trace as first written, and the ``reference_*`` braid ops are the
+per-term dict loops that the compiled op tables replaced: each term's
+labels are checked and its phase looked up anew.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from anyonmask.anyons import EPS, SIGMA, VAC, fuse, monodromy_angle, phase_from_
 from anyonmask.braid import CIRCLE, EXCHANGE, SPLIT, ChannelConflictError
 from anyonmask.masker import MaskingCampaignResult, encode, random_unit_coeffs, verify_masking
 from anyonmask.qstate import BasisKet, StateVector
+from anyonmask.trials import TrialBatch, random_unit_coeff_block
 
 TAG_ORDER = (None, "1", "eps")
 
@@ -37,6 +40,14 @@ ROWS_D3 = (
     (("1", "sigma", "eps"), ("eps", "1", "sigma"), ("sigma", "eps", "1")),
     (("1", "eps", "sigma"), ("eps", "sigma", "1"), ("sigma", "1", "eps")),
 )
+
+
+def max_amplitude_diff(s1: StateVector, s2: StateVector) -> float:
+    """Largest termwise amplitude difference between two states."""
+    kets = set(s1.amplitudes) | set(s2.amplitudes)
+    if not kets:
+        return 0.0
+    return max(abs(s1.amplitude(k) - s2.amplitude(k)) for k in kets)
 
 
 def dense_vector(state: StateVector, alphabet: tuple[str, ...]) -> np.ndarray:
@@ -115,6 +126,86 @@ def labeled_campaign(scheme, trials: int, seed: int, tol: float) -> MaskingCampa
         per_party_worst=tuple(per_party),
         failed_trials=failed,
         verdict=failed == 0,
+    )
+
+
+def reference_partial_trace(state: StateVector, keep, basis=None):
+    """(basis, rho) as ``qstate.partial_trace`` first built them: label tuples
+    from generators and rho accumulated entry by entry in a numpy array, in
+    the same term order."""
+    kept = sorted(set(keep))
+    traced = [i for i in range(state.n_registers) if i not in kept]
+    groups: dict = {}
+    for ket, amp in state.items():
+        kept_labels = tuple(ket.labels[i] for i in kept)
+        env = (tuple(ket.labels[i] for i in traced), ket.tag)
+        groups.setdefault(env, []).append((kept_labels, amp))
+    if basis is None:
+        basis = tuple(sorted({kl for members in groups.values() for kl, _ in members}))
+    else:
+        basis = tuple(tuple(b) for b in basis)
+    index = {b: i for i, b in enumerate(basis)}
+    rho = np.zeros((len(basis), len(basis)), dtype=complex)
+    for members in groups.values():
+        for kb, ab in members:
+            for kc, ac in members:
+                rho[index[kb], index[kc]] += ab * ac.conjugate()
+    return basis, rho
+
+
+# The trial kernel as first batched, kept to hold the production kernel to
+# the same floating-point results bit for bit: K through np.moveaxis,
+# chunks of 128, a second generator for the trial-0 check, the trace of the
+# party-0 marginal as a strided sum and the failed count over every
+# deviation.
+REFERENCE_CHUNK = 128
+
+
+def reference_trial_chunks(rows: np.ndarray, trials: int, seed: int):
+    n, d = rows.shape[:2]
+    k = np.empty((n, n, 3, d, d), dtype=complex)
+    for party in range(3):
+        flat = np.moveaxis(rows, party + 1, 1).reshape(n * d, -1)
+        k[:, :, party] = (flat @ flat.conj().T).reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    kops = k.reshape(n * n, 3 * d * d)
+    target = (np.eye(d) / d).reshape(-1)
+    first = random_unit_coeffs(n, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, REFERENCE_CHUNK):
+        size = min(REFERENCE_CHUNK, trials - start)
+        coeffs = random_unit_coeff_block(n, size, rng)
+        if start == 0 and not np.array_equal(coeffs[0], first):
+            raise RuntimeError(f"seed {seed}: the block draw of trial 0 is not the per-trial draw")
+        cc = (coeffs[:, :, None] * coeffs[:, None, :].conj()).reshape(size, n * n)
+        diff = (cc @ kops).reshape(size, 3, d * d)
+        norms = np.sqrt(np.abs(diff[:, 0, :: d + 1].real.sum(axis=1)))
+        diff -= target
+        squares = np.square(diff.view(np.float64), out=diff.view(np.float64))
+        deviations = np.sqrt(squares.sum(axis=2))
+        yield coeffs, deviations, np.abs(norms - 1)
+
+
+def reference_evaluate_trials(rows: np.ndarray, trials: int, seed: int, tol: float) -> TrialBatch:
+    per_party = np.zeros(3)
+    failed = 0
+    worst, worst_trial, worst_coeffs = -1.0, 0, ()
+    defect = 0.0
+    start = 0
+    for coeffs, deviations, defects in reference_trial_chunks(rows, trials, seed):
+        per_party = np.maximum(per_party, deviations.max(axis=0))
+        failed += int(np.count_nonzero(~(deviations <= tol).all(axis=1)))
+        trial_worst = deviations.max(axis=1)
+        i = int(np.argmax(trial_worst))
+        if trial_worst[i] > worst or (np.isnan(trial_worst[i]) and not np.isnan(worst)):
+            worst, worst_trial, worst_coeffs = trial_worst[i], start + i, coeffs[i]
+        defect = np.maximum(defect, defects.max())
+        start += len(deviations)
+    return TrialBatch(
+        per_party_worst=tuple(float(x) for x in per_party),
+        failed_trials=failed,
+        worst_trial=worst_trial,
+        worst_coeffs=tuple(complex(c) for c in worst_coeffs),
+        norm_defect=float(defect),
     )
 
 

@@ -46,12 +46,11 @@ from anyonmask.qstate import (
     StateVector,
     hs_distance,
     inner,
-    max_amplitude_diff,
     partial_trace,
     product_basis,
 )
 from anyonmask.teleport import alice_projector_states, build_joint, permutation_encode, run_teleport
-from helpers import ROWS_D3
+from helpers import ROWS_D3, max_amplitude_diff
 
 MASKING_TOL = 1e-12
 BRAID_TOL = 2e-12

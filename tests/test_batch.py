@@ -35,7 +35,15 @@ from anyonmask.trials import (
     evaluate_trials,
     random_unit_coeff_block,
 )
-from helpers import TAG_ORDER, dense_vector, labeled_campaign, reference_ops
+from helpers import (
+    REFERENCE_CHUNK,
+    TAG_ORDER,
+    dense_vector,
+    labeled_campaign,
+    reference_evaluate_trials,
+    reference_ops,
+    reference_trial_chunks,
+)
 
 ATOL = 1e-14
 
@@ -64,9 +72,9 @@ def dense_rows(states, alphabet):
     return np.stack([dense_vector(state, alphabet) for state in states])
 
 
-def batched(rows, trials, seed):
-    chunks = list(_trial_chunks(rows, trials, seed))
-    return tuple(np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
+def batched(rows, trials, seed, chunks=_trial_chunks):
+    parts = list(chunks(rows, trials, seed))
+    return tuple(np.concatenate([part[i] for part in parts]) for i in range(3))
 
 
 def scheme_for(kind, abelian_scheme, ising_scheme):
@@ -93,7 +101,12 @@ class TestCoefficientBlock:
         coeffs, _, _ = batched(encoder_rows(scheme), trials, 11)
         assert np.array_equal(coeffs, sequential_draws(d, trials, 11))
 
-    @pytest.mark.parametrize("trial", [0, 1, 99, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 5])
+    # the chunk edges of the kernel and of the reference (REFERENCE_CHUNK)
+    @pytest.mark.parametrize(
+        "trial",
+        [0, 1, 99, REFERENCE_CHUNK - 1, REFERENCE_CHUNK, REFERENCE_CHUNK + 5]
+        + [TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 5],
+    )
     def test_replay_coeffs_is_the_sequential_draw(self, trial, monkeypatch, abelian_scheme):
         real = trials._trial_chunks
 
@@ -126,6 +139,44 @@ class TestCoefficientBlock:
 
         with pytest.raises(ValueError, match="not finite and nonzero"):
             random_unit_coeff_block(3, 4, NanNormal())
+
+
+class TestBitIdentity:
+    """The kernel against the chunk arithmetic it replaced (``helpers``), with no tolerance.
+
+    Only the number of floating-point passes changed, never an operation or
+    its order, so every aggregate and every per-trial value is equal.
+    """
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    @pytest.mark.parametrize("count", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 1000])
+    def test_encoder_rows(self, kind, count, abelian_scheme, ising_scheme):
+        rows = encoder_rows(scheme_for(kind, abelian_scheme, ising_scheme))
+        for seed in (0, 7, 20240, 20241):
+            assert evaluate_trials(rows, count, seed, DEFAULT_TOL) == reference_evaluate_trials(
+                rows, count, seed, DEFAULT_TOL
+            )
+            for got, want in zip(batched(rows, count, seed), batched(rows, count, seed, reference_trial_chunks)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", ["t3", "xAB;cBC;t3", "cAC"])
+    def test_braided_tagged_rows(self, text, ising_scheme):
+        rows = braid._braided_rows(ising_scheme, parse_ops(text))
+        assert rows.shape[-1] == len(TAG_ORDER)
+        for seed, count in ((0, 100), (7, TRIAL_CHUNK + 1), (20241, 1000)):
+            assert evaluate_trials(rows, count, seed, 2e-12) == reference_evaluate_trials(rows, count, seed, 2e-12)
+            for got, want in zip(batched(rows, count, seed), batched(rows, count, seed, reference_trial_chunks)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_only_a_trial_alone_in_a_reference_chunk_may_differ(self, ising_scheme):
+        # numpy multiplies a one-trial chunk as a vector (BLAS gemv), which may
+        # round apart from the matrix product of a longer chunk; with chunks
+        # longer than the reference's, its lone last trial of 129 has company
+        rows = braid._braided_rows(ising_scheme, parse_ops("xAB;cBC;t3"))
+        count = REFERENCE_CHUNK + 1
+        for seed in range(8):
+            for got, want in zip(batched(rows, count, seed), batched(rows, count, seed, reference_trial_chunks)):
+                assert got[:REFERENCE_CHUNK].tobytes() == want[:REFERENCE_CHUNK].tobytes()
 
 
 class TestAgainstLabeledTrials:
@@ -242,7 +293,11 @@ class TestCampaignAgainstLabeledLoop:
     """``run_masking_campaign`` against the per-trial loop in ``helpers``."""
 
     @pytest.mark.parametrize("kind", ["abelian", "ising"])
-    @pytest.mark.parametrize("count", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 1000])
+    @pytest.mark.parametrize(
+        "count",
+        [1, REFERENCE_CHUNK - 1, REFERENCE_CHUNK, REFERENCE_CHUNK + 1]
+        + [TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 1000],
+    )
     def test_same_results(self, kind, count, abelian_scheme, ising_scheme):
         scheme = scheme_for(kind, abelian_scheme, ising_scheme)
         for seed in (0, 7, 40_123):
@@ -326,6 +381,25 @@ class TestNanSurfaces:
         chunks[1][1:] = []  # ties keep the earliest trial
         batch = evaluate_trials([], 3, 0, 1.0)
         assert batch.worst_trial == 1 and batch.worst_coeffs == (1, 1, 1)
+
+    def test_norm_defect_across_chunks(self, monkeypatch, ising_scheme):
+        real = trials._trial_chunks
+
+        def nan_in_second_chunk(*args):
+            for index, (coeffs, deviations, defects) in enumerate(real(*args)):
+                if index == 1:
+                    defects = defects.copy()
+                    defects[3] = np.nan
+                yield coeffs, deviations, defects
+
+        monkeypatch.setattr(trials, "_trial_chunks", nan_in_second_chunk)
+        count = 2 * TRIAL_CHUNK + 10  # a NaN-free chunk follows the NaN
+        batch = evaluate_trials(encoder_rows(ising_scheme), count, 1, DEFAULT_TOL)
+        assert math.isnan(batch.norm_defect)
+        assert batch.failed_trials == 0 and batch.worst_deviation <= DEFAULT_TOL
+        report = verify_invariance(ising_scheme, parse_ops("t3"), trials=count, seed=1)
+        assert math.isnan(report.unitarity_defect) and math.isnan(report.record()["unitarity_defect"])
+        assert not report.verdict
 
 
 def test_op_set_is_the_sweep_alphabet():

@@ -32,7 +32,6 @@ from anyonmask.qstate import (
     StateVector,
     basis_state,
     inner,
-    max_amplitude_diff,
     norm,
     partial_trace,
     product_basis,
@@ -42,6 +41,7 @@ from helpers import (
     ROWS_D4,
     TAG_ORDER,
     dense_vector,
+    max_amplitude_diff,
     reference_op,
     reference_ops,
     unit_coeffs,
@@ -316,12 +316,23 @@ class TestOpStrings:
             ({"kind": "bogus"}, "unknown op kind 'bogus'"),
             ({"kind": "exchange", "x": 0, "y": 1, "mode": "both"}, "channel mode must be one of"),
             ({"kind": "circle", "x": 0, "y": 1, "mode": "eps "}, "channel mode must be one of"),
+            ({"kind": "exchange"}, r"exchange needs integer parties x and y, got x=None, y=None"),
+            ({"kind": "exchange", "x": 1.0, "y": 2}, r"exchange needs integer parties x and y, got x=1.0, y=2"),
+            ({"kind": "circle", "x": 0, "y": True}, r"circle needs integer parties x and y, got x=0, y=True"),
+            ({"kind": "tripartite", "x": 0, "y": 1}, r"the tripartite braid takes no parties, got x=0, y=1"),
+            ({"kind": "tripartite", "y": 2}, r"the tripartite braid takes no parties, got x=None, y=2"),
         ],
     )
     def test_op_with_unknown_kind_or_mode_is_refused(self, fields, message):
         # an op that cannot run must not exist, or its token could name it in a report
         with pytest.raises(BraidError, match=message):
             BraidOp(**fields)
+
+    def test_any_integer_index_names_a_party(self, abelian_model):
+        op = BraidOp(kind="exchange", x=np.int64(0), y=np.int64(1))
+        assert op.token() == "xAB" and op == BraidOp(kind="exchange", x=0, y=1)
+        state = basis_state(("e", "m", "1"))
+        assert apply_op(abelian_model, state, op) == exchange(abelian_model, state, 0, 1)
 
     def test_apply_op_dispatch(self, ising_scheme):
         _, state = seeded_encoded(ising_scheme, 37)

@@ -8,9 +8,15 @@ silently empty trace.
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import anyonmask
+from anyonmask.braid import parse_ops, verify_invariance
+from anyonmask.masker import abelian_standard_scheme, ising_cyclic_scheme, run_masking_campaign
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = (
     "ABELIAN_ALPHABET", "AnyonModel", "BasisKet", "BraidOp", "DensityMatrix", "E", "EPS",
@@ -28,7 +34,7 @@ PUBLIC_NAMES = (
 
 
 def tracer_targets():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -53,3 +59,38 @@ def test_tracer_targets_exist():
         if not callable(getattr(importlib.import_module(f"anyonmask.{mod}"), name, None))
     ]
     assert missing == []
+
+
+def test_every_timed_function_runs_in_a_campaign_and_a_sweep_unit(monkeypatch):
+    # bench/run.py --trace 1 exits 2 when a "<module>.<function>.self_us"
+    # metric of BENCHMARK.json has no call to time; count the calls here the
+    # way the tracer wraps them, at every module attribute that holds them
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    timed = [m["name"].removesuffix(".self_us") for m in metrics if m["name"].endswith(".self_us")]
+    assert timed
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "anyonmask"]
+    calls = dict.fromkeys(timed, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in timed:
+        mod, fn_name = name.split(".")
+        original = getattr(importlib.import_module(f"anyonmask.{mod}"), fn_name)
+        wrapper = counted(name, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    units = {
+        "campaign": lambda: run_masking_campaign(abelian_standard_scheme(), 10, 0),
+        "sweep": lambda: verify_invariance(ising_cyclic_scheme(), parse_ops("t3"), trials=10),
+    }
+    for unit, run in units.items():
+        calls.update(dict.fromkeys(timed, 0))
+        run()
+        assert (unit, [name for name, count in calls.items() if count < 1]) == (unit, [])

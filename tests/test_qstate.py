@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,14 +13,13 @@ from anyonmask.qstate import (
     basis_state,
     hs_distance,
     inner,
-    max_amplitude_diff,
     norm,
     partial_trace,
     product_basis,
     scale,
     tensor,
 )
-from helpers import ROWS_D4, dense_partial_trace
+from helpers import ROWS_D4, dense_partial_trace, max_amplitude_diff, reference_partial_trace
 
 ABELIAN = ("1", "e", "m", "eps")
 
@@ -138,6 +138,24 @@ class TestPartialTrace:
     def test_rejects_basis_missing_support(self):
         with pytest.raises(ValueError, match="missing"):
             partial_trace(basis_state(["e", "m"]), {0}, basis=[("1",)])
+
+    def test_rejects_basis_missing_a_later_ket_of_a_group(self):
+        # |e 1> and |m 1> share the traced label; only the first is in the basis
+        state = StateVector({BasisKet(("e", "1")): 0.6, BasisKet(("m", "1")): 0.8})
+        with pytest.raises(ValueError, match=r"\('m',\) missing from the supplied basis"):
+            partial_trace(state, {0}, basis=[("e",)])
+
+    @given(small_states())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_entrywise_loop_bit_for_bit(self, state):
+        n = state.n_registers
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(range(n), size):
+                for basis in (None, product_basis(ABELIAN, size)):
+                    rho = partial_trace(state, keep, basis)
+                    want_basis, want = reference_partial_trace(state, keep, basis)
+                    assert rho.basis == want_basis
+                    assert rho.entries.tobytes() == want.tobytes()
 
     @given(small_states())
     @settings(max_examples=60, deadline=None)

@@ -10,7 +10,6 @@ from anyonmask.qstate import (
     BasisKet,
     StateVector,
     inner,
-    max_amplitude_diff,
     norm,
     partial_trace,
     product_basis,
@@ -27,7 +26,7 @@ from anyonmask.teleport import (
     permutation_encode,
     run_teleport,
 )
-from helpers import dense_vector
+from helpers import dense_vector, max_amplitude_diff
 
 LABELS = ISING_ALPHABET
 

@@ -16,9 +16,10 @@ Each op is defined by a per-ket rule, and it sends every tagged basis
 ket (register labels times a channel tag from ``qstate.TAGS``) to at
 most two kets with phases in eighths of pi.  That map depends only on
 the model, so each op is compiled once per model content and register
-count into a gather table over the tagged basis, and every call is a
-gather of dense amplitudes through it.  ``verify_invariance`` gathers
-the d encoder rows as one array the same way.
+count into a gather table over the tagged basis (the dense layout of
+``qstate``).  ``apply_ops`` turns a state into dense amplitudes once and
+gathers them through the table of each op in turn; ``verify_invariance``
+gathers the d encoder rows as one array the same way.
 
 Braid sequences parse from compact op strings such as ``"xBC;cBA;t3"``
 (exchange B and C, circle B around A, tripartite braid).
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NoReturn, Optional, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ from .anyons import (
     r_angle,
 )
 from .masker import MaskingReport, MaskingScheme, encode, encoder_rows, verify_masking
-from .qstate import PRUNE_EPS, TAGS, BasisKet, StateVector, check_tol, product_basis
+from .qstate import PRUNE_EPS, TAGS, BasisKet, StateVector, check_tol, dense_state, tagged_basis
 from .trials import evaluate_trials
 
 EXCHANGE = "exchange"
@@ -212,8 +212,7 @@ def _tripartite_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
 class _OpTable:
     """One op on the tagged basis of n registers, as a gather.
 
-    ``kets`` is the basis, d^n label tuples in row-major order times
-    ``TAGS``, and ``index`` its inverse.  Output ket i receives
+    ``kets`` is the basis, ``qstate.tagged_basis``.  Output ket i receives
     sum_s amp[s, i] * in[src[s, i]] over at most two sources s (one row
     per source; a missing source has amplitude 0).  ``conflicts`` lists
     the source kets on which the op raises ``ChannelConflictError``.
@@ -221,7 +220,6 @@ class _OpTable:
 
     op: BraidOp
     kets: tuple[BasisKet, ...]
-    index: dict[BasisKet, int]
     src: np.ndarray
     amp: np.ndarray
     conflicts: np.ndarray
@@ -233,12 +231,6 @@ _RULES = {EXCHANGE: _exchange_ket, CIRCLE: _circle_ket, TRIPARTITE: _tripartite_
 # every CLI command, so the key is its content, not its identity; the
 # values are never mutated.
 _TABLES: dict[tuple, _OpTable] = {}
-
-
-@lru_cache(maxsize=None)
-def _tagged_basis(alphabet: tuple[str, ...], n: int) -> tuple[tuple[BasisKet, ...], dict[BasisKet, int]]:
-    kets = tuple(BasisKet(labels, tag) for labels in product_basis(alphabet, n) for tag in TAGS)
-    return kets, {ket: i for i, ket in enumerate(kets)}
 
 
 def _check_domain(model: AnyonModel, op: BraidOp, n: int) -> None:
@@ -261,7 +253,7 @@ def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     """Run the op's per-ket rule once on every tagged basis ket."""
     _check_domain(model, op, n)
     rule = _RULES[op.kind]
-    kets, index = _tagged_basis(model.alphabet, n)
+    kets, index = tagged_basis(model.alphabet, n)
     sources: list[list[tuple[int, complex]]] = [[] for _ in kets]
     conflicts = []
     for i, ket in enumerate(kets):
@@ -280,7 +272,7 @@ def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     for i, pairs in enumerate(sources):
         for s, (source, value) in enumerate(pairs):
             src[s, i], amp[s, i] = source, value
-    return _OpTable(op, kets, index, src, amp, np.array(conflicts, dtype=np.intp))
+    return _OpTable(op, kets, src, amp, np.array(conflicts, dtype=np.intp))
 
 
 def _table(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
@@ -305,19 +297,6 @@ def _gather(table: _OpTable, psi: np.ndarray) -> np.ndarray:
     for src, amp in zip(table.src[1:], table.amp[1:]):
         out += amp * psi.take(src, axis=-1)
     return out
-
-
-def _apply(model: AnyonModel, op: BraidOp, state: StateVector) -> StateVector:
-    """Apply an op to a labeled state: dense in, gather, dense out."""
-    table = _table(model, op, state.n_registers)
-    psi = np.zeros(len(table.kets), dtype=complex)
-    for ket, amp in state.items():
-        i = table.index.get(ket)
-        if i is None:
-            _refuse(model, op, ket)
-        psi[i] = amp
-    out = _gather(table, psi)
-    return StateVector({table.kets[i]: out[i] for i in np.flatnonzero(out)})
 
 
 def _refuse(model: AnyonModel, op: BraidOp, ket: BasisKet) -> NoReturn:
@@ -347,7 +326,7 @@ def exchange(
     channel.  Adjacency mirrors the physical braiding of neighboring
     strands; a non-adjacent exchange must be composed from these.
     """
-    return _apply(model, BraidOp(EXCHANGE, x, y, mode), state)
+    return apply_ops(model, state, (BraidOp(EXCHANGE, x, y, mode),))
 
 
 def circle(model: AnyonModel, state: StateVector, x: int, y: int) -> StateVector:
@@ -361,7 +340,7 @@ def circle(model: AnyonModel, state: StateVector, x: int, y: int) -> StateVector
     accompanying fermion exchange acts trivially on sigma
     (eps x sigma = sigma).
     """
-    return _apply(model, BraidOp(CIRCLE, x, y), state)
+    return apply_ops(model, state, (BraidOp(CIRCLE, x, y),))
 
 
 def tripartite_braid(model: AnyonModel, state: StateVector) -> StateVector:
@@ -373,7 +352,7 @@ def tripartite_braid(model: AnyonModel, state: StateVector) -> StateVector:
     kappa * R1^2 / sqrt(2) and kappa * R1 * Reps / sqrt(2); a tagged
     all-sigma term evolves inside its channel with kappa * R1 * Rtag.
     """
-    return _apply(model, BraidOp(TRIPARTITE), state)
+    return apply_ops(model, state, (BraidOp(TRIPARTITE),))
 
 
 def op_set(kind: str) -> tuple[BraidOp, ...]:
@@ -389,28 +368,36 @@ def op_set(kind: str) -> tuple[BraidOp, ...]:
     return ops + (BraidOp(kind=TRIPARTITE),) if kind == "ising" else ops
 
 
-def apply_op(model: AnyonModel, state: StateVector, op: BraidOp) -> StateVector:
-    if op.kind == EXCHANGE:
-        return exchange(model, state, op.x, op.y, op.mode)
-    if op.kind == CIRCLE:
-        return circle(model, state, op.x, op.y)
-    return tripartite_braid(model, state)
+def _braid_dense(model: AnyonModel, ops: Sequence[BraidOp], n: int, psi: np.ndarray) -> np.ndarray:
+    """The ops on dense amplitudes of n registers (last axis), pruned after each as a StateVector prunes."""
+    for op in ops:
+        psi = _gather(_table(model, op, n), psi)
+        psi[np.abs(psi) <= PRUNE_EPS] = 0
+    return psi
 
 
 def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> StateVector:
-    for op in ops:
-        state = apply_op(model, state, op)
-    return state
+    """Apply the ops in order: dense once, a gather per op, labeled once."""
+    ops = tuple(ops)
+    if not ops:
+        return state
+    n = state.n_registers
+    _table(model, ops[0], n)  # an op outside its domain is refused before any ket
+    kets, index = tagged_basis(model.alphabet, n)
+    psi = np.zeros(len(kets), dtype=complex)
+    for ket, amp in state.items():
+        i = index.get(ket)
+        if i is None:
+            _refuse(model, ops[0], ket)
+        psi[i] = amp
+    psi = _braid_dense(model, ops, n, psi)
+    return dense_state(psi.reshape((model.d,) * n + (len(TAGS),)), model.alphabet)
 
 
 def _braided_rows(scheme: MaskingScheme, ops: Sequence[BraidOp]) -> np.ndarray:
     """The d encoder rows after the ops, as one dense array rows[j, a, b, c, tag]."""
     rows = encoder_rows(scheme)
-    flat = rows.reshape(scheme.d, -1)
-    for op in ops:
-        flat = _gather(_table(scheme.model, op, 3), flat)
-        flat[np.abs(flat) <= PRUNE_EPS] = 0  # as a StateVector prunes
-    return flat.reshape(rows.shape)
+    return _braid_dense(scheme.model, ops, 3, rows.reshape(scheme.d, -1)).reshape(rows.shape)
 
 
 UNITARITY_TOL = 1e-12

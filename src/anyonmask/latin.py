@@ -195,84 +195,39 @@ def cyclic_triple(d: int) -> SchemeTriple:
     )
 
 
-def _latin_squares_first_row_identity(d: int) -> Iterator[Square]:
-    """All Latin squares with identity first row, in lexicographic row order."""
+def _latin_squares(d: int, mate_of: Optional[Square] = None) -> Iterator[Square]:
+    """All Latin squares with identity first row, in lexicographic row order.
 
-    def extend(rows: list[tuple[int, ...]], col_used: list[set[int]]) -> Iterator[list[tuple[int, ...]]]:
-        if len(rows) == d:
-            yield rows
+    With ``mate_of``, only its orthogonal mates: the squares in which each
+    (``mate_of`` cell, cell) pair occurs once.  Without it, the pairs are
+    keyed by cell position and so never repeat.
+    """
+    key = mate_of.cells if mate_of is not None else [range(j * d, j * d + d) for j in range(d)]
+    cells = [list(range(d))] + [[0] * d for _ in range(d - 1)]
+    row_used = [set(range(d))] + [set() for _ in range(d - 1)]
+    col_used = [{k} for k in range(d)]
+    pairs_used = set(zip(key[0], cells[0]))
+
+    def fill(p: int) -> Iterator[Square]:
+        if p == d * d:
+            yield Square(cells)
             return
-        row: list[int] = []
+        j, k = divmod(p, d)
+        row, col, label = row_used[j], col_used[k], key[j][k]
+        for v in range(d):
+            pair = (label, v)
+            if v in row or v in col or pair in pairs_used:
+                continue
+            cells[j][k] = v
+            row.add(v)
+            col.add(v)
+            pairs_used.add(pair)
+            yield from fill(p + 1)
+            row.remove(v)
+            col.remove(v)
+            pairs_used.remove(pair)
 
-        def place(k: int) -> Iterator[list[tuple[int, ...]]]:
-            if k == d:
-                for j in range(d):
-                    col_used[j].add(row[j])
-                yield from extend(rows + [tuple(row)], col_used)
-                for j in range(d):
-                    col_used[j].remove(row[j])
-                return
-            for v in range(d):
-                if v in row or v in col_used[k]:
-                    continue
-                row.append(v)
-                yield from place(k + 1)
-                row.pop()
-
-        yield from place(0)
-
-    first = tuple(range(d))
-    for square_rows in extend([first], [{k} for k in range(d)]):
-        yield Square(tuple(square_rows))
-
-
-def _orthogonal_mate(s1: Square) -> Optional[Square]:
-    """Lexicographically first identity-first-row orthogonal mate, if any."""
-    d = s1.d
-    rows: list[tuple[int, ...]] = [tuple(range(d))]
-    col_used: list[set[int]] = [{k} for k in range(d)]
-    pairs_used = {(s1.cells[0][k], k) for k in range(d)}
-
-    def extend() -> Optional[list[tuple[int, ...]]]:
-        j = len(rows)
-        if j == d:
-            return list(rows)
-        row: list[int] = []
-
-        def place(k: int) -> Optional[list[tuple[int, ...]]]:
-            if k == d:
-                added = []
-                for kk in range(d):
-                    col_used[kk].add(row[kk])
-                    added.append((s1.cells[j][kk], row[kk]))
-                pairs_used.update(added)
-                rows.append(tuple(row))
-                found = extend()
-                rows.pop()
-                pairs_used.difference_update(added)
-                for kk in range(d):
-                    col_used[kk].remove(row[kk])
-                if found is not None:
-                    return found
-                return None
-            for v in range(d):
-                if v in row or v in col_used[k]:
-                    continue
-                if (s1.cells[j][k], v) in pairs_used or any(
-                    (s1.cells[j][kk], row[kk]) == (s1.cells[j][k], v) for kk in range(k)
-                ):
-                    continue
-                row.append(v)
-                found = place(k + 1)
-                row.pop()
-                if found is not None:
-                    return found
-            return None
-
-        return place(0)
-
-    mate_rows = extend()
-    return None if mate_rows is None else Square(tuple(mate_rows))
+    yield from fill(d)
 
 
 def find_mols_pair(d: int) -> Optional[tuple[Square, Square]]:
@@ -286,8 +241,8 @@ def find_mols_pair(d: int) -> Optional[tuple[Square, Square]]:
         raise ValueError("order must be at least 1")
     if d > MOLS_SEARCH_BOUND:
         raise ValueError(f"search is bounded to d <= {MOLS_SEARCH_BOUND}, got {d}")
-    for s1 in _latin_squares_first_row_identity(d):
-        mate = _orthogonal_mate(s1)
+    for s1 in _latin_squares(d):
+        mate = next(_latin_squares(d, s1), None)
         if mate is not None:
             return s1, mate
     return None

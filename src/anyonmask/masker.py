@@ -19,16 +19,17 @@ import numpy as np
 from .anyons import AnyonModel, abelian_c0, ising_like
 from .latin import (
     SchemeTriple,
+    Square,
     cyclic_triple,
     standard_squares_d4,
     validate_triple,
 )
 from .qstate import (
     TAGS,
-    BasisKet,
     DensityMatrix,
     StateVector,
     check_tol,
+    dense_state,
     hs_distance,
     partial_trace,
     product_basis,
@@ -61,10 +62,6 @@ class MaskingScheme:
     def d(self) -> int:
         return self.model.d
 
-    @property
-    def normalization(self) -> float:
-        return 1.0 / math.sqrt(self.d)
-
 
 def abelian_standard_scheme() -> MaskingScheme:
     return MaskingScheme(model=abelian_c0(), triple=standard_squares_d4())
@@ -74,33 +71,39 @@ def ising_cyclic_scheme(c: int = 1) -> MaskingScheme:
     return MaskingScheme(model=ising_like(c), triple=cyclic_triple(3))
 
 
+@lru_cache(maxsize=64)
+def _rows(squares: tuple[Square, ...]) -> np.ndarray:
+    """Encoder rows over the registers the squares label, as rows[j, x1, ..., tag].
+
+    Row j adds 1/sqrt(d) at (S1[j][k], S2[j][k], ..., untagged) in the
+    dense layout of ``qstate.TAGS`` for every column k, so cells of one row
+    that repeat a label tuple add up.  Built once per squares and shared,
+    so read-only.
+    """
+    d = squares[0].d
+    cells = [np.array(square.cells).reshape(-1) for square in squares]
+    rows = np.zeros((d,) * (len(squares) + 1) + (len(TAGS),), dtype=complex)
+    np.add.at(rows, (np.repeat(np.arange(d), d), *cells, TAGS.index(None)), 1.0 / math.sqrt(d))
+    rows.setflags(write=False)
+    return rows
+
+
+def encoder_rows(scheme: MaskingScheme) -> np.ndarray:
+    """All d encoder rows as one dense, read-only array rows[j, a, b, c, tag]:
+    1/sqrt(d) at (A[j][k], B[j][k], C[j][k], untagged) for every column k."""
+    return _rows((scheme.triple.a, scheme.triple.b, scheme.triple.c))
+
+
+def _combined(rows: np.ndarray, coeffs: np.ndarray, alphabet: Sequence[str]) -> StateVector:
+    """The state sum_j coeffs[j] rows[j]."""
+    return dense_state((coeffs @ rows.reshape(len(coeffs), -1)).reshape(rows.shape[1:]), alphabet)
+
+
 def encode_basis(scheme: MaskingScheme, j: int) -> StateVector:
     """The j-th encoder row (1/sqrt(d)) * sum_k |A[j][k], B[j][k], C[j][k]>."""
     if not 0 <= j < scheme.d:
         raise ValueError(f"row index {j} out of range for order {scheme.d}")
-    alphabet = scheme.model.alphabet
-    a, b, c = scheme.triple.a, scheme.triple.b, scheme.triple.c
-    amp = scheme.normalization
-    return StateVector(
-        {
-            BasisKet((alphabet[a.cells[j][k]], alphabet[b.cells[j][k]], alphabet[c.cells[j][k]])): amp
-            for k in range(scheme.d)
-        }
-    )
-
-
-def encoder_rows(scheme: MaskingScheme) -> np.ndarray:
-    """All d encoder rows as one dense array rows[j, a, b, c, tag].
-
-    Row j holds ``encode_basis(scheme, j)`` in the dense layout of
-    ``qstate.TAGS``: 1/sqrt(d) at (A[j][k], B[j][k], C[j][k], untagged)
-    for every column k.
-    """
-    d, triple = scheme.d, scheme.triple
-    cells = [np.array(square.cells).reshape(-1) for square in (triple.a, triple.b, triple.c)]
-    rows = np.zeros((d, d, d, d, len(TAGS)), dtype=complex)
-    rows[(np.repeat(np.arange(d), d), *cells, TAGS.index(None))] = scheme.normalization
-    return rows
+    return dense_state(encoder_rows(scheme)[j], scheme.model.alphabet)
 
 
 def _finite_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
@@ -118,18 +121,7 @@ def encode(scheme: MaskingScheme, coeffs: Sequence[complex]) -> StateVector:
     total = float(np.sum(np.abs(coeffs) ** 2))
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"coefficients must have unit norm, got |coeffs|^2 = {total}")
-    alphabet = scheme.model.alphabet
-    a, b, c = scheme.triple.a, scheme.triple.b, scheme.triple.c
-    amp = scheme.normalization
-    out: dict[BasisKet, complex] = {}
-    for j in range(scheme.d):
-        weight = coeffs[j] * amp
-        for k in range(scheme.d):
-            ket = BasisKet(
-                (alphabet[a.cells[j][k]], alphabet[b.cells[j][k]], alphabet[c.cells[j][k]])
-            )
-            out[ket] = out.get(ket, 0j) + weight
-    return StateVector(out)
+    return _combined(encoder_rows(scheme), coeffs, scheme.model.alphabet)
 
 
 @dataclass(frozen=True)
@@ -258,15 +250,8 @@ def run_masking_campaign(
 
 def bipartite_encode(triple: SchemeTriple, alphabet: Sequence[str], coeffs: Sequence[complex]) -> StateVector:
     """Two-register analog |j> -> (1/sqrt(d)) sum_k |B[j][k], C[j][k]>."""
-    d = triple.d
-    coeffs = _finite_coeffs(coeffs, d)
-    amp = 1.0 / math.sqrt(d)
-    out: dict[BasisKet, complex] = {}
-    for j in range(d):
-        for k in range(d):
-            ket = BasisKet((alphabet[triple.b.cells[j][k]], alphabet[triple.c.cells[j][k]]))
-            out[ket] = out.get(ket, 0j) + coeffs[j] * amp
-    return StateVector(out)
+    coeffs = _finite_coeffs(coeffs, triple.d)
+    return _combined(_rows((triple.b, triple.c)), coeffs, alphabet)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,30 +138,8 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T))) if self.dim else 0.0
-
-    def positivity_floor(self) -> float:
-        """Smallest eigenvalue of the Hermitian part read from the lower
-        triangle; nonnegative (to tolerance) iff PSD."""
-        return float(np.linalg.eigvalsh(self.entries)[0]) if self.dim else 0.0
-
-    def validate(self, trace_target: float | None = 1.0, tol: float = 1e-12) -> list[str]:
-        problems = []
-        if self.hermiticity_defect() > tol:
-            problems.append("not-hermitian")
-        if trace_target is not None and abs(self.trace() - trace_target) > tol:
-            problems.append("trace-off-target")
-        if self.positivity_floor() < -1e-10:
-            problems.append("not-positive-semidefinite")
-        return problems
 
     @staticmethod
     def maximally_mixed(basis: Sequence[tuple[str, ...]]) -> "DensityMatrix":
@@ -175,6 +154,23 @@ def product_basis(alphabet: Sequence[str], n_registers: int) -> tuple[tuple[str,
     for _ in range(n_registers):
         out = [prefix + (a,) for prefix in out for a in alphabet]
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def tagged_basis(alphabet: tuple[str, ...], n: int) -> tuple[tuple[BasisKet, ...], dict[BasisKet, int]]:
+    """The kets of the dense layout in its order (labels row-major, then ``TAGS``), and their positions."""
+    kets = tuple(BasisKet(labels, tag) for labels in product_basis(alphabet, n) for tag in TAGS)
+    return kets, {ket: i for i, ket in enumerate(kets)}
+
+
+def dense_state(psi: np.ndarray, alphabet: Sequence[str]) -> StateVector:
+    """The state of amplitudes ``psi`` in the dense layout: its nonzero entries, in layout order."""
+    d, n = len(alphabet), psi.ndim - 1
+    if psi.shape != (d,) * n + (len(TAGS),):
+        raise ValueError(f"amplitudes of shape {psi.shape} are not in the dense layout of {d} labels")
+    kets = tagged_basis(tuple(alphabet), n)[0]
+    flat = psi.reshape(-1)
+    return StateVector({kets[i]: flat[i] for i in np.flatnonzero(flat)})
 
 
 def partial_trace(

@@ -26,7 +26,6 @@ from .qstate import (
     BasisKet,
     DensityMatrix,
     StateVector,
-    basis_state,
     check_tol,
     hs_distance,
     inner,
@@ -40,6 +39,23 @@ OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 _OMEGA_POWERS = (complex(1.0, 0.0), OMEGA, OMEGA.conjugate())
 
 DEFAULT_TOL = 1e-12
+
+
+class _SectorIndex(dict):
+    """Ising labels to sector indices; a foreign label is a ValueError."""
+
+    def __missing__(self, label):
+        raise ValueError(f"label {label!r} is not in the Ising alphabet {ISING_ALPHABET}")
+
+
+_SECTOR = _SectorIndex((label, i) for i, label in enumerate(ISING_ALPHABET))
+
+
+def _check_untagged(state: StateVector, n: int, what: str) -> None:
+    if state.n_registers != n:
+        raise ValueError(f"{what} needs {n} register{'s' * (n > 1)}, got {state.n_registers}")
+    if state.tagged:
+        raise ValueError(f"{what} is defined for untagged states")
 
 
 def omega_power(k: int) -> complex:
@@ -89,14 +105,10 @@ def permutation_encode(state: StateVector) -> StateVector:
     a joint payload-plus-channel state it leaves Alice's pair supported
     on the three phase-pattern states and maximally mixed registerwise.
     """
-    if state.n_registers != 3:
-        raise ValueError(f"encoding needs 3 registers, got {state.n_registers}")
-    if state.tagged:
-        raise ValueError("encoding is defined for untagged states")
-    idx = {label: i for i, label in enumerate(ISING_ALPHABET)}
+    _check_untagged(state, 3, "encoding")
     out: dict[BasisKet, complex] = {}
     for ket, amp in state.items():
-        x, y, z = (idx[label] for label in ket.labels)
+        x, y, z = (_SECTOR[label] for label in ket.labels)
         image = BasisKet(
             (
                 ISING_ALPHABET[z],
@@ -133,12 +145,10 @@ def alice_measure(encoded: StateVector, outcome: int) -> tuple[float, StateVecto
     """
     if outcome not in (1, 2, 3):
         raise ValueError(f"outcome must be 1, 2, or 3, got {outcome}")
-    if encoded.n_registers != 3:
-        raise ValueError(f"measurement needs 3 registers, got {encoded.n_registers}")
-    idx = {label: i for i, label in enumerate(ISING_ALPHABET)}
+    _check_untagged(encoded, 3, "measurement")
     bob = np.zeros(3, dtype=complex)
     for ket, amp in encoded.items():
-        x, y, z = (idx[label] for label in ket.labels)
+        x, y, z = (_SECTOR[label] for label in ket.labels)
         # conjugate of the projector amplitude omega^((outcome-1)(y-x)), over norm 3
         bob[z] += omega_power(-(outcome - 1) * (y - x)) * amp / 3.0
     probability = float(np.sum(np.abs(bob) ** 2))
@@ -154,10 +164,10 @@ def correct(bob_state: StateVector, outcome: int) -> StateVector:
     """Bob's diagonal fix-up: multiply sector k by omega^((outcome-1)k)."""
     if outcome not in (1, 2, 3):
         raise ValueError(f"outcome must be 1, 2, or 3, got {outcome}")
-    idx = {label: i for i, label in enumerate(ISING_ALPHABET)}
+    _check_untagged(bob_state, 1, "correction")
     return StateVector(
         {
-            ket: amp * omega_power((outcome - 1) * idx[ket.labels[0]])
+            ket: amp * omega_power((outcome - 1) * _SECTOR[ket.labels[0]])
             for ket, amp in bob_state.items()
         }
     )

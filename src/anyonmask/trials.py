@@ -120,7 +120,11 @@ def _trial_chunks(
         if start == 0 and not np.array_equal(coeffs[0], first):
             raise RuntimeError(f"seed {seed}: the block draw of trial 0 is not the per-trial draw")
         cc = (coeffs[:, :, None] * coeffs[:, None, :].conj()).reshape(size, n * n)
-        diff = (cc @ kops).reshape(size, 3, d * d)
+        if size == 1:
+            # numpy multiplies one row as a vector (BLAS gemv), rounding apart
+            # from a longer chunk; as two equal rows it takes the matrix path
+            cc = np.repeat(cc, 2, axis=0)
+        diff = (cc @ kops)[:size].reshape(size, 3, d * d)
         # tr rho_0: its d diagonal entries added one after another, the order
         # in which numpy sums that short strided axis, without the fixed cost
         # of a reduction (tests/test_batch.py holds it to that sum bit for bit)

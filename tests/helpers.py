@@ -6,9 +6,10 @@ vacuum, fermion); they share no code path with the dict-based state
 machinery.  ``labeled_campaign`` is the per-trial masking campaign that
 the batched ``run_masking_campaign`` replaced, ``reference_evaluate_trials``
 and ``reference_partial_trace`` are the batched kernel and the partial
-trace as first written, and the ``reference_*`` braid ops are the
-per-term dict loops that the compiled op tables replaced: each term's
-labels are checked and its phase looked up anew.
+trace as first written, the ``reference_*encode*`` functions are the
+dict loops that the dense encoder rows replaced, and the ``reference_*``
+braid ops are the per-term dict loops that the compiled op tables
+replaced: each term's labels are checked and its phase looked up anew.
 """
 
 from __future__ import annotations
@@ -103,6 +104,43 @@ def unit_coeffs(draw, d):
     return vec / total
 
 
+def reference_encode_basis(scheme, j: int) -> StateVector:
+    """Encoder row j as a dict loop over the columns of the triple."""
+    alphabet, (a, b, c) = scheme.model.alphabet, (scheme.triple.a, scheme.triple.b, scheme.triple.c)
+    amp = 1.0 / math.sqrt(scheme.d)
+    return StateVector(
+        {
+            BasisKet((alphabet[a.cells[j][k]], alphabet[b.cells[j][k]], alphabet[c.cells[j][k]])): amp
+            for k in range(scheme.d)
+        }
+    )
+
+
+def reference_encode(scheme, coeffs) -> StateVector:
+    """sum_j coeffs[j] * row_j as a dict loop, adding the amplitudes of a repeated ket."""
+    alphabet, (a, b, c) = scheme.model.alphabet, (scheme.triple.a, scheme.triple.b, scheme.triple.c)
+    amp = 1.0 / math.sqrt(scheme.d)
+    out: dict[BasisKet, complex] = {}
+    for j in range(scheme.d):
+        weight = coeffs[j] * amp
+        for k in range(scheme.d):
+            ket = BasisKet((alphabet[a.cells[j][k]], alphabet[b.cells[j][k]], alphabet[c.cells[j][k]]))
+            out[ket] = out.get(ket, 0j) + weight
+    return StateVector(out)
+
+
+def reference_bipartite_encode(triple, alphabet, coeffs) -> StateVector:
+    """The two-register encoder over (B, C) as a dict loop."""
+    d = triple.d
+    amp = 1.0 / math.sqrt(d)
+    out: dict[BasisKet, complex] = {}
+    for j in range(d):
+        for k in range(d):
+            ket = BasisKet((alphabet[triple.b.cells[j][k]], alphabet[triple.c.cells[j][k]]))
+            out[ket] = out.get(ket, 0j) + coeffs[j] * amp
+    return StateVector(out)
+
+
 def labeled_campaign(scheme, trials: int, seed: int, tol: float) -> MaskingCampaignResult:
     """A masking campaign that encodes and verifies every trial on its own."""
     rng = np.random.default_rng(seed)
@@ -185,13 +223,15 @@ def reference_trial_chunks(rows: np.ndarray, trials: int, seed: int):
         yield coeffs, deviations, np.abs(norms - 1)
 
 
-def reference_evaluate_trials(rows: np.ndarray, trials: int, seed: int, tol: float) -> TrialBatch:
+def reference_evaluate_trials(
+    rows: np.ndarray, trials: int, seed: int, tol: float, chunks=reference_trial_chunks
+) -> TrialBatch:
     per_party = np.zeros(3)
     failed = 0
     worst, worst_trial, worst_coeffs = -1.0, 0, ()
     defect = 0.0
     start = 0
-    for coeffs, deviations, defects in reference_trial_chunks(rows, trials, seed):
+    for coeffs, deviations, defects in chunks(rows, trials, seed):
         per_party = np.maximum(per_party, deviations.max(axis=0))
         failed += int(np.count_nonzero(~(deviations <= tol).all(axis=1)))
         trial_worst = deviations.max(axis=1)

@@ -77,6 +77,19 @@ def batched(rows, trials, seed, chunks=_trial_chunks):
     return tuple(np.concatenate([part[i] for part in parts]) for i in range(3))
 
 
+def reference_chunks(rows, trials, seed):
+    """``reference_trial_chunks``, but a trial alone in the reference's last
+    chunk takes its values from a run one trial longer: the reference
+    multiplies it as a vector, the kernel as a matrix, like every other trial."""
+    if trials % REFERENCE_CHUNK != 1:
+        yield from reference_trial_chunks(rows, trials, seed)
+        return
+    start = 0
+    for chunk in reference_trial_chunks(rows, trials + 1, seed):
+        yield tuple(part[: trials - start] for part in chunk)
+        start += len(chunk[0])
+
+
 def scheme_for(kind, abelian_scheme, ising_scheme):
     return abelian_scheme if kind == "abelian" else ising_scheme
 
@@ -145,7 +158,9 @@ class TestBitIdentity:
     """The kernel against the chunk arithmetic it replaced (``helpers``), with no tolerance.
 
     Only the number of floating-point passes changed, never an operation or
-    its order, so every aggregate and every per-trial value is equal.
+    its order, so every aggregate and every per-trial value is equal.  The
+    one exception is a trial alone in the reference's last chunk, which the
+    kernel multiplies as a matrix (``reference_chunks``).
     """
 
     @pytest.mark.parametrize("kind", ["abelian", "ising"])
@@ -154,9 +169,9 @@ class TestBitIdentity:
         rows = encoder_rows(scheme_for(kind, abelian_scheme, ising_scheme))
         for seed in (0, 7, 20240, 20241):
             assert evaluate_trials(rows, count, seed, DEFAULT_TOL) == reference_evaluate_trials(
-                rows, count, seed, DEFAULT_TOL
+                rows, count, seed, DEFAULT_TOL, reference_chunks
             )
-            for got, want in zip(batched(rows, count, seed), batched(rows, count, seed, reference_trial_chunks)):
+            for got, want in zip(batched(rows, count, seed), batched(rows, count, seed, reference_chunks)):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("text", ["t3", "xAB;cBC;t3", "cAC"])
@@ -164,8 +179,10 @@ class TestBitIdentity:
         rows = braid._braided_rows(ising_scheme, parse_ops(text))
         assert rows.shape[-1] == len(TAG_ORDER)
         for seed, count in ((0, 100), (7, TRIAL_CHUNK + 1), (20241, 1000)):
-            assert evaluate_trials(rows, count, seed, 2e-12) == reference_evaluate_trials(rows, count, seed, 2e-12)
-            for got, want in zip(batched(rows, count, seed), batched(rows, count, seed, reference_trial_chunks)):
+            assert evaluate_trials(rows, count, seed, 2e-12) == reference_evaluate_trials(
+                rows, count, seed, 2e-12, reference_chunks
+            )
+            for got, want in zip(batched(rows, count, seed), batched(rows, count, seed, reference_chunks)):
                 assert got.tobytes() == want.tobytes()
 
     def test_only_a_trial_alone_in_a_reference_chunk_may_differ(self, ising_scheme):
@@ -177,6 +194,24 @@ class TestBitIdentity:
         for seed in range(8):
             for got, want in zip(batched(rows, count, seed), batched(rows, count, seed, reference_trial_chunks)):
                 assert got[:REFERENCE_CHUNK].tobytes() == want[:REFERENCE_CHUNK].tobytes()
+
+
+class TestTrialCountIndependence:
+    """A seeded trial's values do not depend on how many trials follow it."""
+
+    @pytest.mark.parametrize("kind", ["abelian", "ising"])
+    def test_last_trial_alone_in_its_chunk(self, kind, abelian_scheme, ising_scheme):
+        # numpy multiplies a one-row chunk as a vector (BLAS gemv), which may
+        # round apart from the matrix product of a longer chunk
+        scheme = scheme_for(kind, abelian_scheme, ising_scheme)
+        braids = [braid._braided_rows(scheme, parse_ops(text)) for text in SEQUENCES[kind][1:3]]
+        for braided in [encoder_rows(scheme)] + braids:
+            for seed in range(50):
+                for t in (0, TRIAL_CHUNK):
+                    alone = batched(braided, t + 1, seed)
+                    company = batched(braided, t + 2, seed)
+                    for got, want in zip(alone, company):
+                        assert got[t].tobytes() == want[t].tobytes(), (seed, t)
 
 
 class TestAgainstLabeledTrials:

@@ -17,7 +17,6 @@ from anyonmask.braid import (
     BraidError,
     BraidOp,
     ChannelConflictError,
-    apply_op,
     apply_ops,
     circle,
     exchange,
@@ -332,13 +331,15 @@ class TestOpStrings:
         op = BraidOp(kind="exchange", x=np.int64(0), y=np.int64(1))
         assert op.token() == "xAB" and op == BraidOp(kind="exchange", x=0, y=1)
         state = basis_state(("e", "m", "1"))
-        assert apply_op(abelian_model, state, op) == exchange(abelian_model, state, 0, 1)
+        assert apply_ops(abelian_model, state, (op,)) == exchange(abelian_model, state, 0, 1)
 
     def test_apply_op_dispatch(self, ising_scheme):
+        # one op through apply_ops is the named function, for each kind
+        model = ising_scheme.model
         _, state = seeded_encoded(ising_scheme, 37)
-        assert apply_op(ising_scheme.model, state, BraidOp(kind="tripartite")) == tripartite_braid(
-            ising_scheme.model, state
-        )
+        assert apply_ops(model, state, (BraidOp("exchange", 1, 2, "eps"),)) == exchange(model, state, 1, 2, "eps")
+        assert apply_ops(model, state, (BraidOp("circle", 2, 0),)) == circle(model, state, 2, 0)
+        assert apply_ops(model, state, (BraidOp("tripartite"),)) == tripartite_braid(model, state)
 
 
 class TestVerifyInvariance:
@@ -410,7 +411,7 @@ class TestCodeSpaceProperties:
         scheme = abelian_scheme if kind == "abelian" else ising_scheme
         op = data.draw(st.sampled_from(every_op(kind)))
         state = encode(scheme, data.draw(unit_coeffs(scheme.d)))
-        assert abs(norm(apply_op(scheme.model, state, op)) - 1.0) <= 1e-12
+        assert abs(norm(apply_ops(scheme.model, state, (op,))) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["abelian", "ising"])
     @given(data=st.data())
@@ -490,7 +491,7 @@ class TestOpTables:
         for op in every_op(kind):
             for ket in basis_kets(model):
                 state = StateVector({ket: 1.0})
-                got = outcome(lambda: apply_op(model, state, op))
+                got = outcome(lambda: apply_ops(model, state, (op,)))
                 want = outcome(lambda: reference_op(model, state, op))
                 if isinstance(want, tuple):
                     assert got == want
@@ -511,7 +512,7 @@ class TestOpTables:
         finite = st.floats(-1, 1, allow_nan=False)
         state = StateVector({ket: complex(data.draw(finite), data.draw(finite)) for ket in kets})
         assume(len(state))  # an empty state has no register count to braid
-        got = outcome(lambda: apply_op(model, state, op))
+        got = outcome(lambda: apply_ops(model, state, (op,)))
         want = outcome(lambda: reference_op(model, state, op))
         if isinstance(want, tuple) or isinstance(got, tuple):
             # with two conflicting terms the reference names the first in

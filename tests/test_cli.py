@@ -199,6 +199,14 @@ class TestMolsCommand:
         blocks = [b for b in out.split("\n\n") if b.strip()]
         assert len(blocks) == 2
 
+    def test_dim_five_prints_the_pinned_pair(self, capsys):
+        assert main(["mols", "--dim", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "0 1 2 3 4\n1 2 3 4 0\n2 3 4 0 1\n3 4 0 1 2\n4 0 1 2 3\n"
+            "\n"
+            "0 1 2 3 4\n2 3 4 0 1\n4 0 1 2 3\n1 2 3 4 0\n3 4 0 1 2\n"
+        )
+
     def test_dim_two_prints_none(self, capsys):
         assert main(["mols", "--dim", "2"]) == 0
         assert capsys.readouterr().out.strip() == "none"

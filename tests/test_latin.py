@@ -233,6 +233,32 @@ class TestFindMolsPair:
     def test_deterministic(self):
         assert find_mols_pair(4) == find_mols_pair(4)
 
+    # the lexicographically first identity-first-row pair of each order;
+    # a rewrite of the search must find the same one
+    PINNED = {
+        1: (((0,),), ((0,),)),
+        3: (
+            ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+            ((0, 1, 2), (2, 0, 1), (1, 2, 0)),
+        ),
+        4: (
+            ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+            ((0, 1, 2, 3), (2, 3, 0, 1), (3, 2, 1, 0), (1, 0, 3, 2)),
+        ),
+        5: (
+            ((0, 1, 2, 3, 4), (1, 2, 3, 4, 0), (2, 3, 4, 0, 1), (3, 4, 0, 1, 2), (4, 0, 1, 2, 3)),
+            ((0, 1, 2, 3, 4), (2, 3, 4, 0, 1), (4, 0, 1, 2, 3), (1, 2, 3, 4, 0), (3, 4, 0, 1, 2)),
+        ),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_pinned_pair(self, d):
+        pair = find_mols_pair(d)
+        if d == 2:
+            assert pair is None
+        else:
+            assert (pair[0].cells, pair[1].cells) == self.PINNED[d]
+
 
 class TestTextFormat:
     def test_square_round_trip(self):

@@ -27,7 +27,18 @@ from anyonmask.masker import (
     verify_masking,
 )
 from anyonmask.qstate import BasisKet, StateVector, inner, norm, partial_trace, product_basis
-from helpers import ROWS_D3, ROWS_D4, dense_inner, dense_partial_trace, dense_vector, unit_coeffs
+from helpers import (
+    ROWS_D3,
+    ROWS_D4,
+    dense_inner,
+    dense_partial_trace,
+    dense_vector,
+    max_amplitude_diff,
+    reference_bipartite_encode,
+    reference_encode,
+    reference_encode_basis,
+    unit_coeffs,
+)
 
 
 def display_state(rows, coeffs):
@@ -38,6 +49,18 @@ def display_state(rows, coeffs):
         for labels in row:
             amps[BasisKet(labels)] = coeffs[j] / math.sqrt(d)
     return StateVector(amps)
+
+
+SCHEME_NAMES = ["abelian", "ising", "file"]
+
+
+def scheme_named(name, abelian_scheme, ising_scheme):
+    if name == "file":
+        # B and C swapped: a valid triple that no built-in scheme uses
+        model, base = ising_scheme.model, cyclic_triple(3)
+        text = triple_to_text(SchemeTriple(a=base.a, b=base.c, c=base.b), model.alphabet)
+        return MaskingScheme(model=model, triple=parse_triple(text, model.alphabet))
+    return abelian_scheme if name == "abelian" else ising_scheme
 
 
 class TestEncodeBasis:
@@ -83,20 +106,16 @@ class TestEncodeBasis:
                     expected, abs=1e-12
                 )
 
-    @pytest.mark.parametrize("scheme_name", ["abelian", "ising", "file"])
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_dense_rows_are_the_encode_basis_rows(self, scheme_name, abelian_scheme, ising_scheme):
-        if scheme_name == "file":
-            # B and C swapped: a valid triple that no built-in scheme uses
-            model, base = ising_scheme.model, cyclic_triple(3)
-            text = triple_to_text(SchemeTriple(a=base.a, b=base.c, c=base.b), model.alphabet)
-            scheme = MaskingScheme(model=model, triple=parse_triple(text, model.alphabet))
-        else:
-            scheme = abelian_scheme if scheme_name == "abelian" else ising_scheme
+        scheme = scheme_named(scheme_name, abelian_scheme, ising_scheme)
         d, alphabet = scheme.d, scheme.model.alphabet
         rows = encoder_rows(scheme)
         assert rows.shape == (d, d, d, d, 3)
         for j in range(d):
-            assert np.array_equal(rows[j], dense_vector(encode_basis(scheme, j), alphabet))
+            want = reference_encode_basis(scheme, j)
+            assert np.array_equal(rows[j], dense_vector(want, alphabet))
+            assert encode_basis(scheme, j) == want
 
     def test_row_index_out_of_range(self, abelian_scheme):
         with pytest.raises(ValueError, match="out of range"):
@@ -121,6 +140,29 @@ class TestEncode:
         assert set(state.amplitudes) == set(expected.amplitudes)
         for ket, amp in expected.items():
             assert state.amplitude(ket) == pytest.approx(amp, abs=1e-15)
+
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_equals_the_dict_loops(self, scheme_name, abelian_scheme, ising_scheme):
+        scheme = scheme_named(scheme_name, abelian_scheme, ising_scheme)
+        triple, alphabet = scheme.triple, scheme.model.alphabet
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            coeffs = random_unit_coeffs(scheme.d, rng)
+            assert encode(scheme, coeffs) == reference_encode(scheme, coeffs)
+            assert bipartite_encode(triple, alphabet, coeffs) == reference_bipartite_encode(triple, alphabet, coeffs)
+
+    @pytest.mark.parametrize("square", [cyclic_square(3), constant_column_square(3)], ids=["across-rows", "in-a-row"])
+    def test_bipartite_cells_that_collide_add_up(self, square, ising_scheme):
+        # B = C: every label pair (x, x) sits in d cells
+        triple = SchemeTriple(a=square, b=square, c=square)
+        alphabet = ising_scheme.model.alphabet
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            coeffs = random_unit_coeffs(3, rng)
+            got = bipartite_encode(triple, alphabet, coeffs)
+            want = reference_bipartite_encode(triple, alphabet, coeffs)
+            assert set(got.amplitudes) == set(want.amplitudes)
+            assert max_amplitude_diff(got, want) <= 1e-15
 
     def test_basis_vector_reduces_to_encode_basis(self, ising_scheme):
         state = encode(ising_scheme, [1.0, 0.0, 0.0])

@@ -263,6 +263,37 @@ class TestCorrect:
             correct(payload_state([1.0, 0.0, 0.0]), 4)
 
 
+class TestForeignInput:
+    """Each map refuses a state it cannot read, by name, rather than misreading it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: permutation_encode(StateVector({BasisKet(("1", "zz", "1")): 1.0})),
+            lambda: alice_measure(StateVector({BasisKet(("1", "zz", "1")): 1.0}), 1),
+            lambda: correct(StateVector({BasisKet(("zz",)): 1.0}), 2),
+        ],
+        ids=["permutation_encode", "alice_measure", "correct"],
+    )
+    def test_foreign_label_is_named(self, call):
+        with pytest.raises(ValueError, match="label 'zz' is not in the Ising alphabet"):
+            call()
+
+    def test_measure_refuses_a_tagged_state(self):
+        # read as untagged, |1 1 1>_eps gave outcome 1 probability 1/9
+        with pytest.raises(ValueError, match="untagged"):
+            alice_measure(StateVector({BasisKet(("1", "1", "1"), "eps"): 1.0}), 1)
+
+    def test_correct_refuses_a_tagged_state(self):
+        with pytest.raises(ValueError, match="untagged"):
+            correct(StateVector({BasisKet(("eps",), "1"): 1.0}), 2)
+
+    def test_correct_refuses_two_registers(self):
+        # Bob holds one register; a pair was phased by its first label
+        with pytest.raises(ValueError, match="1 register, got 2"):
+            correct(StateVector({BasisKet(("1", "eps")): 1.0}), 2)
+
+
 class TestRunTeleport:
     def test_basis_input(self):
         run = run_teleport([1.0, 0.0, 0.0])

@@ -47,6 +47,10 @@ def phase_from_eighths(k: int) -> complex:
     return cmath.exp(1j * (math.pi * k / 8))
 
 
+# content_key -> content_id, in the order contents were first seen
+_CONTENT_IDS: dict[tuple, int] = {}
+
+
 class UnknownSectorError(ValueError):
     """A label outside the model's alphabet was used."""
 
@@ -125,6 +129,15 @@ class AnyonModel:
             tuple(sorted(self.theta_eighths.items())),
             tuple(sorted(self.kappa.items())),
         )
+
+    @cached_property
+    def content_id(self) -> int:
+        """A small int per distinct ``content_key``, equal for models built alike.
+
+        A cheap dictionary key: a tuple of every table rehashes on every
+        lookup, this int is found once per model object.
+        """
+        return _CONTENT_IDS.setdefault(self.content_key, len(_CONTENT_IDS))
 
     def theta(self, label: str) -> complex:
         self.check_label(label)

@@ -46,7 +46,7 @@ from .anyons import (
     r_angle,
 )
 from .masker import MaskingReport, MaskingScheme, encode, encoder_rows, verify_masking
-from .qstate import PRUNE_EPS, TAGS, BasisKet, StateVector, check_tol, dense_state, tagged_basis
+from .qstate import PRUNE_EPS, TAGS, BasisKet, StateVector, check_seed, check_tol, dense_state, tagged_basis
 from .trials import evaluate_trials
 
 EXCHANGE = "exchange"
@@ -228,9 +228,9 @@ class _OpTable:
 _RULES = {EXCHANGE: _exchange_ket, CIRCLE: _circle_ket, TRIPARTITE: _tripartite_ket}
 
 # Tables by (model content, op, register count).  A model is rebuilt for
-# every CLI command, so the key is its content, not its identity; the
-# values are never mutated.
-_TABLES: dict[tuple, _OpTable] = {}
+# every CLI command, so the key is its content (``content_id``), not its
+# identity; the values are never mutated.
+_TABLES: dict[tuple[int, BraidOp, int], _OpTable] = {}
 
 
 def _check_domain(model: AnyonModel, op: BraidOp, n: int) -> None:
@@ -249,9 +249,8 @@ def _check_domain(model: AnyonModel, op: BraidOp, n: int) -> None:
         raise BraidError("cannot circle a party around itself")
 
 
-def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
-    """Run the op's per-ket rule once on every tagged basis ket."""
-    _check_domain(model, op, n)
+def _compile_kets(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
+    """Run the op's per-ket rule once on every tagged basis ket of n registers."""
     rule = _RULES[op.kind]
     kets, index = tagged_basis(model.alphabet, n)
     sources: list[list[tuple[int, complex]]] = [[] for _ in kets]
@@ -275,9 +274,38 @@ def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     return _OpTable(op, kets, src, amp, np.array(conflicts, dtype=np.intp))
 
 
+def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
+    """The op's table on n registers.
+
+    The tripartite op runs its rule on every tagged ket.  An exchange or a
+    circle reads only the labels of its two parties and the tag, so its
+    rule runs on the tagged kets of two registers, the pair in ascending
+    order with the op's orientation kept, and the n-register table follows
+    by index arithmetic: a source is the output ket with the pair's labels
+    and the tag replaced by those of the pair table's source.
+    """
+    _check_domain(model, op, n)
+    if op.kind == TRIPARTITE:
+        return _compile_kets(model, op, n)
+    pair = _compile_kets(model, BraidOp(op.kind, int(op.x > op.y), int(op.x < op.y), op.mode), 2)
+    d, tags = model.d, len(TAGS)
+    # the strides of the pair's registers in an n-register index; the tag's is 1
+    first, second = (tags * d ** (n - 1 - party) for party in sorted((op.x, op.y)))
+    # what each pair ket's labels and tag add to an n-register index
+    pair_index = np.arange(len(pair.kets))
+    offset = pair_index // (d * tags) * first + pair_index // tags % d * second + pair_index % tags
+    index = np.arange(tags * d**n)
+    at = (index // first % d * d + index // second % d) * tags + index % tags  # the pair ket of each ket
+    src = index - offset[at] + offset[pair.src[:, at]]
+    amp = pair.amp[:, at]
+    src[amp == 0] = 0  # a missing source has amplitude 0, a real one a phase
+    conflicts = np.flatnonzero(np.isin(at, pair.conflicts))
+    return _OpTable(op, tagged_basis(model.alphabet, n)[0], src, amp, conflicts)
+
+
 def _table(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     """The op's table for the model and register count, compiled on first use."""
-    key = (model.content_key, op, n)
+    key = (model.content_id, op, n)
     table = _TABLES.get(key)
     if table is None:
         table = _TABLES[key] = _compile(model, op, n)
@@ -447,6 +475,7 @@ def verify_invariance(
     both must pass too.
     """
     check_tol(tol)
+    check_seed(seed)
     ops = tuple(ops)
     model = scheme.model
     alphabet = model.alphabet

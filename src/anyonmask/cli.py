@@ -30,7 +30,7 @@ from .masker import (
     MaskingScheme,
     run_masking_campaign,
 )
-from .qstate import check_tol
+from .qstate import check_seed, check_tol
 from .teleport import run_teleport
 
 DEFAULT_SEED = 7
@@ -108,9 +108,11 @@ def _default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    check_seed(seed, SEED_ENV_VAR)
+    return seed
 
 
 def render_text(payload: dict) -> str:
@@ -198,7 +200,11 @@ def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, str, in
     model = parse_model(args.model)
     name = args.scheme or _default_scheme_name(model)
     scheme = resolve_scheme(model, name)
-    seed = args.seed if args.seed is not None else _default_seed()
+    if args.seed is None:
+        seed = _default_seed()
+    else:
+        seed = args.seed
+        check_seed(seed, "--seed")
     return scheme, name, seed
 
 

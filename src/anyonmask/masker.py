@@ -28,6 +28,7 @@ from .qstate import (
     TAGS,
     DensityMatrix,
     StateVector,
+    check_seed,
     check_tol,
     dense_state,
     hs_distance,
@@ -235,6 +236,7 @@ def run_masking_campaign(
     the campaign passes iff no trial failed and that replay passes too.
     """
     check_tol(tol)
+    check_seed(seed)
     batch = evaluate_trials(encoder_rows(scheme), trials, seed, tol)
     replay = verify_masking(encode(scheme, batch.worst_coeffs), scheme.model.alphabet, tol=tol, seed=seed)
     return MaskingCampaignResult(

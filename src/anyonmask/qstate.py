@@ -13,6 +13,7 @@ pure functions, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -170,7 +171,9 @@ def dense_state(psi: np.ndarray, alphabet: Sequence[str]) -> StateVector:
         raise ValueError(f"amplitudes of shape {psi.shape} are not in the dense layout of {d} labels")
     kets = tagged_basis(tuple(alphabet), n)[0]
     flat = psi.reshape(-1)
-    return StateVector({kets[i]: flat[i] for i in np.flatnonzero(flat)})
+    nonzero = np.flatnonzero(flat)
+    # one conversion to Python complex numbers, the values complex() gives one by one
+    return StateVector(dict(zip(map(kets.__getitem__, nonzero.tolist()), flat[nonzero].tolist())))
 
 
 def partial_trace(
@@ -244,3 +247,18 @@ def check_tol(tol: float, name: str = "tol") -> None:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"{name} must be finite and positive, got {tol}")
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ValueError unless ``seed`` is a non-negative integer, of any size.
+
+    None would draw from fresh OS entropy and a bool would run as 0 or 1,
+    so neither names a reproducible run.
+    """
+    if not isinstance(seed, bool):
+        try:
+            if operator.index(seed) >= 0:
+                return
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")

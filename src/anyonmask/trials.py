@@ -21,16 +21,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .qstate import check_tol
+from .qstate import check_seed, check_tol
 
 # Trials are evaluated this many at a time, so the arrays of one chunk stay
 # small whatever the trial count.  A chunk also pays a fixed cost of about
-# twenty numpy calls.  On the benchmark's `campaign` workload (six 15 s runs
-# per value, one thread, 2-vCPU Xeon VM), chunks of 128, 256 and 512 gave
-# medians of 660k, 743k and 805k trials/s at 40.05, 40.37 and 40.85 MB peak
-# RSS.  Against the earlier 128-trial kernel in 35 s runs, 512 took 3.9%
-# more peak RSS and 256 2.3%; the chunk is 256, to keep that rise small.
-TRIAL_CHUNK = 256
+# twenty numpy calls.  On the benchmark's `campaign` workload of 1000-trial
+# campaigns (three 20 s runs per value, one thread, 2-vCPU Xeon VM), chunks
+# of 256 (the earlier value), 512, 1024 and 2048 gave 520k-601k, 576k-723k,
+# 700k-742k and 747k-774k trials/s at 40.3-40.7, 40.9-41.1, 41.7-41.9 and
+# 41.9-42.1 MB peak RSS.  From 1024 up a campaign is one chunk and the same
+# computation, so 1024 and 2048 differ by noise only; the chunk is 1024,
+# the smallest that holds the campaign whole.
+TRIAL_CHUNK = 1024
 
 
 def random_unit_coeffs(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,7 +107,6 @@ def _trial_chunks(
     """
     kops = _reduced_operators(rows)
     n, d = rows.shape[:2]
-    target = (np.eye(d) / d).reshape(-1)
     # The block draw equals the per-trial draw only while BLAS sums as
     # np.linalg.norm does; a numpy that rounds otherwise would shift every
     # seeded trial, so trial 0 is checked against ``random_unit_coeffs``,
@@ -132,11 +133,18 @@ def _trial_chunks(
         for k in range(d + 1, d * d, d + 1):
             trace += diff[:, 0, k].real
         norms = np.sqrt(np.abs(trace))
-        diff -= target
+        # I/d is 1/d on the d diagonal entries of each party's marginal and
+        # exactly 0 elsewhere, where x - 0.0 is x; one diagonal entry of all
+        # 3 * size marginals at a time, a long loop where a strided
+        # diff[:, :, ::d + 1] runs 3 * size loops of d
+        marginals = diff.reshape(3 * size, d * d)
+        for k in range(0, d * d, d + 1):
+            column = marginals[:, k]
+            column -= 1.0 / d
         squares = np.square(diff.view(np.float64), out=diff.view(np.float64))
         deviations = np.sqrt(squares.sum(axis=2))
         # freed here, or they would live on beside the next chunk's
-        del cc, diff, squares
+        del cc, diff, marginals, column, squares
         yield coeffs, deviations, np.abs(norms - 1)
 
 
@@ -174,6 +182,7 @@ def evaluate_trials(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     check_tol(tol)
+    check_seed(seed)
     per_party = np.zeros(3)
     failed = 0
     worst, worst_trial, worst_coeffs = -1.0, 0, ()
@@ -181,8 +190,9 @@ def evaluate_trials(
     start = 0
     for coeffs, deviations, defects in _trial_chunks(rows, trials, seed):
         per_party = np.maximum(per_party, deviations.max(axis=0))
-        # a trial's largest deviation is NaN if any of its deviations is
-        trial_worst = deviations.max(axis=1)
+        # a trial's largest deviation is NaN if any of its deviations is:
+        # np.maximum propagates a NaN as a reduction over the three would
+        trial_worst = np.maximum(np.maximum(deviations[:, 0], deviations[:, 1]), deviations[:, 2])
         failed += int(np.count_nonzero(~(trial_worst <= tol)))
         i = int(np.argmax(trial_worst))
         value = float(trial_worst[i])

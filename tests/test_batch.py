@@ -114,10 +114,11 @@ class TestCoefficientBlock:
         coeffs, _, _ = batched(encoder_rows(scheme), trials, 11)
         assert np.array_equal(coeffs, sequential_draws(d, trials, 11))
 
-    # the chunk edges of the kernel and of the reference (REFERENCE_CHUNK)
+    # the chunk edges of the kernel and of the reference's first two chunks
     @pytest.mark.parametrize(
         "trial",
         [0, 1, 99, REFERENCE_CHUNK - 1, REFERENCE_CHUNK, REFERENCE_CHUNK + 5]
+        + [2 * REFERENCE_CHUNK - 1, 2 * REFERENCE_CHUNK, 2 * REFERENCE_CHUNK + 5]
         + [TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 5],
     )
     def test_replay_coeffs_is_the_sequential_draw(self, trial, monkeypatch, abelian_scheme):
@@ -164,7 +165,13 @@ class TestBitIdentity:
     """
 
     @pytest.mark.parametrize("kind", ["abelian", "ising"])
-    @pytest.mark.parametrize("count", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 1000])
+    # the kernel's chunk edges and the reference's after two chunks, where
+    # 2 * REFERENCE_CHUNK + 1 leaves it a lone trial
+    @pytest.mark.parametrize(
+        "count",
+        [1, 2 * REFERENCE_CHUNK - 1, 2 * REFERENCE_CHUNK, 2 * REFERENCE_CHUNK + 1]
+        + [TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 1, 1000],
+    )
     def test_encoder_rows(self, kind, count, abelian_scheme, ising_scheme):
         rows = encoder_rows(scheme_for(kind, abelian_scheme, ising_scheme))
         for seed in (0, 7, 20240, 20241):
@@ -331,6 +338,7 @@ class TestCampaignAgainstLabeledLoop:
     @pytest.mark.parametrize(
         "count",
         [1, REFERENCE_CHUNK - 1, REFERENCE_CHUNK, REFERENCE_CHUNK + 1]
+        + [2 * REFERENCE_CHUNK - 1, 2 * REFERENCE_CHUNK, 2 * REFERENCE_CHUNK + 1]
         + [TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 1000],
     )
     def test_same_results(self, kind, count, abelian_scheme, ising_scheme):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anyonmask import braid
-from anyonmask.anyons import SIGMA, VAC, FusionChannelError, UnknownSectorError, abelian_c0
+from anyonmask.anyons import SIGMA, VAC, FusionChannelError, UnknownSectorError, abelian_c0, ising_like
 from anyonmask.braid import (
     CHANNEL_MODES,
     SPLIT,
@@ -531,6 +531,21 @@ class TestOpTables:
                 [dense_vector(reference_ops(model, encode_basis(scheme, j), ops), alphabet) for j in range(scheme.d)]
             )
             np.testing.assert_allclose(braid._braided_rows(scheme, ops), labeled, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("model", [abelian_c0(), ising_like(1), ising_like(3)], ids=lambda m: m.name)
+    def test_pair_tables_equal_the_per_ket_compile(self, model, n):
+        # an exchange or circle compiles on its two registers and is laid out
+        # over n by index arithmetic; every array must be the per-ket one
+        pairs = list(itertools.permutations(range(n), 2))
+        ops = [BraidOp("exchange", x, y, mode) for x, y in pairs if abs(x - y) == 1 for mode in CHANNEL_MODES]
+        ops += [BraidOp("circle", x, y) for x, y in pairs]
+        for op in ops:
+            got, want = braid._compile(model, op, n), braid._compile_kets(model, op, n)
+            assert got.op == want.op and got.kets == want.kets
+            for name in ("src", "amp", "conflicts"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (op, name)
 
     def test_a_channel_conflict_on_the_rows_is_refused(self, ising_scheme):
         ops = (BraidOp("exchange", 0, 1, "eps"), BraidOp("exchange", 0, 1, "1"))

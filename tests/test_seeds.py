@@ -1,0 +1,64 @@
+"""Every seeded entry point rejects a seed that names no reproducible run.
+
+None drew from fresh OS entropy and recorded ``"seed": null``, True ran
+as seed 1, and -1 raised numpy's own message naming neither the argument
+nor the flag.  Each now raises ValueError at the call, and the CLI exits
+2 naming ``--seed`` or ``ANYONMASK_SEED``.
+"""
+
+import numpy as np
+import pytest
+
+from anyonmask.braid import parse_ops, verify_invariance
+from anyonmask.cli import main
+from anyonmask.masker import encoder_rows, run_masking_campaign
+from anyonmask.qstate import check_seed
+from anyonmask.trials import evaluate_trials
+
+BAD_SEEDS = [None, True, -1, 1.5, "3"]
+
+ENTRY_POINTS = {
+    "evaluate_trials": lambda s, seed: evaluate_trials(encoder_rows(s), 5, seed, 1e-12),
+    "run_masking_campaign": lambda s, seed: run_masking_campaign(s, 5, seed),
+    "verify_invariance": lambda s, seed: verify_invariance(s, parse_ops("xAB"), 5, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_bad_seed_rejected(ising_scheme, name, seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ENTRY_POINTS[name](ising_scheme, seed)
+
+
+def test_a_seed_of_any_size_runs(ising_scheme):
+    assert ENTRY_POINTS["evaluate_trials"](ising_scheme, 2**70).failed_trials == 0
+    for name in ("run_masking_campaign", "verify_invariance"):
+        result = ENTRY_POINTS[name](ising_scheme, 2**70)
+        assert result.verdict and result.record()["seed"] == 2**70
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(5), 2**70])
+def test_integers_pass(seed):
+    check_seed(seed)
+
+
+def test_the_message_names_the_argument():
+    with pytest.raises(ValueError, match=r"--seed must be a non-negative integer, got -1"):
+        check_seed(-1, "--seed")
+
+
+@pytest.mark.parametrize("command", ["verify", "braid"])
+def test_cli_negative_seed_exits_2(command, capsys, monkeypatch):
+    extra = ["--ops", "xAB"] if command == "braid" else []
+    assert main([command, "--model", "ising", "--trials", "5", "--seed", "-1"] + extra) == 2
+    assert "error: --seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    monkeypatch.setenv("ANYONMASK_SEED", "-3")
+    assert main([command, "--model", "ising", "--trials", "5"] + extra) == 2
+    assert "error: ANYONMASK_SEED must be a non-negative integer, got -3" in capsys.readouterr().err
+
+
+def test_cli_huge_seed_runs(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--model", "ising", "--trials", "5", "--seed", str(2**70), "--out", str(out)]) == 0
+    assert f'"seed": {2**70}' in out.read_text()

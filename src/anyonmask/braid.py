@@ -17,9 +17,10 @@ ket (register labels times a channel tag from ``qstate.TAGS``) to at
 most two kets with phases in eighths of pi.  That map depends only on
 the model, so each op is compiled once per model content and register
 count into a gather table over the tagged basis (the dense layout of
-``qstate``).  ``apply_ops`` turns a state into dense amplitudes once and
-gathers them through the table of each op in turn; ``verify_invariance``
-gathers the d encoder rows as one array the same way.
+``qstate``), running its rule on the registers it touches only.
+``apply_ops`` turns a state into dense amplitudes once and gathers them
+through the table of each op in turn; ``verify_invariance`` gathers the
+d encoder rows as one array the same way, once per sequence.
 
 Braid sequences parse from compact op strings such as ``"xBC;cBA;t3"``
 (exchange B and C, circle B around A, tripartite braid).
@@ -45,7 +46,7 @@ from .anyons import (
     phase_from_eighths,
     r_angle,
 )
-from .masker import MaskingReport, MaskingScheme, encode, encoder_rows, verify_masking
+from .masker import MaskingReport, MaskingScheme, _combined, encode, encoder_rows, verify_masking
 from .qstate import PRUNE_EPS, TAGS, BasisKet, StateVector, check_seed, check_tol, dense_state, tagged_basis
 from .trials import evaluate_trials
 
@@ -277,29 +278,27 @@ def _compile_kets(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
 def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     """The op's table on n registers.
 
-    The tripartite op runs its rule on every tagged ket.  An exchange or a
-    circle reads only the labels of its two parties and the tag, so its
-    rule runs on the tagged kets of two registers, the pair in ascending
-    order with the op's orientation kept, and the n-register table follows
-    by index arithmetic: a source is the output ket with the pair's labels
-    and the tag replaced by those of the pair table's source.
+    An op reads only the labels of the registers it touches (its two
+    parties, or all three for the tripartite braid) and the tag, so its
+    rule runs on the tagged kets of those registers, in ascending order
+    with the op's orientation kept, and the n-register table follows by
+    index arithmetic: a source is the output ket with the touched labels
+    and the tag replaced by those of the local table's source.
     """
     _check_domain(model, op, n)
-    if op.kind == TRIPARTITE:
-        return _compile_kets(model, op, n)
-    pair = _compile_kets(model, BraidOp(op.kind, int(op.x > op.y), int(op.x < op.y), op.mode), 2)
-    d, tags = model.d, len(TAGS)
-    # the strides of the pair's registers in an n-register index; the tag's is 1
-    first, second = (tags * d ** (n - 1 - party) for party in sorted((op.x, op.y)))
-    # what each pair ket's labels and tag add to an n-register index
-    pair_index = np.arange(len(pair.kets))
-    offset = pair_index // (d * tags) * first + pair_index // tags % d * second + pair_index % tags
-    index = np.arange(tags * d**n)
-    at = (index // first % d * d + index // second % d) * tags + index % tags  # the pair ket of each ket
-    src = index - offset[at] + offset[pair.src[:, at]]
-    amp = pair.amp[:, at]
+    touched = (0, 1, 2) if op.kind == TRIPARTITE else tuple(sorted((op.x, op.y)))
+    local = op if op.kind == TRIPARTITE else BraidOp(op.kind, int(op.x > op.y), int(op.x < op.y), op.mode)
+    table = _compile_kets(model, local, len(touched))
+    shape, local_shape = (model.d,) * n + (len(TAGS),), (model.d,) * len(touched) + (len(TAGS),)
+    kept = list(touched) + [n]  # the touched registers and the tag
+    digits = np.indices(shape).reshape(n + 1, 1, -1)  # the labels and tag of every ket
+    at = np.ravel_multi_index(tuple(digits[kept, 0]), local_shape)  # the local ket of each ket
+    source = np.repeat(digits, len(table.src), axis=1)
+    source[kept] = np.unravel_index(table.src[:, at], local_shape)
+    src = np.ravel_multi_index(tuple(source), shape)
+    amp = table.amp[:, at]
     src[amp == 0] = 0  # a missing source has amplitude 0, a real one a phase
-    conflicts = np.flatnonzero(np.isin(at, pair.conflicts))
+    conflicts = np.flatnonzero(np.isin(at, table.conflicts))
     return _OpTable(op, tagged_basis(model.alphabet, n)[0], src, amp, conflicts)
 
 
@@ -471,18 +470,19 @@ def verify_invariance(
     Every op is linear, so the d encoder rows are gathered once through
     the op tables, as one dense array, and the trials run as one batch
     over them (``evaluate_trials``).  The worst trial is replayed through
-    ``encode`` and ``apply_ops`` for the pre- and post-braid reports, and
-    both must pass too.
+    the labeled ``verify_masking``, before the braid from ``encode`` and
+    after it as the same combination of the braided rows, and both
+    reports must pass too.
     """
     check_tol(tol)
     check_seed(seed)
     ops = tuple(ops)
-    model = scheme.model
-    alphabet = model.alphabet
-    batch = evaluate_trials(_braided_rows(scheme, ops), trials, seed, tol)
-    pre_state = encode(scheme, batch.worst_coeffs)
-    pre_report = verify_masking(pre_state, alphabet, tol=tol, seed=seed)
-    post_report = verify_masking(apply_ops(model, pre_state, ops), alphabet, tol=tol, seed=seed)
+    alphabet = scheme.model.alphabet
+    rows = _braided_rows(scheme, ops)
+    batch = evaluate_trials(rows, trials, seed, tol)
+    pre_report = verify_masking(encode(scheme, batch.worst_coeffs), alphabet, tol=tol, seed=seed)
+    post_state = _combined(rows, np.array(batch.worst_coeffs), alphabet)
+    post_report = verify_masking(post_state, alphabet, tol=tol, seed=seed)
     return BraidReport(
         ops=ops,
         trials=trials,

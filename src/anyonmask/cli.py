@@ -194,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, str, int]:
     """The scheme, the scheme name for the report, and the seed."""
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
+    check_seed(args.trials, "--trials", positive=True)
     check_tol(args.tol, "--tol")
     model = parse_model(args.model)
     name = args.scheme or _default_scheme_name(model)
@@ -321,7 +320,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, BraidError) as exc:
+    except (ValueError, BraidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -249,16 +249,17 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
+def check_seed(seed: int, name: str = "seed", positive: bool = False) -> None:
     """Raise ValueError unless ``seed`` is a non-negative integer, of any size.
 
     None would draw from fresh OS entropy and a bool would run as 0 or 1,
-    so neither names a reproducible run.
+    so neither names a reproducible run.  With ``positive`` the value must
+    also be at least 1, as a trial count must.
     """
     if not isinstance(seed, bool):
         try:
-            if operator.index(seed) >= 0:
+            if operator.index(seed) >= int(positive):
                 return
         except TypeError:
             pass
-    raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+    raise ValueError(f"{name} must be a {'positive' if positive else 'non-negative'} integer, got {seed!r}")

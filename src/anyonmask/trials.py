@@ -179,8 +179,7 @@ def evaluate_trials(
     deviation is above ``tol`` (or NaN).  See ``_trial_chunks`` for what a
     trial is.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_seed(trials, "trials", positive=True)
     check_tol(tol)
     check_seed(seed)
     per_party = np.zeros(3)

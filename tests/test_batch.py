@@ -381,12 +381,34 @@ def test_braid_replay_fails_a_kernel_that_sees_nothing(monkeypatch, ising_scheme
         for coeffs, deviations, defects in real(*args):
             yield coeffs, np.zeros_like(deviations), np.zeros_like(defects)
 
+    def product_rows(scheme, ops):
+        # every braided row the product |1,1,1>, which each party sees
+        return np.stack([dense_vector(basis_state(("1", "1", "1")), scheme.model.alphabet)] * scheme.d)
+
     monkeypatch.setattr(trials, "_trial_chunks", zero_chunks)
-    monkeypatch.setattr(braid, "apply_ops", lambda *args: basis_state(("1", "1", "1")))
+    monkeypatch.setattr(braid, "_braided_rows", product_rows)
     report = verify_invariance(ising_scheme, parse_ops("xAB"), trials=20, seed=2)
     assert report.worst_deviation == 0.0 and report.unitarity_defect == 0.0
     assert report.pre_report.verdict and not report.post_report.verdict
     assert not report.verdict  # only the post-braid replay sees the leak
+
+
+@pytest.mark.parametrize("kind", ["abelian", "ising"])
+@pytest.mark.parametrize("masking", [True, False], ids=["masking", "pinned"])
+def test_braid_replay_equals_braiding_the_encoded_trial(kind, masking, abelian_scheme, ising_scheme):
+    # the post-braid replay combines the braided rows; braiding the encoded
+    # worst trial through apply_ops must give the same report
+    scheme = scheme_for(kind, abelian_scheme, ising_scheme)
+    scheme = scheme if masking else pinned_first_party(scheme)
+    alphabet = scheme.model.alphabet
+    for text in SEQUENCES[kind]:
+        ops = parse_ops(text)
+        report = verify_invariance(scheme, ops, trials=40, seed=11)
+        worst = evaluate_trials(braid._braided_rows(scheme, ops), 40, 11, report.tol).worst_coeffs
+        braided = braid.apply_ops(scheme.model, encode(scheme, worst), ops)
+        labeled = verify_masking(braided, alphabet, tol=report.tol, seed=11)
+        assert report.post_report.verdict == labeled.verdict == masking, text
+        np.testing.assert_allclose(report.post_report.deviations, labeled.deviations, rtol=0, atol=1e-15)
 
 
 class TestNanSurfaces:

@@ -535,11 +535,13 @@ class TestOpTables:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("model", [abelian_c0(), ising_like(1), ising_like(3)], ids=lambda m: m.name)
     def test_pair_tables_equal_the_per_ket_compile(self, model, n):
-        # an exchange or circle compiles on its two registers and is laid out
-        # over n by index arithmetic; every array must be the per-ket one
+        # every op compiles on the registers it touches and is laid out over
+        # n by index arithmetic; every array must be the per-ket one
         pairs = list(itertools.permutations(range(n), 2))
         ops = [BraidOp("exchange", x, y, mode) for x, y in pairs if abs(x - y) == 1 for mode in CHANNEL_MODES]
         ops += [BraidOp("circle", x, y) for x, y in pairs]
+        if model.kind == "ising" and n == 3:
+            ops.append(BraidOp("tripartite"))
         for op in ops:
             got, want = braid._compile(model, op, n), braid._compile_kets(model, op, n)
             assert got.op == want.op and got.kets == want.kets

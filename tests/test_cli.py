@@ -108,6 +108,15 @@ class TestVerifyCommand:
         code = main(["verify", "--model", "ising", "--trials", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        # exit 1 means a gated check failed; a report that cannot be written
+        # raised FileNotFoundError or IsADirectoryError out of main
+        out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+        assert main(["verify", "--trials", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["verify", "braid", "teleport"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12"])
     def test_bad_tol_is_usage_error(self, capsys, command, tol):

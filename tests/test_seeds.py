@@ -3,8 +3,12 @@
 None drew from fresh OS entropy and recorded ``"seed": null``, True ran
 as seed 1, and -1 raised numpy's own message naming neither the argument
 nor the flag.  Each now raises ValueError at the call, and the CLI exits
-2 naming ``--seed`` or ``ANYONMASK_SEED``.
+2 naming ``--seed`` or ``ANYONMASK_SEED``.  A trial count goes through the
+same integer test and must also be positive: True ran one trial recorded
+as ``"trials": true``, and 2.5 or None raised TypeError from ``range``.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +22,9 @@ from anyonmask.trials import evaluate_trials
 BAD_SEEDS = [None, True, -1, 1.5, "3"]
 
 ENTRY_POINTS = {
-    "evaluate_trials": lambda s, seed: evaluate_trials(encoder_rows(s), 5, seed, 1e-12),
-    "run_masking_campaign": lambda s, seed: run_masking_campaign(s, 5, seed),
-    "verify_invariance": lambda s, seed: verify_invariance(s, parse_ops("xAB"), 5, seed=seed),
+    "evaluate_trials": lambda s, seed=3, trials=5: evaluate_trials(encoder_rows(s), trials, seed, 1e-12),
+    "run_masking_campaign": lambda s, seed=3, trials=5: run_masking_campaign(s, trials, seed),
+    "verify_invariance": lambda s, seed=3, trials=5: verify_invariance(s, parse_ops("xAB"), trials, seed=seed),
 }
 
 
@@ -62,3 +66,22 @@ def test_cli_huge_seed_runs(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--model", "ising", "--trials", "5", "--seed", str(2**70), "--out", str(out)]) == 0
     assert f'"seed": {2**70}' in out.read_text()
+
+
+BAD_TRIAL_COUNTS = [True, 0, -1, 2.5, 3.0, None, "3"]
+
+
+@pytest.mark.parametrize("count", BAD_TRIAL_COUNTS, ids=repr)
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_bad_trial_count_rejected(ising_scheme, name, count):
+    with pytest.raises(ValueError, match=f"trials must be a positive integer, got {re.escape(repr(count))}"):
+        ENTRY_POINTS[name](ising_scheme, trials=count)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_a_numpy_integer_trial_count_runs(ising_scheme, name):
+    got, want = (ENTRY_POINTS[name](ising_scheme, trials=count) for count in (np.int64(5), 5))
+    if name == "evaluate_trials":
+        assert got == want and got.failed_trials == 0
+    else:
+        assert got.record() == want.record() and got.verdict

@@ -475,7 +475,8 @@ def verify_invariance(
     reports must pass too.
     """
     check_tol(tol)
-    check_seed(seed)
+    seed = check_seed(seed)
+    trials = check_seed(trials, "trials", positive=True)
     ops = tuple(ops)
     alphabet = scheme.model.alphabet
     rows = _braided_rows(scheme, ops)

@@ -9,12 +9,20 @@ teleport  run the teleportation pipeline on a given input
 
 Identical configuration and seed produce byte-identical structured
 reports.  The default seed can be overridden with the ANYONMASK_SEED
-environment variable; an explicit --seed always wins.
+environment variable, read on every call; an explicit --seed always wins.
+
+``main`` parses with one parser per process, built by ``build_parser`` on
+the first call and shared by every later call in the same process, so a
+caller that runs many commands in process does not rebuild the argparse
+tree each time.  Nothing is built at import: a cold ``anyonmask`` process
+builds it once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import os
 import re
@@ -37,33 +45,35 @@ DEFAULT_SEED = 7
 DEFAULT_TOL = 1e-12
 SEED_ENV_VAR = "ANYONMASK_SEED"
 
+# a decimal number with an optional exponent, as Python prints a float
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
     r"^\s*(?:"
-    r"(?P<real>[+-]?(?:\d+\.?\d*|\.\d+))(?:(?P<imag>[+-](?:\d+\.?\d*|\.\d+)?)i)?"
-    r"|(?P<imag_only>[+-]?(?:\d+\.?\d*|\.\d+)?)i"
+    rf"(?P<real>[+-]?{_NUMBER})(?:(?P<imag>[+-](?:{_NUMBER})?)i)?"
+    rf"|(?P<imag_only>[+-]?(?:{_NUMBER})?)i"
     r")\s*$"
 )
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a complex literal of the form ``a``, ``bi``, or ``a+bi``."""
+    """Parse a complex literal of the form ``a``, ``bi``, or ``a+bi``.
+
+    Each part is a decimal number with an optional exponent (``1e-05``).
+    A part too large for a float would parse to inf, so it is refused.
+    """
     match = _COMPLEX_RE.match(text)
     if match is None:
         raise ValueError(f"cannot parse complex literal {text!r}")
     if match.group("imag_only") is not None:
-        raw = match.group("imag_only")
-        if raw in ("", "+"):
-            raw = "1"
-        elif raw == "-":
-            raw = "-1"
-        return complex(0.0, float(raw))
-    real = float(match.group("real"))
-    imag_raw = match.group("imag")
-    if imag_raw is None:
-        return complex(real, 0.0)
-    if imag_raw in ("+", "-"):
-        imag_raw += "1"
-    return complex(real, float(imag_raw))
+        real, imag = "0", match.group("imag_only")
+    else:
+        real, imag = match.group("real"), match.group("imag") or "0"
+    if imag in ("", "+", "-"):
+        imag += "1"
+    value = complex(float(real), float(imag))
+    if not cmath.isfinite(value):
+        raise ValueError(f"complex literal {text!r} is too large for a float")
+    return value
 
 
 def parse_model(selector: str) -> AnyonModel:
@@ -192,6 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process uses, built on the first."""
+    return build_parser()
+
+
 def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, str, int]:
     """The scheme, the scheme name for the report, and the seed."""
     check_seed(args.trials, "--trials", positive=True)
@@ -281,10 +297,16 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     if len(parts) != 3:
         raise ValueError(f"teleport input needs exactly 3 coefficients, got {len(parts)}")
     coeffs = np.array([parse_complex(token) for token in parts], dtype=complex)
-    total = float(np.sum(np.abs(coeffs) ** 2))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(coeffs) ** 2))
     if abs(total - 1.0) > 1e-12:
-        if total <= 0:
+        if not np.any(coeffs):
             raise ValueError("teleport input must be a nonzero vector")
+        if not sys.float_info.min <= total <= sys.float_info.max:
+            raise ValueError(
+                f"teleport input norm^2 {'overflows' if total > 1 else 'underflows'} a float; "
+                "scale the coefficients"
+            )
         print(f"warning: input norm^2 = {total:g}; normalizing", file=sys.stderr)
         coeffs = coeffs / np.sqrt(total)
     run = run_teleport(coeffs, tol=args.tol)
@@ -310,8 +332,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     handlers = {
         "verify": cmd_verify,
         "braid": cmd_braid,

@@ -236,7 +236,8 @@ def run_masking_campaign(
     the campaign passes iff no trial failed and that replay passes too.
     """
     check_tol(tol)
-    check_seed(seed)
+    seed = check_seed(seed)
+    trials = check_seed(trials, "trials", positive=True)
     batch = evaluate_trials(encoder_rows(scheme), trials, seed, tol)
     replay = verify_masking(encode(scheme, batch.worst_coeffs), scheme.model.alphabet, tol=tol, seed=seed)
     return MaskingCampaignResult(

@@ -249,17 +249,20 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
-def check_seed(seed: int, name: str = "seed", positive: bool = False) -> None:
-    """Raise ValueError unless ``seed`` is a non-negative integer, of any size.
+def check_seed(seed: int, name: str = "seed", positive: bool = False) -> int:
+    """``seed`` as a plain int; ValueError unless it is a non-negative integer, of any size.
 
     None would draw from fresh OS entropy and a bool would run as 0 or 1,
     so neither names a reproducible run.  With ``positive`` the value must
-    also be at least 1, as a trial count must.
+    also be at least 1, as a trial count must.  A numpy integer comes back
+    as the int it holds, which a record can serialize.
     """
     if not isinstance(seed, bool):
         try:
-            if operator.index(seed) >= int(positive):
-                return
+            value = operator.index(seed)
         except TypeError:
             pass
+        else:
+            if value >= int(positive):
+                return value
     raise ValueError(f"{name} must be a {'positive' if positive else 'non-negative'} integer, got {seed!r}")

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 
-from anyonmask.cli import main, parse_complex, parse_model, render_text, resolve_scheme
+from anyonmask import cli
+from anyonmask.cli import build_parser, main, parse_complex, parse_model, render_text, resolve_scheme
 from anyonmask.latin import cyclic_triple, triple_to_text
 
 
@@ -19,14 +21,35 @@ class TestComplexLiterals:
             ("1+2i", 1 + 2j),
             ("0.6-0.8i", 0.6 - 0.8j),
             ("2+i", 2 + 1j),
+            ("1e-05", 1e-05 + 0j),
+            ("-2.5E+3", -2500 + 0j),
+            ("1.e2-3e-1i", 100 - 0.3j),
+            (".5e1+i", 5 + 1j),
+            ("2e-3i", 0.002j),
+            ("1e+5i", 100000j),
         ],
     )
     def test_valid_forms(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["", "one", "1+2j", "i2", "1 + 2i", "--3"])
+    @pytest.mark.parametrize("x", [1e-05, -3.5e-300, 1.7976931348623157e308, 5e-324, 0.1])
+    def test_a_printed_float_parses_back(self, x):
+        assert parse_complex(repr(x)) == x
+        assert parse_complex(f"{x!r}{-x:+}i") == complex(x, -x)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "one", "1+2j", "i2", "1 + 2i", "--3", "nan", "inf", "-inf", "infinity",
+         "nani", "1+infi", "1e", "e5", "1e5.0", "1e-5e3", "1e+i"],
+    )
     def test_invalid_forms(self, text):
         with pytest.raises(ValueError, match="complex literal"):
+            parse_complex(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400i", "9" * 400, "1+1e309i"])
+    def test_a_part_too_large_for_a_float_is_refused(self, text):
+        # float() turns each of these into inf, which a teleport would normalize into NaN
+        with pytest.raises(ValueError, match="too large for a float"):
             parse_complex(text)
 
 
@@ -253,6 +276,83 @@ class TestTeleportCommand:
         code = main(["teleport", "--input", "1,1,0"])
         assert code == 0
         assert "normalizing" in capsys.readouterr().err
+
+    def test_exponent_input(self, capsys):
+        # 1e-05 is how Python prints that float; it used to exit 2
+        assert main(["teleport", "--input=1e-05,1,0"]) == 0
+        assert "normalizing" in capsys.readouterr().err
+
+    def test_overflowing_literal_is_usage_error(self, capsys):
+        # the token parsed to inf, was "normalized" into NaN with a numpy
+        # RuntimeWarning, and the error named NaN coefficients nobody typed
+        token = "1" * 400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["teleport", f"--input={token},0,0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: complex literal {token!r} is too large for a float\n"
+
+    @pytest.mark.parametrize("text,way", [("1e200,1e200i,0", "overflows"), ("1e-200,0,0", "underflows")])
+    def test_norm_out_of_float_range_is_usage_error(self, capsys, text, way):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["teleport", f"--input={text}"]) == 2
+        assert capsys.readouterr().err == f"error: teleport input norm^2 {way} a float; scale the coefficients\n"
+
+
+class TestSharedParser:
+    """In-process ``main`` callers share one parser, built on the first call."""
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._shared_parser.cache_clear()
+        try:
+            for argv in (["mols", "--dim", "3"], ["mols", "--dim", "2"], ["teleport", "--input", "1,0,0"]):
+                assert main(argv) == 0
+            with pytest.raises(SystemExit):
+                main(["mols"])
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(built) == 1
+
+    def test_a_bad_argv_then_a_good_one(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["braid", "--model", "ising", "--trials", "5"])  # --ops is required
+        assert exit_info.value.code == 2
+        assert "--ops" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["verify", "--trials", "many"])
+        capsys.readouterr()
+        assert main(["braid", "--model", "ising", "--ops", "t3", "--trials", "5", "--seed", "1"]) == 0
+        assert "pass" in capsys.readouterr().out
+
+    def test_seed_variable_is_read_on_every_call(self, tmp_path, monkeypatch):
+        argv = ["verify", "--model", "ising", "--trials", "5", "--out"]
+        for seed in ("3", "4"):
+            monkeypatch.setenv("ANYONMASK_SEED", seed)
+            assert main(argv + [str(tmp_path / f"env-{seed}.json")]) == 0
+        monkeypatch.delenv("ANYONMASK_SEED")
+        assert main(argv + [str(tmp_path / "default.json")]) == 0
+        seeds = [json.loads((tmp_path / f"{name}.json").read_text())["config"]["seed"]
+                 for name in ("env-3", "env-4", "default")]
+        assert seeds == [3, 4, 7]
+
+    def test_a_repeated_command_writes_the_same_bytes(self, tmp_path, capsys):
+        argv = ["braid", "--model", "abelian", "--ops", "cAB;xBC", "--trials", "20", "--seed", "5", "--out"]
+        assert main(argv + [str(tmp_path / "first.json")]) == 0
+        first_out = capsys.readouterr().out
+        assert main(["teleport", "--input", "0.6,0.8i,0", "--out", str(tmp_path / "other.json")]) == 0
+        assert main(["mols", "--dim", "4"]) == 0
+        capsys.readouterr()
+        assert main(argv + [str(tmp_path / "again.json")]) == 0
+        assert capsys.readouterr().out == first_out
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
 
 class TestRenderText:

@@ -8,6 +8,7 @@ same integer test and must also be positive: True ran one trial recorded
 as ``"trials": true``, and 2.5 or None raised TypeError from ``range``.
 """
 
+import json
 import re
 
 import numpy as np
@@ -42,9 +43,10 @@ def test_a_seed_of_any_size_runs(ising_scheme):
         assert result.verdict and result.record()["seed"] == 2**70
 
 
-@pytest.mark.parametrize("seed", [0, 7, np.int64(5), 2**70])
+@pytest.mark.parametrize("seed", [0, 7, np.int64(5), 2**70, np.uint8(5)])
 def test_integers_pass(seed):
-    check_seed(seed)
+    value = check_seed(seed)
+    assert type(value) is int and value == seed
 
 
 def test_the_message_names_the_argument():
@@ -85,3 +87,11 @@ def test_a_numpy_integer_trial_count_runs(ising_scheme, name):
         assert got == want and got.failed_trials == 0
     else:
         assert got.record() == want.record() and got.verdict
+
+
+@pytest.mark.parametrize("name", ["run_masking_campaign", "verify_invariance"])
+def test_a_record_of_numpy_integers_serializes(ising_scheme, name):
+    # the record used to keep the numpy integers, and json.dumps raised TypeError
+    got = ENTRY_POINTS[name](ising_scheme, seed=np.int64(3), trials=np.int64(5)).record()
+    want = ENTRY_POINTS[name](ising_scheme, seed=3, trials=5).record()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -60,26 +60,6 @@ class FusionChannelError(ValueError):
 
 
 @dataclass(frozen=True)
-class FusionOutcome:
-    """The channel multiset of a pairwise fusion (size 1 or 2 here)."""
-
-    channels: tuple[str, ...]
-
-    def __iter__(self):
-        return iter(self.channels)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.channels
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-    @property
-    def is_split(self) -> bool:
-        return len(self.channels) > 1
-
-
-@dataclass(frozen=True)
 class AnyonModel:
     """Immutable lookup tables for one sector algebra.
 
@@ -242,11 +222,11 @@ def ising_like(c: int = 1) -> AnyonModel:
     )
 
 
-def fuse(model: AnyonModel, a: str, b: str) -> FusionOutcome:
-    """Full channel multiset of a x b."""
+def fuse(model: AnyonModel, a: str, b: str) -> tuple[str, ...]:
+    """Full channel multiset of a x b: one channel, or two where the pair splits."""
     model.check_label(a)
     model.check_label(b)
-    return FusionOutcome(model.fusion[(a, b)])
+    return model.fusion[(a, b)]
 
 
 def r_angle(model: AnyonModel, a: str, b: str, channel: str) -> int:

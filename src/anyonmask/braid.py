@@ -149,8 +149,8 @@ def _exchange_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
     swapped[lo], swapped[hi] = b, a
     labels = tuple(swapped)
     channels = fuse(model, a, b)
-    if not channels.is_split:
-        return [(BasisKet(labels, ket.tag), phase_from_eighths(r_angle(model, a, b, channels.channels[0])))]
+    if len(channels) == 1:
+        return [(BasisKet(labels, ket.tag), phase_from_eighths(r_angle(model, a, b, channels[0])))]
     if ket.tag is not None:
         if op.mode != SPLIT and op.mode != ket.tag:
             raise ChannelConflictError(
@@ -168,13 +168,13 @@ def _exchange_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
 def _circle_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
     a, b = ket.labels[op.x], ket.labels[op.y]
     channels = fuse(model, a, b)
-    if channels.is_split:
+    if len(channels) > 1:
         channel = ket.tag if ket.tag is not None else VAC
         angle = monodromy_angle(model, a, b, channel)
     elif model.kind == "ising" and a == EPS and b == EPS:
         angle = 8
     else:
-        angle = monodromy_angle(model, a, b, channels.channels[0])
+        angle = monodromy_angle(model, a, b, channels[0])
     return [(ket, phase_from_eighths(angle))]
 
 
@@ -195,7 +195,7 @@ def _tripartite_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
     angle = 0
     for a, b in pairs:
         if (a, b) != (SIGMA, SIGMA):
-            angle += r_angle(model, a, b, fuse(model, a, b).channels[0])
+            angle += r_angle(model, a, b, fuse(model, a, b)[0])
     if sigma_count < 2:
         return [(BasisKet(labels, ket.tag), phase_from_eighths(angle))]
     if ket.tag is not None:

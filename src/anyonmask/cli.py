@@ -30,28 +30,33 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .anyons import AnyonModel, abelian_c0, ising_like
 from .braid import BraidError, parse_ops, verify_invariance
 from .latin import find_mols_pair, parse_triple, square_to_text
 from .masker import (
+    BUILTIN_TRIPLES,
+    DEFAULT_TOL,
     MaskingScheme,
+    default_triple_name,
     run_masking_campaign,
 )
 from .qstate import check_seed, check_tol
 from .teleport import run_teleport
 
 DEFAULT_SEED = 7
-DEFAULT_TOL = 1e-12
 SEED_ENV_VAR = "ANYONMASK_SEED"
 
-# a decimal number with an optional exponent, as Python prints a float
+# a decimal number with an optional exponent, as Python prints a float, in ASCII digits
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
     r"^\s*(?:"
     rf"(?P<real>[+-]?{_NUMBER})(?:(?P<imag>[+-](?:{_NUMBER})?)i)?"
     rf"|(?P<imag_only>[+-]?(?:{_NUMBER})?)i"
-    r")\s*$"
+    r")\s*$",
+    re.ASCII,
 )
 
 
@@ -90,24 +95,16 @@ def parse_model(selector: str) -> AnyonModel:
     raise ValueError(f"unknown model selector {selector!r} (use abelian or ising[:c])")
 
 
-def _default_scheme_name(model: AnyonModel) -> str:
-    return "standard-d4" if model.kind == "abelian" else "cyclic-d3"
-
-
 def resolve_scheme(model: AnyonModel, selector: Optional[str]) -> MaskingScheme:
-    from .latin import cyclic_triple, standard_squares_d4
-
     if selector is None:
-        selector = _default_scheme_name(model)
-    if selector == "standard-d4":
-        triple = standard_squares_d4()
-    elif selector == "cyclic-d3":
-        triple = cyclic_triple(3)
+        selector = default_triple_name(model)
+    if selector in BUILTIN_TRIPLES:
+        triple = BUILTIN_TRIPLES[selector]()
     else:
         path = Path(selector)
         if not path.is_file():
             raise ValueError(
-                f"scheme {selector!r} is neither a built-in (standard-d4, cyclic-d3) nor a file"
+                f"scheme {selector!r} is neither a built-in ({', '.join(BUILTIN_TRIPLES)}) nor a file"
             )
         triple = parse_triple(path.read_text(), model.alphabet)
     return MaskingScheme(model=model, triple=triple)
@@ -121,8 +118,7 @@ def _default_seed() -> int:
         seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    check_seed(seed, SEED_ENV_VAR)
-    return seed
+    return check_seed(seed, SEED_ENV_VAR)
 
 
 def render_text(payload: dict) -> str:
@@ -143,14 +139,22 @@ def render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(payload: dict, out: Optional[str], fmt: str) -> None:
-    if out is None:
-        return
-    if fmt == "structured":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = render_text(payload)
-    Path(out).write_text(text)
+def _report_result(args: argparse.Namespace, command: str, config: dict, result) -> int:
+    """Write the report of ``result`` to ``--out``, if given; the exit code, 0 if it passed, else 1."""
+    payload = {
+        "command": command,
+        "config": config,
+        "results": result.record(),
+        "verdict": "pass" if result.verdict else "fail",
+        "version": __version__,
+    }
+    if args.out is not None:
+        if args.fmt == "structured":
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        else:
+            text = render_text(payload)
+        Path(args.out).write_text(text, encoding="utf-8")
+    return 0 if result.verdict else 1
 
 
 def _campaign_args(parser: argparse.ArgumentParser) -> None:
@@ -208,72 +212,51 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, str, int]:
-    """The scheme, the scheme name for the report, and the seed."""
+def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, dict]:
+    """The scheme, and the config a campaign's report records."""
     check_seed(args.trials, "--trials", positive=True)
     check_tol(args.tol, "--tol")
     model = parse_model(args.model)
-    name = args.scheme or _default_scheme_name(model)
+    name = args.scheme or default_triple_name(model)
     scheme = resolve_scheme(model, name)
     if args.seed is None:
         seed = _default_seed()
     else:
-        seed = args.seed
-        check_seed(seed, "--seed")
-    return scheme, name, seed
+        seed = check_seed(args.seed, "--seed")
+    config = {
+        "model": model.name,
+        "scheme": name,
+        "trials": args.trials,
+        "seed": seed,
+        "tol": args.tol,
+    }
+    return scheme, config
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    scheme, scheme_name, seed = _validate_campaign(args)
-    result = run_masking_campaign(scheme, trials=args.trials, seed=seed, tol=args.tol)
-    payload = {
-        "command": "verify",
-        "config": {
-            "model": scheme.model.name,
-            "scheme": scheme_name,
-            "trials": args.trials,
-            "seed": seed,
-            "tol": args.tol,
-        },
-        "results": result.record(),
-        "verdict": "pass" if result.verdict else "fail",
-        "version": __version__,
-    }
-    write_report(payload, args.out, args.fmt)
+    scheme, config = _validate_campaign(args)
+    result = run_masking_campaign(scheme, trials=args.trials, seed=config["seed"], tol=args.tol)
+    code = _report_result(args, "verify", config, result)
     print(
         f"verify {scheme.model.name}: {args.trials} trials, "
         f"worst deviation {result.worst_deviation:.3e} (tol {args.tol:g}) -> "
         + ("pass" if result.verdict else "fail")
     )
-    return 0 if result.verdict else 1
+    return code
 
 
 def cmd_braid(args: argparse.Namespace) -> int:
-    scheme, scheme_name, seed = _validate_campaign(args)
+    scheme, config = _validate_campaign(args)
     ops = parse_ops(args.ops)
-    report = verify_invariance(scheme, ops, trials=args.trials, tol=args.tol, seed=seed)
-    payload = {
-        "command": "braid",
-        "config": {
-            "model": scheme.model.name,
-            "scheme": scheme_name,
-            "ops": args.ops,
-            "trials": args.trials,
-            "seed": seed,
-            "tol": args.tol,
-        },
-        "results": report.record(),
-        "verdict": "pass" if report.verdict else "fail",
-        "version": __version__,
-    }
-    write_report(payload, args.out, args.fmt)
+    report = verify_invariance(scheme, ops, trials=args.trials, tol=args.tol, seed=config["seed"])
+    code = _report_result(args, "braid", {**config, "ops": args.ops}, report)
     print(
         f"braid {scheme.model.name} [{args.ops}]: {args.trials} trials, "
         f"worst deviation {report.worst_deviation:.3e}, "
         f"unitarity defect {report.unitarity_defect:.3e} -> "
         + ("pass" if report.verdict else "fail")
     )
-    return 0 if report.verdict else 1
+    return code
 
 
 def cmd_mols(args: argparse.Namespace) -> int:
@@ -290,8 +273,6 @@ def cmd_mols(args: argparse.Namespace) -> int:
 
 
 def cmd_teleport(args: argparse.Namespace) -> int:
-    import numpy as np
-
     check_tol(args.tol, "--tol")
     parts = [token for token in args.input.split(",")]
     if len(parts) != 3:
@@ -310,14 +291,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         print(f"warning: input norm^2 = {total:g}; normalizing", file=sys.stderr)
         coeffs = coeffs / np.sqrt(total)
     run = run_teleport(coeffs, tol=args.tol)
-    payload = {
-        "command": "teleport",
-        "config": {"input": args.input, "tol": args.tol},
-        "results": run.record(),
-        "verdict": "pass" if run.verdict else "fail",
-        "version": __version__,
-    }
-    write_report(payload, args.out, args.fmt)
+    code = _report_result(args, "teleport", {"input": args.input, "tol": args.tol}, run)
     for outcome in run.outcomes:
         print(
             f"outcome {outcome.outcome}: probability {outcome.probability:.12f}, "
@@ -328,7 +302,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         f"{run.alice_marginal_deviations[1]:.3e} -> "
         + ("pass" if run.verdict else "fail")
     )
-    return 0 if run.verdict else 1
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -6,8 +6,11 @@ happens in the encoder.  The combinatorics is model-independent.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
+
+from .qstate import check_seed
 
 LATIN = "latin"
 CONSTANT_ROW = "constant_row"
@@ -25,7 +28,10 @@ class Square:
 
     def __post_init__(self) -> None:
         d = len(self.cells)
-        cells = tuple(tuple(int(x) for x in row) for row in self.cells)
+        cells = tuple(
+            tuple(check_seed(x, f"cell ({j}, {k})") for k, x in enumerate(row))
+            for j, row in enumerate(self.cells)
+        )
         for row in cells:
             if len(row) != d:
                 raise ValueError("square rows must all have length d")
@@ -279,7 +285,7 @@ def triple_to_text(triple: SchemeTriple, alphabet: Sequence[str]) -> str:
 
 
 def parse_triple(text: str, alphabet: Sequence[str]) -> SchemeTriple:
-    blocks = [block for block in text.split("\n\n") if block.strip()]
+    blocks = [block for block in re.split(r"\n\s*\n", text) if block.strip()]
     if len(blocks) != 3:
         raise ValueError(f"expected three blank-line-separated grids, got {len(blocks)}")
     a, b, c = (parse_square(block, alphabet) for block in blocks)

@@ -31,9 +31,11 @@ from .qstate import (
     check_seed,
     check_tol,
     dense_state,
+    finite_coeffs,
     hs_distance,
     partial_trace,
     product_basis,
+    unit_coeffs,
 )
 # random_unit_coeffs lives with the batch draws that must match it bit for
 # bit; it stays importable from here, where callers have always drawn inputs.
@@ -62,6 +64,15 @@ class MaskingScheme:
     @property
     def d(self) -> int:
         return self.model.d
+
+
+# the built-in triples, by the names a scheme selector gives them
+BUILTIN_TRIPLES = {"standard-d4": standard_squares_d4, "cyclic-d3": lambda: cyclic_triple(3)}
+
+
+def default_triple_name(model: AnyonModel) -> str:
+    """The built-in triple a model of this kind is masked with unless one is named."""
+    return "standard-d4" if model.kind == "abelian" else "cyclic-d3"
 
 
 def abelian_standard_scheme() -> MaskingScheme:
@@ -107,21 +118,9 @@ def encode_basis(scheme: MaskingScheme, j: int) -> StateVector:
     return dense_state(encoder_rows(scheme)[j], scheme.model.alphabet)
 
 
-def _finite_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (d,):
-        raise ValueError(f"expected {d} coefficients, got shape {coeffs.shape}")
-    if not np.isfinite(coeffs).all():
-        raise ValueError(f"coefficients must be finite, got {coeffs}")
-    return coeffs
-
-
 def encode(scheme: MaskingScheme, coeffs: Sequence[complex]) -> StateVector:
     """Encode a unit coefficient vector; the result has norm 1."""
-    coeffs = _finite_coeffs(coeffs, scheme.d)
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"coefficients must have unit norm, got |coeffs|^2 = {total}")
+    coeffs = unit_coeffs(coeffs, scheme.d)
     return _combined(encoder_rows(scheme), coeffs, scheme.model.alphabet)
 
 
@@ -253,7 +252,7 @@ def run_masking_campaign(
 
 def bipartite_encode(triple: SchemeTriple, alphabet: Sequence[str], coeffs: Sequence[complex]) -> StateVector:
     """Two-register analog |j> -> (1/sqrt(d)) sum_k |B[j][k], C[j][k]>."""
-    coeffs = _finite_coeffs(coeffs, triple.d)
+    coeffs = finite_coeffs(coeffs, triple.d)
     return _combined(_rows((triple.b, triple.c)), coeffs, alphabet)
 
 
@@ -299,7 +298,7 @@ def bipartite_control(model: AnyonModel, triple: Optional[SchemeTriple] = None) 
     with phases 1 and i) so the counterexample is deterministic.
     """
     if triple is None:
-        triple = standard_squares_d4() if model.kind == "abelian" else cyclic_triple(model.d)
+        triple = BUILTIN_TRIPLES[default_triple_name(model)]()
     alphabet = model.alphabet
     basis = product_basis(alphabet, 1)
     probes = _control_probes(model.d)

@@ -239,6 +239,25 @@ def hs_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
     return float(np.linalg.norm(r1.entries - r2.entries))
 
 
+def finite_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
+    """``coeffs`` as a complex array; ValueError unless it holds d finite values."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (d,):
+        raise ValueError(f"expected {d} coefficients, got shape {coeffs.shape}")
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"coefficients must be finite, got {coeffs}")
+    return coeffs
+
+
+def unit_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
+    """``finite_coeffs``, also refused unless its norm is 1 to within 1e-12."""
+    coeffs = finite_coeffs(coeffs, d)
+    total = float(np.sum(np.abs(coeffs) ** 2))
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"coefficients must have unit norm, got |coeffs|^2 = {total}")
+    return coeffs
+
+
 def check_tol(tol: float, name: str = "tol") -> None:
     """Raise ValueError unless ``tol`` is a finite positive bound.
 

@@ -22,23 +22,19 @@ from typing import Sequence
 import numpy as np
 
 from .anyons import ISING_ALPHABET
+from .masker import DEFAULT_TOL, verify_masking
 from .qstate import (
     BasisKet,
-    DensityMatrix,
     StateVector,
     check_tol,
-    hs_distance,
     inner,
-    partial_trace,
-    product_basis,
     tensor,
+    unit_coeffs,
 )
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 _OMEGA_POWERS = (complex(1.0, 0.0), OMEGA, OMEGA.conjugate())
-
-DEFAULT_TOL = 1e-12
 
 
 class _SectorIndex(dict):
@@ -63,21 +59,9 @@ def omega_power(k: int) -> complex:
     return _OMEGA_POWERS[k % 3]
 
 
-def _as_unit_coeffs(coeffs: Sequence[complex]) -> np.ndarray:
-    arr = np.asarray(coeffs, dtype=complex)
-    if arr.shape != (3,):
-        raise ValueError(f"expected 3 coefficients, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"coefficients must be finite, got {arr}")
-    total = float(np.sum(np.abs(arr) ** 2))
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"coefficients must have unit norm, got |coeffs|^2 = {total}")
-    return arr
-
-
 def payload_state(coeffs: Sequence[complex]) -> StateVector:
     """The single-register state alpha|1> + beta|eps> + gamma|sigma>."""
-    coeffs = _as_unit_coeffs(coeffs)
+    coeffs = unit_coeffs(coeffs, 3)
     return StateVector(
         {BasisKet((label,)): coeffs[i] for i, label in enumerate(ISING_ALPHABET)}
     )
@@ -220,23 +204,19 @@ def run_teleport(coeffs: Sequence[complex], tol: float = DEFAULT_TOL) -> Telepor
     """Run the whole protocol and check its invariants.
 
     Gated checks: the three outcome probabilities are each 1/3, they sum
-    to one, every post-correction fidelity to the payload is 1, and both
-    of Alice's registers are maximally mixed before the measurement.
-    Bob's pre-measurement marginal carries the input populations; its
-    distance from I/3 is reported for information only.
+    to one, every post-correction fidelity to the payload is 1, and
+    ``verify_masking`` finds Alice's two registers maximally mixed before
+    the measurement.  Bob's pre-measurement marginal carries the input
+    populations; its distance from I/3 is reported for information only.
     """
     check_tol(tol)
-    coeffs = _as_unit_coeffs(coeffs)
+    coeffs = unit_coeffs(coeffs, 3)
     joint = build_joint(coeffs)
     encoded = permutation_encode(joint)
     payload = payload_state(coeffs)
 
-    basis = product_basis(ISING_ALPHABET, 1)
-    mixed = DensityMatrix.maximally_mixed(basis)
-    alice_devs = tuple(
-        hs_distance(partial_trace(encoded, {party}, basis), mixed) for party in (0, 1)
-    )
-    held_dev = hs_distance(partial_trace(encoded, {2}, basis), mixed)
+    deviations = verify_masking(encoded, ISING_ALPHABET, tol=tol).deviations
+    alice_devs, held_dev = deviations[:2], deviations[2]
 
     outcomes = []
     for i in (1, 2, 3):

@@ -265,8 +265,8 @@ def reference_exchange(model, state, x, y, mode=SPLIT):
         swapped[lo], swapped[hi] = b, a
         labels = tuple(swapped)
         channels = fuse(model, a, b)
-        if not channels.is_split:
-            phase = phase_from_eighths(r_angle(model, a, b, channels.channels[0]))
+        if len(channels) == 1:
+            phase = phase_from_eighths(r_angle(model, a, b, channels[0]))
             put(BasisKet(labels, ket.tag), amp * phase)
             continue
         if ket.tag is not None:
@@ -291,13 +291,13 @@ def reference_circle(model, state, x, y):
     for ket, amp in state.items():
         a, b = ket.labels[x], ket.labels[y]
         channels = fuse(model, a, b)
-        if channels.is_split:
+        if len(channels) > 1:
             channel = ket.tag if ket.tag is not None else VAC
             angle = monodromy_angle(model, a, b, channel)
         elif model.kind == "ising" and a == EPS and b == EPS:
             angle = 8
         else:
-            angle = monodromy_angle(model, a, b, channels.channels[0])
+            angle = monodromy_angle(model, a, b, channels[0])
         out[ket] = out.get(ket, 0j) + amp * phase_from_eighths(angle)
     return StateVector(out)
 
@@ -325,7 +325,7 @@ def reference_tripartite_braid(model, state):
         plain = [pair for pair in pairs if pair != (SIGMA, SIGMA)]
         angle = 0
         for a, b in plain:
-            angle += r_angle(model, a, b, fuse(model, a, b).channels[0])
+            angle += r_angle(model, a, b, fuse(model, a, b)[0])
         if sigma_count < 2:
             put(BasisKet(labels, ket.tag), amp * phase_from_eighths(angle))
         elif ket.tag is not None:

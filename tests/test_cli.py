@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from anyonmask import cli
+from anyonmask import __version__, cli
 from anyonmask.cli import build_parser, main, parse_complex, parse_model, render_text, resolve_scheme
 from anyonmask.latin import cyclic_triple, triple_to_text
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestComplexLiterals:
@@ -44,6 +50,15 @@ class TestComplexLiterals:
     )
     def test_invalid_forms(self, text):
         with pytest.raises(ValueError, match="complex literal"):
+            parse_complex(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0661", "\u0661.\u0665", "0.5+\u0663i", "\uff11", "1\u2003", "\u00a01", "\U0001d7d9e5"],
+    )
+    def test_only_ascii_digits_and_spaces_parse(self, text):
+        # \d and \s also take the digits and spaces of other scripts, and float() reads them
+        with pytest.raises(ValueError, match="cannot parse complex literal"):
             parse_complex(text)
 
     @pytest.mark.parametrize("text", ["1e400", "-1e400i", "9" * 400, "1+1e309i"])
@@ -277,6 +292,14 @@ class TestTeleportCommand:
         assert code == 0
         assert "normalizing" in capsys.readouterr().err
 
+    def test_a_non_ascii_digit_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "tp.txt"
+        assert main(["teleport", "--input=\u0661,0,0", "--format", "text", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot parse complex literal '\u0661'\n"
+        assert not out.exists()
+
     def test_exponent_input(self, capsys):
         # 1e-05 is how Python prints that float; it used to exit 2
         assert main(["teleport", "--input=1e-05,1,0"]) == 0
@@ -353,6 +376,75 @@ class TestSharedParser:
         assert main(argv + [str(tmp_path / "again.json")]) == 0
         assert capsys.readouterr().out == first_out
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
+
+class TestReportEncoding:
+    """Reports are UTF-8 whatever the locale: an --ops or --scheme argument can hold any character."""
+
+    def test_text_report_under_an_ascii_locale(self, tmp_path):
+        out = tmp_path / "report.txt"
+        # the argv is written in the script, so it reaches main as text whatever the locale decodes;
+        # stdout is UTF-8, as the summary line echoes the ops, so only the report file sees the locale
+        argv = ["braid", "--ops", "xAB;\u00a0cBC", "--trials", "2", "--format", "text", "--out", str(out)]
+        script = f"import sys; from anyonmask.cli import main; sys.exit(main({argv!r}))"
+        env = {
+            **os.environ,
+            "PYTHONPATH": SRC,
+            "LC_ALL": "C",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+            "PYTHONIOENCODING": "utf-8",
+        }
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        if probe.stdout.strip().lower() in ("utf-8", "utf8"):
+            pytest.skip("this platform writes files as UTF-8 even in the C locale")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "config.ops: xAB;\u00a0cBC\n" in out.read_bytes().decode("utf-8")
+
+    def test_a_non_ascii_scheme_path_reaches_the_text_report(self, tmp_path):
+        scheme = tmp_path / "sch\u00e9ma.txt"
+        scheme.write_text(triple_to_text(cyclic_triple(3), ("1", "eps", "sigma")), encoding="utf-8")
+        out = tmp_path / "report.txt"
+        argv = ["verify", "--model", "ising", "--scheme", str(scheme), "--trials", "2"]
+        assert main(argv + ["--format", "text", "--out", str(out)]) == 0
+        assert f"config.scheme: {scheme}\n" in out.read_bytes().decode("utf-8")
+
+
+class TestEntryPoint:
+    """``python -m anyonmask`` in its own process, as users run it."""
+
+    @staticmethod
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": SRC}
+        return subprocess.run(
+            [sys.executable, "-m", "anyonmask", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_version(self):
+        proc = self.run("--version")
+        assert proc.returncode == 0
+        assert proc.stdout == f"anyonmask {__version__}\n"
+
+    def test_mols_prints_what_main_prints(self, capsys):
+        proc = self.run("mols", "--dim", "3")
+        assert main(["mols", "--dim", "3"]) == 0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_bad_trials_exit_2(self):
+        proc = self.run("verify", "--trials", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
+    def test_unknown_subcommand_exit_2(self):
+        proc = self.run("unmask")
+        assert proc.returncode == 2
+        assert "invalid choice: 'unmask'" in proc.stderr
 
 
 class TestRenderText:

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +45,31 @@ class TestIsLatin:
 
     def test_order_one(self):
         assert is_latin(Square(((0,),)))
+
+
+class TestSquareCells:
+    """A cell is an alphabet index: int() would truncate a float and parse a string."""
+
+    @pytest.mark.parametrize(
+        "cells,cell,value",
+        [
+            (((0, 1.9), (1.2, 0)), "(0, 1)", "1.9"),
+            ((("0", "1"), ("1", "0")), "(0, 0)", "'0'"),
+            (((0, 1), (True, 0)), "(1, 0)", "True"),
+            (((0, 1), (1, None)), "(1, 1)", "None"),
+            (((0, -1), (1, 0)), "(0, 1)", "-1"),
+        ],
+    )
+    def test_a_non_index_cell_is_refused_by_position(self, cells, cell, value):
+        message = f"cell {cell} must be a non-negative integer, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Square(cells)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        square = Square(((np.int64(0), np.uint8(1)), (np.int32(1), 0)))
+        assert square.cells == ((0, 1), (1, 0))
+        assert all(type(x) is int for row in square.cells for x in row)
+        assert is_latin(square)
 
 
 class TestOrthogonality:
@@ -270,6 +298,17 @@ class TestTextFormat:
     def test_triple_round_trip(self):
         triple = cyclic_triple(3)
         text = triple_to_text(triple, ISING)
+        assert parse_triple(text, ISING) == triple
+
+    @pytest.mark.parametrize("separator", ["\n   \n", "\n\t\n", "\n \n\n  \n"])
+    def test_separator_lines_holding_whitespace(self, separator):
+        triple = cyclic_triple(3)
+        text = triple_to_text(triple, ISING).replace("\n\n", separator)
+        assert parse_triple(text, ISING) == triple
+
+    def test_windows_line_endings(self):
+        triple = cyclic_triple(3)
+        text = triple_to_text(triple, ISING).replace("\n", "\r\n")
         assert parse_triple(text, ISING) == triple
 
     def test_unknown_label_rejected(self):

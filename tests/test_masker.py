@@ -14,10 +14,12 @@ from anyonmask.latin import (
     triple_to_text,
 )
 from anyonmask.masker import (
+    BUILTIN_TRIPLES,
     MaskingScheme,
     abelian_standard_scheme,
     bipartite_control,
     bipartite_encode,
+    default_triple_name,
     encode,
     encode_basis,
     encoder_rows,
@@ -402,6 +404,14 @@ class TestBipartiteControl:
             for party in (0, 1):
                 rho = partial_trace(state, {party}, basis)
                 np.testing.assert_allclose(rho.entries, np.eye(4) / 4, atol=1e-12)
+
+    def test_default_triple_is_the_model_kinds_builtin(self, abelian_model, ising_model):
+        assert default_triple_name(abelian_model) == "standard-d4"
+        assert default_triple_name(ising_model) == "cyclic-d3"
+        for model in (abelian_model, ising_model):
+            named = BUILTIN_TRIPLES[default_triple_name(model)]()
+            assert named.d == model.d
+            assert bipartite_control(model) == bipartite_control(model, named)
 
     def test_record_shape(self, abelian_model):
         record = bipartite_control(abelian_model).record()

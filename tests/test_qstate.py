@@ -12,6 +12,7 @@ from anyonmask.qstate import (
     StateVector,
     basis_state,
     dense_state,
+    finite_coeffs,
     hs_distance,
     inner,
     norm,
@@ -20,7 +21,11 @@ from anyonmask.qstate import (
     scale,
     tagged_basis,
     tensor,
+    unit_coeffs,
 )
+from anyonmask.latin import cyclic_triple
+from anyonmask.masker import bipartite_encode, encode, ising_cyclic_scheme
+from anyonmask.teleport import payload_state, run_teleport
 from helpers import ROWS_D4, dense_partial_trace, dense_vector, max_amplitude_diff, reference_partial_trace
 
 ABELIAN = ("1", "e", "m", "eps")
@@ -282,3 +287,43 @@ class TestStateVector:
         s1 = basis_state(["e"])
         s2 = StateVector({BasisKet(("e",)): 1.0, BasisKet(("m",)): 1e-3})
         assert max_amplitude_diff(s1, s2) == pytest.approx(1e-3)
+
+
+class TestCoefficientChecks:
+    """One check of shape, finite values and unit norm behind every function that takes coefficients."""
+
+    BAD_SHAPE_OR_VALUE = [
+        ([1, 0], "expected 3 coefficients, got shape (2,)"),
+        ([[1, 0, 0]], "expected 3 coefficients, got shape (1, 3)"),
+        ([math.nan, 0, 0], "coefficients must be finite, got "),
+        ([1, math.inf, 0], "coefficients must be finite, got "),
+    ]
+    NOT_UNIT = [
+        ([1, 1, 0], "coefficients must have unit norm, got |coeffs|^2 = 2.0"),
+        ([0, 0, 0], "coefficients must have unit norm, got |coeffs|^2 = 0.0"),
+    ]
+
+    @staticmethod
+    def message(check, coeffs) -> str:
+        with pytest.raises(ValueError) as info:
+            check(coeffs)
+        return str(info.value)
+
+    @pytest.mark.parametrize("coeffs,start", BAD_SHAPE_OR_VALUE + NOT_UNIT)
+    def test_unit_coefficient_takers_refuse_alike(self, coeffs, start):
+        want = self.message(lambda c: unit_coeffs(c, 3), coeffs)
+        assert want.startswith(start)
+        scheme = ising_cyclic_scheme()
+        for check in (lambda c: encode(scheme, c), payload_state, run_teleport):
+            assert self.message(check, coeffs) == want
+
+    @pytest.mark.parametrize("coeffs,start", BAD_SHAPE_OR_VALUE)
+    def test_the_bipartite_encoder_refuses_alike(self, coeffs, start):
+        want = self.message(lambda c: finite_coeffs(c, 3), coeffs)
+        assert want.startswith(start)
+        assert self.message(lambda c: bipartite_encode(cyclic_triple(3), ("1", "eps", "sigma"), c), coeffs) == want
+
+    def test_accepted_coefficients_come_back_as_a_complex_array(self):
+        coeffs = unit_coeffs([0.6, 0.8j, 0], 3)
+        assert coeffs.dtype == complex and coeffs.tolist() == [0.6, 0.8j, 0j]
+        assert finite_coeffs([2, 0, 0], 3).tolist() == [2, 0, 0]

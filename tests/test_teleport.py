@@ -8,7 +8,9 @@ from anyonmask.anyons import ISING_ALPHABET
 from anyonmask.masker import random_unit_coeffs
 from anyonmask.qstate import (
     BasisKet,
+    DensityMatrix,
     StateVector,
+    hs_distance,
     inner,
     norm,
     partial_trace,
@@ -321,6 +323,16 @@ class TestRunTeleport:
         assert len(record["outcomes"]) == 3
         assert record["outcomes"][1]["correction"] == "diag(1,w,w2)"
         assert record["probability_sum"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_marginal_deviations_are_those_of_each_register_against_i_over_3(self):
+        rng = np.random.default_rng(5)
+        basis = product_basis(LABELS, 1)
+        mixed = DensityMatrix.maximally_mixed(basis)
+        for _ in range(10):
+            run = run_teleport(random_unit_coeffs(3, rng))
+            want = [hs_distance(partial_trace(run.encoded, {party}, basis), mixed) for party in (0, 1, 2)]
+            assert run.alice_marginal_deviations == tuple(want[:2])
+            assert run.held_marginal_deviation == want[2]
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):

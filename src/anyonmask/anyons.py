@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
+from .qstate import ValidationReport, check_seed
+
 VAC = "1"
 E = "e"
 M = "m"
@@ -122,12 +124,6 @@ class AnyonModel:
     def theta(self, label: str) -> complex:
         self.check_label(label)
         return phase_from_eighths(self.theta_eighths[label])
-
-
-@dataclass(frozen=True)
-class ModelValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
 
 
 def abelian_c0() -> AnyonModel:
@@ -252,7 +248,15 @@ def monodromy(model: AnyonModel, a: str, b: str, channel: str) -> complex:
     return phase_from_eighths(monodromy_angle(model, a, b, channel))
 
 
-def validate_model(model: AnyonModel) -> ModelValidationReport:
+def _in_eighths(k: int) -> bool:
+    """Whether ``k`` is a phase in canonical eighths: an integer in 0..15, as the built-in tables hold."""
+    try:
+        return check_seed(k) < 16
+    except ValueError:
+        return False
+
+
+def validate_model(model: AnyonModel) -> ValidationReport:
     """Check every structural invariant of the model tables by name."""
     bad: list[str] = []
     alphabet = model.alphabet
@@ -265,10 +269,12 @@ def validate_model(model: AnyonModel) -> ModelValidationReport:
             bad.append(f"vacuum-unit:{a}")
         if VAC not in model.fusion[(a, a)]:
             bad.append(f"self-inverse:{a}")
+        if not _in_eighths(model.theta_eighths[a]):
+            bad.append(f"theta-eighths:{a}")
 
     for (a, b, ch), k in model.r_eighths.items():
-        if abs(abs(phase_from_eighths(k)) - 1.0) > 1e-15:
-            bad.append(f"r-modulus:({a},{b};{ch})")
+        if not _in_eighths(k):
+            bad.append(f"r-eighths:({a},{b};{ch})")
         if ch not in model.fusion[(a, b)]:
             bad.append(f"r-channel:({a},{b};{ch})")
 
@@ -312,7 +318,7 @@ def validate_model(model: AnyonModel) -> ModelValidationReport:
     else:
         bad.append(f"unknown-kind:{model.kind}")
 
-    return ModelValidationReport(ok=not bad, violations=tuple(bad))
+    return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
 def table_lines(model: AnyonModel) -> list[str]:

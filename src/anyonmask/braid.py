@@ -29,7 +29,6 @@ Braid sequences parse from compact op strings such as ``"xBC;cBA;t3"``
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence
 
@@ -82,30 +81,26 @@ class BraidOp:
             raise BraidError(f"unknown op kind {self.kind!r}")
         if self.mode not in CHANNEL_MODES:
             raise BraidError(f"channel mode must be one of {CHANNEL_MODES}, got {self.mode!r}")
-        # range and adjacency depend on the register count, checked on use
+        # the register range depends on the register count, checked on use
         if self.kind == TRIPARTITE:
             if self.x is not None or self.y is not None:
                 raise BraidError(f"the tripartite braid takes no parties, got x={self.x!r}, y={self.y!r}")
-        elif not (_is_index(self.x) and _is_index(self.y)):
-            raise BraidError(f"{self.kind} needs integer parties x and y, got x={self.x!r}, y={self.y!r}")
+            return
+        try:
+            x, y = check_seed(self.x, "x"), check_seed(self.y, "y")
+        except ValueError as exc:
+            raise BraidError(f"{self.kind} needs integer parties x and y, got x={self.x!r}, y={self.y!r}") from exc
+        if self.kind == EXCHANGE and abs(x - y) != 1:
+            raise BraidError(f"exchange requires adjacent parties, got ({x}, {y})")
+        if self.kind == CIRCLE and x == y:
+            raise BraidError("cannot circle a party around itself")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def token(self) -> str:
-        if self.kind == EXCHANGE:
-            return f"x{_PARTY_NAMES[self.x]}{_PARTY_NAMES[self.y]}"
-        if self.kind == CIRCLE:
-            return f"c{_PARTY_NAMES[self.x]}{_PARTY_NAMES[self.y]}"
-        return "t3"
-
-
-def _is_index(value) -> bool:
-    """Whether ``value`` is an integer: anything ``operator.index`` takes, but not a bool."""
-    if isinstance(value, bool):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
+        if self.kind == TRIPARTITE:
+            return "t3"
+        return ("x" if self.kind == EXCHANGE else "c") + _PARTY_NAMES[self.x] + _PARTY_NAMES[self.y]
 
 
 def parse_ops(text: str) -> tuple[BraidOp, ...]:
@@ -240,14 +235,8 @@ def _check_domain(model: AnyonModel, op: BraidOp, n: int) -> None:
             raise BraidError("the tripartite braid is defined only for Ising-type models")
         if n != 3:
             raise BraidError(f"the tripartite braid needs 3 registers, got {n}")
-        return
-    x, y = op.x, op.y
-    if not (0 <= x < n and 0 <= y < n):
-        raise BraidError(f"party indices ({x}, {y}) out of range for {n} registers")
-    if op.kind == EXCHANGE and abs(x - y) != 1:
-        raise BraidError(f"exchange requires adjacent parties, got ({x}, {y})")
-    if op.kind == CIRCLE and x == y:
-        raise BraidError("cannot circle a party around itself")
+    elif max(op.x, op.y) >= n:
+        raise BraidError(f"party indices ({op.x}, {op.y}) out of range for {n} registers")
 
 
 def _compile_kets(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:

@@ -251,7 +251,7 @@ def cmd_braid(args: argparse.Namespace) -> int:
     report = verify_invariance(scheme, ops, trials=args.trials, tol=args.tol, seed=config["seed"])
     code = _report_result(args, "braid", {**config, "ops": args.ops}, report)
     print(
-        f"braid {scheme.model.name} [{args.ops}]: {args.trials} trials, "
+        f"braid {scheme.model.name} [{report.record()['ops']}]: {args.trials} trials, "
         f"worst deviation {report.worst_deviation:.3e}, "
         f"unitarity defect {report.unitarity_defect:.3e} -> "
         + ("pass" if report.verdict else "fail")

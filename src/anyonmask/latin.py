@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .qstate import check_seed
+from .qstate import ValidationReport, check_seed
 
 LATIN = "latin"
 CONSTANT_ROW = "constant_row"
@@ -36,7 +36,7 @@ class Square:
             if len(row) != d:
                 raise ValueError("square rows must all have length d")
             for x in row:
-                if not 0 <= x < d:
+                if x >= d:
                     raise ValueError(f"cell value {x} outside 0..{d - 1}")
         object.__setattr__(self, "cells", cells)
 
@@ -106,8 +106,7 @@ def cyclic_square(d: int, direction: str = "forward") -> Square:
     (cell (r, k) holds (k - r) mod d); the backward square rotates left
     (cell (r, k) holds (k + r) mod d).  Row 0 is always the identity.
     """
-    if d < 1:
-        raise ValueError("order must be at least 1")
+    d = check_seed(d, "order d", positive=True)
     if direction == "forward":
         sign = -1
     elif direction == "backward":
@@ -142,13 +141,7 @@ class SchemeTriple:
         return self.a.d
 
 
-@dataclass(frozen=True)
-class TripleValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_triple(triple: SchemeTriple) -> TripleValidationReport:
+def validate_triple(triple: SchemeTriple) -> ValidationReport:
     """Check the triple invariants, naming each violation.
 
     B and C must be mutually orthogonal Latin squares; A must be a
@@ -168,7 +161,7 @@ def validate_triple(triple: SchemeTriple) -> TripleValidationReport:
             bad.append("A-latin-but-not-orthogonal-to-B-and-C")
     elif a_class == OTHER:
         bad.append("A-not-constant-or-latin")
-    return TripleValidationReport(ok=not bad, violations=tuple(bad))
+    return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
 def standard_squares_d4() -> SchemeTriple:
@@ -243,8 +236,7 @@ def find_mols_pair(d: int) -> Optional[tuple[Square, Square]]:
     relabeling loses no generality), so repeated calls return the same
     pair.  Returns None when no pair exists.  Bounded to d <= 5.
     """
-    if d < 1:
-        raise ValueError("order must be at least 1")
+    d = check_seed(d, "order d", positive=True)
     if d > MOLS_SEARCH_BOUND:
         raise ValueError(f"search is bounded to d <= {MOLS_SEARCH_BOUND}, got {d}")
     for s1 in _latin_squares(d):

@@ -113,7 +113,7 @@ def _combined(rows: np.ndarray, coeffs: np.ndarray, alphabet: Sequence[str]) -> 
 
 def encode_basis(scheme: MaskingScheme, j: int) -> StateVector:
     """The j-th encoder row (1/sqrt(d)) * sum_k |A[j][k], B[j][k], C[j][k]>."""
-    if not 0 <= j < scheme.d:
+    if check_seed(j, "row index j") >= scheme.d:
         raise ValueError(f"row index {j} out of range for order {scheme.d}")
     return dense_state(encoder_rows(scheme)[j], scheme.model.alphabet)
 
@@ -299,6 +299,7 @@ def bipartite_control(model: AnyonModel, triple: Optional[SchemeTriple] = None) 
     """
     if triple is None:
         triple = BUILTIN_TRIPLES[default_triple_name(model)]()
+    MaskingScheme(model, triple)  # the triple's order and validity, by the encoder's one rule
     alphabet = model.alphabet
     basis = product_basis(alphabet, 1)
     probes = _control_probes(model.d)

@@ -258,6 +258,12 @@ def unit_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
     return coeffs
 
 
+@dataclass(frozen=True)
+class ValidationReport:
+    ok: bool
+    violations: tuple[str, ...]
+
+
 def check_tol(tol: float, name: str = "tol") -> None:
     """Raise ValueError unless ``tol`` is a finite positive bound.
 
@@ -271,10 +277,10 @@ def check_tol(tol: float, name: str = "tol") -> None:
 def check_seed(seed: int, name: str = "seed", positive: bool = False) -> int:
     """``seed`` as a plain int; ValueError unless it is a non-negative integer, of any size.
 
-    None would draw from fresh OS entropy and a bool would run as 0 or 1,
-    so neither names a reproducible run.  With ``positive`` the value must
-    also be at least 1, as a trial count must.  A numpy integer comes back
-    as the int it holds, which a record can serialize.
+    The package's one integer rule: seeds, trial counts, orders, cells, row
+    indices, braid parties and outcomes.  None would draw from fresh OS
+    entropy, a bool would run as 0 or 1 and a float is no index.  With
+    ``positive`` it must be at least 1.  A numpy integer comes back as an int.
     """
     if not isinstance(seed, bool):
         try:

@@ -26,6 +26,7 @@ from .masker import DEFAULT_TOL, verify_masking
 from .qstate import (
     BasisKet,
     StateVector,
+    check_seed,
     check_tol,
     inner,
     tensor,
@@ -52,6 +53,11 @@ def _check_untagged(state: StateVector, n: int, what: str) -> None:
         raise ValueError(f"{what} needs {n} register{'s' * (n > 1)}, got {state.n_registers}")
     if state.tagged:
         raise ValueError(f"{what} is defined for untagged states")
+
+
+def _check_outcome(outcome: int) -> None:
+    if check_seed(outcome, "outcome", positive=True) > 3:
+        raise ValueError(f"outcome must be 1, 2, or 3, got {outcome}")
 
 
 def omega_power(k: int) -> complex:
@@ -127,8 +133,7 @@ def alice_measure(encoded: StateVector, outcome: int) -> tuple[float, StateVecto
     Returns the outcome probability and Bob's normalized conditional
     state on register 2.
     """
-    if outcome not in (1, 2, 3):
-        raise ValueError(f"outcome must be 1, 2, or 3, got {outcome}")
+    _check_outcome(outcome)
     _check_untagged(encoded, 3, "measurement")
     bob = np.zeros(3, dtype=complex)
     for ket, amp in encoded.items():
@@ -146,8 +151,7 @@ def alice_measure(encoded: StateVector, outcome: int) -> tuple[float, StateVecto
 
 def correct(bob_state: StateVector, outcome: int) -> StateVector:
     """Bob's diagonal fix-up: multiply sector k by omega^((outcome-1)k)."""
-    if outcome not in (1, 2, 3):
-        raise ValueError(f"outcome must be 1, 2, or 3, got {outcome}")
+    _check_outcome(outcome)
     _check_untagged(bob_state, 1, "correction")
     return StateVector(
         {

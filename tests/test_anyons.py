@@ -244,6 +244,29 @@ class TestValidateModel:
         assert not report.ok
         assert "ising-eps-sigma-monodromy" in report.violations
 
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf, True, -1, 16], ids=repr)
+    def test_a_phase_outside_canonical_eighths_is_named(self, ising_model, k):
+        # |exp(i pi k / 8)| is 1 for any real k and a NaN compares false, so a modulus check passed all of these
+        report = validate_model(replace(ising_model, r_eighths={**ising_model.r_eighths, (SIGMA, SIGMA, VAC): k}))
+        assert not report.ok
+        assert "r-eighths:(sigma,sigma;1)" in report.violations
+
+    def test_a_spin_outside_canonical_eighths_is_named(self, ising_model):
+        report = validate_model(replace(ising_model, theta_eighths={**ising_model.theta_eighths, EPS: 24}))
+        assert not report.ok
+        assert "theta-eighths:eps" in report.violations
+
+    def test_float_tables_are_refused(self):
+        # ising_like(1.0) builds every phase as a float
+        report = validate_model(ising_like(1.0))
+        assert not report.ok
+        assert "theta-eighths:sigma" in report.violations and "r-eighths:(sigma,sigma;1)" in report.violations
+
+    @pytest.mark.parametrize("c", range(-15, 16, 2))
+    def test_every_odd_chern_number_passes(self, c):
+        report = validate_model(ising_like(c))
+        assert report.ok and report.violations == ()
+
     def test_broken_fusion_unit_detected(self, ising_model):
         fusion = dict(ising_model.fusion)
         fusion[(VAC, EPS)] = (SIGMA,)

@@ -320,12 +320,21 @@ class TestOpStrings:
             ({"kind": "circle", "x": 0, "y": True}, r"circle needs integer parties x and y, got x=0, y=True"),
             ({"kind": "tripartite", "x": 0, "y": 1}, r"the tripartite braid takes no parties, got x=0, y=1"),
             ({"kind": "tripartite", "y": 2}, r"the tripartite braid takes no parties, got x=None, y=2"),
+            # a negative party read a register from the end; its token read "xCA"
+            ({"kind": "exchange", "x": -1, "y": 0}, r"exchange needs integer parties x and y, got x=-1, y=0"),
+            ({"kind": "exchange", "x": 0, "y": 2}, r"exchange requires adjacent parties, got \(0, 2\)"),
+            ({"kind": "circle", "x": 1, "y": 1}, "cannot circle a party around itself"),
         ],
     )
     def test_op_with_unknown_kind_or_mode_is_refused(self, fields, message):
         # an op that cannot run must not exist, or its token could name it in a report
         with pytest.raises(BraidError, match=message):
             BraidOp(**fields)
+
+    def test_parties_are_stored_as_plain_ints(self):
+        op = BraidOp("exchange", np.int64(0), np.int64(1))
+        assert type(op.x) is int and type(op.y) is int
+        assert hash(op) == hash(BraidOp("exchange", 0, 1))
 
     def test_any_integer_index_names_a_party(self, abelian_model):
         op = BraidOp(kind="exchange", x=np.int64(0), y=np.int64(1))

@@ -238,6 +238,23 @@ class TestBraidCommand:
         assert code == 2
         assert "Ising" in capsys.readouterr().err
 
+    def test_summary_names_the_canonical_ops(self, capsys):
+        assert main(["braid", "--model", "abelian", "--ops", " xAB ;; cBC ", "--trials", "2"]) == 0
+        assert capsys.readouterr().out.startswith("braid abelian-c0 [xAB;cBC]: 2 trials")
+
+    def test_summary_under_an_ascii_stdout(self, tmp_path):
+        # the summary echoed --ops as given: with a no-break space in it, an ASCII stdout
+        # raised UnicodeEncodeError after the report was written, and the run exited 2
+        out = tmp_path / "report.txt"
+        argv = ["braid", "--ops", "xAB;\u00a0cBC", "--trials", "2", "--format", "text", "--out", str(out)]
+        script = f"import sys; from anyonmask.cli import main; sys.exit(main({argv!r}))"
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+        env.update(PYTHONPATH=SRC, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b" [xAB;cBC]: 2 trials" in proc.stdout
+        assert "config.ops: xAB;\u00a0cBC\n" in out.read_bytes().decode("utf-8")
+
 
 class TestMolsCommand:
     def test_dim_three_prints_pair(self, capsys):

@@ -413,6 +413,16 @@ class TestBipartiteControl:
             assert named.d == model.d
             assert bipartite_control(model) == bipartite_control(model, named)
 
+    def test_a_triple_of_another_order_is_refused(self, abelian_model):
+        # the encoder used to fail on it as "expected 3 coefficients, got shape (4,)"
+        with pytest.raises(ValueError, match="triple order 3 does not match the abelian-c0 alphabet size 4"):
+            bipartite_control(abelian_model, cyclic_triple(3))
+
+    def test_an_invalid_triple_is_refused(self, ising_model):
+        square = cyclic_square(3)
+        with pytest.raises(ValueError, match="invalid scheme triple: B-C-not-orthogonal"):
+            bipartite_control(ising_model, SchemeTriple(a=square, b=square, c=square))
+
     def test_record_shape(self, abelian_model):
         record = bipartite_control(abelian_model).record()
         assert record["max_marginal_distance"] > 0.1

@@ -14,9 +14,10 @@ conventions leave the masking marginals untouched.
 
 Each op is defined by a per-ket rule, and it sends every tagged basis
 ket (register labels times a channel tag from ``qstate.TAGS``) to at
-most two kets with phases in eighths of pi.  That map depends only on
-the model, so each op is compiled once per model content and register
-count into a gather table over the tagged basis (the dense layout of
+most two kets, each as a phase in eighths of pi and whether it carries
+the 1/sqrt(2) of a channel split.  That map depends only on the model,
+so each op is compiled once per model content and register count into
+a float gather table over the tagged basis (the dense layout of
 ``qstate``), running its rule on the registers it touches only.
 ``apply_ops`` turns a state into dense amplitudes once and gathers them
 through the table of each op in turn; ``verify_invariance`` gathers the
@@ -29,6 +30,7 @@ Braid sequences parse from compact op strings such as ``"xBC;cBA;t3"``
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence
 
@@ -56,7 +58,8 @@ TRIPARTITE = "tripartite"
 SPLIT = "split"
 CHANNEL_MODES = (SPLIT, VAC, EPS)
 
-_PARTY_NAMES = "ABC"
+_PARTY_NAMES = "ABC"  # the parties an op string names
+_PARTY_LETTERS = string.ascii_uppercase  # the parties a token names
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -81,6 +84,8 @@ class BraidOp:
             raise BraidError(f"unknown op kind {self.kind!r}")
         if self.mode not in CHANNEL_MODES:
             raise BraidError(f"channel mode must be one of {CHANNEL_MODES}, got {self.mode!r}")
+        if self.kind != EXCHANGE and self.mode != SPLIT:
+            raise BraidError(f"only an exchange takes a channel mode, got {self.kind} with mode {self.mode!r}")
         # the register range depends on the register count, checked on use
         if self.kind == TRIPARTITE:
             if self.x is not None or self.y is not None:
@@ -94,13 +99,15 @@ class BraidOp:
             raise BraidError(f"exchange requires adjacent parties, got ({x}, {y})")
         if self.kind == CIRCLE and x == y:
             raise BraidError("cannot circle a party around itself")
+        if max(x, y) >= len(_PARTY_LETTERS):
+            raise BraidError(f"parties must be below {len(_PARTY_LETTERS)} to have a letter, got ({x}, {y})")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
     def token(self) -> str:
         if self.kind == TRIPARTITE:
             return "t3"
-        return ("x" if self.kind == EXCHANGE else "c") + _PARTY_NAMES[self.x] + _PARTY_NAMES[self.y]
+        return ("x" if self.kind == EXCHANGE else "c") + _PARTY_LETTERS[self.x] + _PARTY_LETTERS[self.y]
 
 
 def parse_ops(text: str) -> tuple[BraidOp, ...]:
@@ -128,13 +135,35 @@ def parse_ops(text: str) -> tuple[BraidOp, ...]:
     return tuple(ops)
 
 
-def _sigma_pair_phases(model: AnyonModel) -> tuple[int, int]:
-    return r_angle(model, SIGMA, SIGMA, VAC), r_angle(model, SIGMA, SIGMA, EPS)
-
-
 # -- per-ket rules: what one op does to one tagged basis ket ----------------
 
-_Image = list[tuple[BasisKet, complex]]
+# Each image term is exact: the output ket, its phase in eighths of pi, and
+# whether it carries the 1/sqrt(2) of a channel split.
+_Image = list[tuple[BasisKet, int, bool]]
+
+
+def _channel_image(
+    model: AnyonModel, ket: BasisKet, labels: tuple[str, ...], pair: tuple[str, str], base: int, mode: str
+) -> _Image:
+    """``ket`` sent to ``labels``, where ``pair`` fuses in two channels.
+
+    A tagged ket stays in its channel; an untagged one splits into both
+    channels (mode ``"split"``) or goes into the mode's channel.  Each
+    image's phase is ``base`` plus R(pair; channel).
+    """
+    a, b = pair
+    if ket.tag is not None:
+        if mode != SPLIT and mode != ket.tag:
+            raise ChannelConflictError(
+                f"term {ket} already fuses in channel {ket.tag!r}; cannot resolve to {mode!r}"
+            )
+        channels = (ket.tag,)
+    elif mode == SPLIT:
+        channels = fuse(model, a, b)
+    else:
+        channels = (mode,)
+    split = len(channels) > 1
+    return [(BasisKet(labels, channel), base + r_angle(model, a, b, channel), split) for channel in channels]
 
 
 def _exchange_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
@@ -145,19 +174,8 @@ def _exchange_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
     labels = tuple(swapped)
     channels = fuse(model, a, b)
     if len(channels) == 1:
-        return [(BasisKet(labels, ket.tag), phase_from_eighths(r_angle(model, a, b, channels[0])))]
-    if ket.tag is not None:
-        if op.mode != SPLIT and op.mode != ket.tag:
-            raise ChannelConflictError(
-                f"term {ket} already fuses in channel {ket.tag!r}; cannot resolve to {op.mode!r}"
-            )
-        return [(BasisKet(labels, ket.tag), phase_from_eighths(r_angle(model, a, b, ket.tag)))]
-    if op.mode == SPLIT:
-        return [
-            (BasisKet(labels, channel), phase_from_eighths(r_angle(model, a, b, channel)) * _INV_SQRT2)
-            for channel in channels
-        ]
-    return [(BasisKet(labels, op.mode), phase_from_eighths(r_angle(model, a, b, op.mode)))]
+        return [(BasisKet(labels, ket.tag), r_angle(model, a, b, channels[0]), False)]
+    return _channel_image(model, ket, labels, (a, b), 0, op.mode)
 
 
 def _circle_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
@@ -170,36 +188,22 @@ def _circle_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
         angle = 8
     else:
         angle = monodromy_angle(model, a, b, channels[0])
-    return [(ket, phase_from_eighths(angle))]
+    return [(ket, angle, False)]
 
 
 def _tripartite_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
-    r1, reps = _sigma_pair_phases(model)
     kappa_shift = 0 if model.kappa[SIGMA] == 1 else 8
     labels = ket.labels
     sigma_count = sum(1 for lab in labels if lab == SIGMA)
-    if sigma_count == 3:
-        if ket.tag is None:
-            return [
-                (BasisKet(labels, VAC), phase_from_eighths(kappa_shift + 2 * r1) * _INV_SQRT2),
-                (BasisKet(labels, EPS), phase_from_eighths(kappa_shift + r1 + reps) * _INV_SQRT2),
-            ]
-        rtag = r1 if ket.tag == VAC else reps
-        return [(BasisKet(labels, ket.tag), phase_from_eighths(kappa_shift + r1 + rtag))]
+    # three sigma: kappa and R(sigma, sigma; 1); otherwise the phases of the other pairs
+    base = kappa_shift + r_angle(model, SIGMA, SIGMA, VAC) if sigma_count == 3 else 0
     pairs = ((labels[0], labels[1]), (labels[0], labels[2]), (labels[1], labels[2]))
-    angle = 0
     for a, b in pairs:
         if (a, b) != (SIGMA, SIGMA):
-            angle += r_angle(model, a, b, fuse(model, a, b)[0])
+            base += r_angle(model, a, b, fuse(model, a, b)[0])
     if sigma_count < 2:
-        return [(BasisKet(labels, ket.tag), phase_from_eighths(angle))]
-    if ket.tag is not None:
-        rtag = r1 if ket.tag == VAC else reps
-        return [(BasisKet(labels, ket.tag), phase_from_eighths(angle + rtag))]
-    return [
-        (BasisKet(labels, VAC), phase_from_eighths(angle + r1) * _INV_SQRT2),
-        (BasisKet(labels, EPS), phase_from_eighths(angle + reps) * _INV_SQRT2),
-    ]
+        return [(BasisKet(labels, ket.tag), base, False)]
+    return _channel_image(model, ket, labels, (SIGMA, SIGMA), base, op.mode)
 
 
 # -- compiled op tables -------------------------------------------------------
@@ -251,8 +255,9 @@ def _compile_kets(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
         except ChannelConflictError:
             conflicts.append(i)
             continue
-        for out, amp in image:
-            sources[index[out]].append((i, amp))
+        for out, eighths, split in image:
+            amp = phase_from_eighths(eighths)
+            sources[index[out]].append((i, amp * _INV_SQRT2 if split else amp))
     width = max(len(pairs) for pairs in sources)
     if width > 2:
         raise RuntimeError(f"{op.token()} sends {width} kets to one ket, at most 2 expected")

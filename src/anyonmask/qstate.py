@@ -188,11 +188,11 @@ def partial_trace(
     state is used; supply the full product basis when comparing against a
     fixed target such as the maximally mixed state.
     """
-    kept = sorted(set(keep))
+    kept = sorted({check_seed(i, "keep") for i in keep})
     n = state.n_registers
     if not kept:
         raise ValueError("keep must name at least one register")
-    if kept[0] < 0 or (n and kept[-1] >= n):
+    if n and kept[-1] >= n:
         raise ValueError(f"keep indices {kept} out of range for {n} registers")
     traced = [i for i in range(n) if i not in kept]
     take_kept, take_traced = _label_getter(kept), _label_getter(traced)
@@ -278,9 +278,10 @@ def check_seed(seed: int, name: str = "seed", positive: bool = False) -> int:
     """``seed`` as a plain int; ValueError unless it is a non-negative integer, of any size.
 
     The package's one integer rule: seeds, trial counts, orders, cells, row
-    indices, braid parties and outcomes.  None would draw from fresh OS
-    entropy, a bool would run as 0 or 1 and a float is no index.  With
-    ``positive`` it must be at least 1.  A numpy integer comes back as an int.
+    indices, kept registers, braid parties and outcomes.  None would draw
+    from fresh OS entropy, a bool would run as 0 or 1 and a float is no
+    index.  With ``positive`` it must be at least 1.  A numpy integer comes
+    back as an int.
     """
     if not isinstance(seed, bool):
         try:

@@ -324,6 +324,10 @@ class TestOpStrings:
             ({"kind": "exchange", "x": -1, "y": 0}, r"exchange needs integer parties x and y, got x=-1, y=0"),
             ({"kind": "exchange", "x": 0, "y": 2}, r"exchange requires adjacent parties, got \(0, 2\)"),
             ({"kind": "circle", "x": 1, "y": 1}, "cannot circle a party around itself"),
+            # a mode on an op that has no channel to resolve ran as "split"
+            ({"kind": "circle", "x": 0, "y": 1, "mode": "eps"}, "only an exchange takes a channel mode"),
+            ({"kind": "tripartite", "mode": "1"}, "only an exchange takes a channel mode"),
+            ({"kind": "circle", "x": 0, "y": 26}, r"parties must be below 26 to have a letter, got \(0, 26\)"),
         ],
     )
     def test_op_with_unknown_kind_or_mode_is_refused(self, fields, message):
@@ -341,6 +345,11 @@ class TestOpStrings:
         assert op.token() == "xAB" and op == BraidOp(kind="exchange", x=0, y=1)
         state = basis_state(("e", "m", "1"))
         assert apply_ops(abelian_model, state, (op,)) == exchange(abelian_model, state, 0, 1)
+
+    def test_a_party_past_c_has_a_token_letter(self, abelian_model):
+        op = BraidOp("exchange", 3, 4)
+        assert op.token() == "xDE"
+        assert apply_ops(abelian_model, basis_state(("e",) * 5), (op,)) == basis_state(("e",) * 5)
 
     def test_apply_op_dispatch(self, ising_scheme):
         # one op through apply_ops is the named function, for each kind
@@ -511,6 +520,22 @@ class TestOpTables:
         # each resolved exchange refuses the sigma pairs tagged with the other channel
         assert conflicts == (0 if kind == "abelian" else 4 * 3)
 
+    @pytest.mark.parametrize("model", [abelian_c0()] + [ising_like(c) for c in range(1, 16, 2)], ids=lambda m: m.name)
+    def test_every_op_bit_for_bit_at_every_chern_number(self, model):
+        # kappa_sigma = -1 at c = 3, 5, 11, 13 takes the other branch of the tripartite rule
+        def bits(state):
+            return {ket: np.array(amp, dtype=complex).tobytes() for ket, amp in state.items()}
+
+        for op in every_op(model.kind):
+            for ket in basis_kets(model):
+                state = StateVector({ket: 1.0})
+                got = outcome(lambda: apply_ops(model, state, (op,)))
+                want = outcome(lambda: reference_op(model, state, op))
+                if isinstance(want, tuple):
+                    assert got == want, (op, ket)
+                else:
+                    assert bits(got) == bits(want), (op, ket)
+
     @pytest.mark.parametrize("kind", ["abelian", "ising"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -577,6 +602,11 @@ class TestOpTables:
             want = outcome(lambda: reference_ops(ising_model, state, ops))
             assert want[0] is error
             assert outcome(lambda: apply_ops(ising_model, state, ops)) == want
+
+    def test_a_foreign_tag_on_a_sigma_pair_is_no_channel_of_it(self, ising_model):
+        # the dict loop of the tripartite braid read any tag but "1" as "eps"
+        with pytest.raises(FusionChannelError, match=r"'zz' is not a fusion channel of \(sigma, sigma\)"):
+            tripartite_braid(ising_model, basis_state(("sigma", "sigma", "1"), tag="zz"))
 
     def test_what_the_dict_loops_passed_on_is_refused(self, ising_model):
         # they never looked at party C during xAB, nor at a tag they did not read

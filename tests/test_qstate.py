@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,12 @@ class TestPartialTrace:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(basis_state(["e", "m"]), {2})
+
+    @pytest.mark.parametrize("index", [True, 1.5, 1.0, -1], ids=repr)
+    def test_rejects_a_kept_index_that_is_no_integer(self, index):
+        # True ran as register 1; 1.5 and 1.0 failed with TypeError when slicing
+        with pytest.raises(ValueError, match=f"^keep must be a non-negative integer, got {re.escape(repr(index))}$"):
+            partial_trace(basis_state(["e", "m", "1"]), [index])
 
     def test_rejects_basis_missing_support(self):
         with pytest.raises(ValueError, match="missing"):

@@ -15,13 +15,14 @@ conventions leave the masking marginals untouched.
 Each op is defined by a per-ket rule, and it sends every tagged basis
 ket (register labels times a channel tag from ``qstate.TAGS``) to at
 most two kets, each as a phase in eighths of pi and whether it carries
-the 1/sqrt(2) of a channel split.  That map depends only on the model,
-so each op is compiled once per model content and register count into
-a float gather table over the tagged basis (the dense layout of
-``qstate``), running its rule on the registers it touches only.
-``apply_ops`` turns a state into dense amplitudes once and gathers them
-through the table of each op in turn; ``verify_invariance`` gathers the
-d encoder rows as one array the same way, once per sequence.
+the 1/sqrt(2) of a channel split, or to none on a channel conflict.
+That map depends only on the model, so each op is compiled once per
+model content and register count into a float gather table over the
+tagged basis (the dense layout of ``qstate``), conflicts included.
+``apply_ops`` and ``verify_invariance`` (on the d encoder rows) compose
+these gathers exactly: a labeled result is pruned once, as a
+``StateVector`` prunes, and a conflict is an amplitude above
+``PRUNE_EPS`` on a conflicting ket, as a labeled state would judge it.
 
 Braid sequences parse from compact op strings such as ``"xBC;cBA;t3"``
 (exchange B and C, circle B around A, tripartite braid).
@@ -138,8 +139,8 @@ def parse_ops(text: str) -> tuple[BraidOp, ...]:
 # -- per-ket rules: what one op does to one tagged basis ket ----------------
 
 # Each image term is exact: the output ket, its phase in eighths of pi, and
-# whether it carries the 1/sqrt(2) of a channel split.
-_Image = list[tuple[BasisKet, int, bool]]
+# whether it carries the 1/sqrt(2) of a channel split; None is a channel conflict.
+_Image = Optional[list[tuple[BasisKet, int, bool]]]
 
 
 def _channel_image(
@@ -147,16 +148,14 @@ def _channel_image(
 ) -> _Image:
     """``ket`` sent to ``labels``, where ``pair`` fuses in two channels.
 
-    A tagged ket stays in its channel; an untagged one splits into both
-    channels (mode ``"split"``) or goes into the mode's channel.  Each
-    image's phase is ``base`` plus R(pair; channel).
+    A tagged ket stays in its channel (None where the mode names the other);
+    an untagged one splits into both channels (mode ``"split"``) or goes
+    into the mode's channel.  Each image's phase is ``base`` plus R(pair; channel).
     """
     a, b = pair
     if ket.tag is not None:
-        if mode != SPLIT and mode != ket.tag:
-            raise ChannelConflictError(
-                f"term {ket} already fuses in channel {ket.tag!r}; cannot resolve to {mode!r}"
-            )
+        if mode not in (SPLIT, ket.tag) and ket.tag in fuse(model, a, b):
+            return None
         channels = (ket.tag,)
     elif mode == SPLIT:
         channels = fuse(model, a, b)
@@ -215,7 +214,7 @@ class _OpTable:
     ``kets`` is the basis, ``qstate.tagged_basis``.  Output ket i receives
     sum_s amp[s, i] * in[src[s, i]] over at most two sources s (one row
     per source; a missing source has amplitude 0).  ``conflicts`` lists
-    the source kets on which the op raises ``ChannelConflictError``.
+    the source kets the op's rule has no image of (a channel conflict).
     """
 
     op: BraidOp
@@ -250,9 +249,8 @@ def _compile_kets(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     sources: list[list[tuple[int, complex]]] = [[] for _ in kets]
     conflicts = []
     for i, ket in enumerate(kets):
-        try:
-            image = rule(model, ket, op)
-        except ChannelConflictError:
+        image = rule(model, ket, op)
+        if image is None:
             conflicts.append(i)
             continue
         for out, eighths, split in image:
@@ -298,6 +296,8 @@ def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
 
 def _table(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     """The op's table for the model and register count, compiled on first use."""
+    if op.mode != SPLIT and all(len(channels) == 1 for channels in model.fusion.values()):
+        op = BraidOp(op.kind, op.x, op.y)  # no pair splits, so the mode changes nothing
     key = (model.content_id, op, n)
     table = _TABLES.get(key)
     if table is None:
@@ -308,7 +308,8 @@ def _table(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
 def _gather(table: _OpTable, psi: np.ndarray) -> np.ndarray:
     """The op on dense amplitudes over the table's basis (last axis)."""
     if table.conflicts.size:
-        hit = table.conflicts[(psi[..., table.conflicts] != 0).reshape(-1, table.conflicts.size).any(axis=0)]
+        held = np.abs(psi[..., table.conflicts]) > PRUNE_EPS  # an amplitude a StateVector keeps
+        hit = table.conflicts[held.reshape(-1, table.conflicts.size).any(axis=0)]
         if hit.size:
             ket = table.kets[hit[0]]
             raise ChannelConflictError(
@@ -390,10 +391,9 @@ def op_set(kind: str) -> tuple[BraidOp, ...]:
 
 
 def _braid_dense(model: AnyonModel, ops: Sequence[BraidOp], n: int, psi: np.ndarray) -> np.ndarray:
-    """The ops on dense amplitudes of n registers (last axis), pruned after each as a StateVector prunes."""
+    """The ops on dense amplitudes of n registers (last axis): their gathers composed, nothing pruned."""
     for op in ops:
         psi = _gather(_table(model, op, n), psi)
-        psi[np.abs(psi) <= PRUNE_EPS] = 0
     return psi
 
 

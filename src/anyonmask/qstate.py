@@ -13,6 +13,7 @@ pure functions, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,7 +47,8 @@ class StateVector:
 
     Amplitudes with magnitude below ``PRUNE_EPS`` are dropped on
     construction, so a stored amplitude is never an accumulated zero.  A
-    NaN amplitude is an error rather than being pruned as if it were zero.
+    NaN or infinite amplitude is an error, neither pruned as if it were
+    zero nor kept to make every marginal NaN.
     """
 
     amplitudes: dict[BasisKet, complex]
@@ -61,10 +63,10 @@ class StateVector:
                 raise ValueError("all kets in a state must have the same register count")
             value = complex(amp)
             magnitude = abs(value)
-            if magnitude > PRUNE_EPS:
+            if PRUNE_EPS < magnitude < math.inf:
                 pruned[ket] = value
-            elif magnitude != magnitude:
-                raise ValueError(f"amplitude of {ket} is NaN: {value}")
+            elif not magnitude <= PRUNE_EPS:
+                raise ValueError(f"amplitude of {ket} is not finite (NaN or inf): {value}")
         object.__setattr__(self, "amplitudes", pruned)
 
     def items(self):
@@ -100,9 +102,11 @@ def norm(state: StateVector) -> float:
 
 
 def inner(s1: StateVector, s2: StateVector) -> complex:
-    """<s1|s2>, conjugate-linear in the first argument."""
+    """<s1|s2>, conjugate-linear in the first argument; ValueError for two register counts."""
     if len(s2) < len(s1):
         return inner(s2, s1).conjugate()
+    if s1 and s1.n_registers != s2.n_registers:
+        raise ValueError(f"inner product of states of {s1.n_registers} and {s2.n_registers} registers")
     return sum(a1.conjugate() * s2.amplitude(ket) for ket, a1 in s1.items())
 
 
@@ -268,10 +272,11 @@ def check_tol(tol: float, name: str = "tol") -> None:
     """Raise ValueError unless ``tol`` is a finite positive bound.
 
     An infinite bound passes every state and a NaN bound fails every one,
-    so neither is a tolerance.
+    so neither is a tolerance; nor is a bool, which would run as 0 or 1,
+    or a value that is not a real number.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{name} must be finite and positive, got {tol}")
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
 
 
 def check_seed(seed: int, name: str = "seed", positive: bool = False) -> int:

@@ -27,6 +27,7 @@ from anyonmask.braid import (
 )
 from anyonmask.masker import encode, encode_basis, random_unit_coeffs, verify_masking
 from anyonmask.qstate import (
+    PRUNE_EPS,
     BasisKet,
     StateVector,
     basis_state,
@@ -34,6 +35,7 @@ from anyonmask.qstate import (
     norm,
     partial_trace,
     product_basis,
+    tagged_basis,
 )
 from helpers import (
     ROWS_D3,
@@ -131,6 +133,31 @@ class TestExchange:
         state = basis_state(["sigma", "sigma", "1"], tag="1")
         with pytest.raises(ChannelConflictError):
             exchange(ising_model, state, 0, 1, mode="eps")
+
+    def test_a_cancellation_residue_is_no_conflict(self, ising_model):
+        # the first exchange leaves a residue at most PRUNE_EPS in channel 1,
+        # which the dense path carries into the second; a labeled state would
+        # drop it, so the resolved mode does not count it as a conflict
+        ket, tagged = BasisKet(("sigma", "sigma", "1")), BasisKet(("sigma", "sigma", "1"), "1")
+        ops = (BraidOp("exchange", 0, 1), BraidOp("exchange", 0, 1, "eps"))
+        state = StateVector({ket: 1.0, tagged: -INV_SQRT2 * (1 + 2**-52)})
+        psi = dense_vector(state, ising_model.alphabet).reshape(-1)
+        at = tagged_basis(ising_model.alphabet, 3)[1][tagged]
+        residue = abs(braid._braid_dense(ising_model, ops[:1], 3, psi)[at])
+        assert 0 < residue <= PRUNE_EPS
+        assert set(exchange(ising_model, state, 0, 1).amplitudes) == {BasisKet(ket.labels, "eps")}
+        out = apply_ops(ising_model, state, ops)
+        assert out.amplitudes.keys() == {BasisKet(ket.labels, "eps")}
+        assert out.amplitude(BasisKet(ket.labels, "eps")) == pytest.approx(REPS_SS**2 * INV_SQRT2, abs=1e-15)
+        with pytest.raises(ChannelConflictError, match="already fuses in channel '1'; cannot resolve to 'eps'"):
+            apply_ops(ising_model, StateVector({ket: 1.0, tagged: -0.5}), ops)
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    def test_a_foreign_tag_is_no_channel_in_every_mode(self, ising_model, mode):
+        # the tag is no channel of the pair, so no mode can find it in conflict
+        state = basis_state(("sigma", "sigma", "1"), tag="zz")
+        with pytest.raises(FusionChannelError, match=r"'zz' is not a fusion channel of \(sigma, sigma\)"):
+            exchange(ising_model, state, 0, 1, mode=mode)
 
     def test_tagged_term_braids_in_its_channel(self, ising_model):
         state = basis_state(["sigma", "sigma", "1"], tag="eps")
@@ -640,6 +667,14 @@ class TestTableMemo:
         assert exchange(first, state, 0, 1) == exchange(second, state, 0, 1)
         assert braid._table(first, op, 3) is braid._table(second, op, 3)
         assert compiled == [("abelian", op, 3)]
+
+    def test_a_mode_no_pair_splits_shares_the_split_table(self, compiled):
+        # no Abelian pair fuses in two channels, so every mode is one map
+        model, state = abelian_c0(), basis_state(("e", "m", "1"))
+        outs = [exchange(model, state, 0, 1, mode=mode) for mode in CHANNEL_MODES]
+        assert outs[0] == outs[1] == outs[2]
+        assert len(braid._TABLES) == 1
+        assert compiled == [("abelian", BraidOp("exchange", 0, 1), 3)]
 
     def test_a_changed_phase_gets_its_own_table(self, compiled, ising_model):
         changed = dataclasses.replace(

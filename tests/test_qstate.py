@@ -101,6 +101,14 @@ class TestInnerNormScale:
             return
         assert inner(s1, s2) == pytest.approx(inner(s2, s1).conjugate(), abs=1e-12)
 
+    def test_inner_of_two_register_counts_rejected(self):
+        # 0 would pass for orthogonal states of one register count
+        with pytest.raises(ValueError, match="states of 1 and 2 registers"):
+            inner(basis_state(("1",)), basis_state(("1", "1")))
+        with pytest.raises(ValueError, match="states of 2 and 1 registers"):
+            inner(basis_state(("1", "1")), basis_state(("1",)))
+        assert inner(StateVector({}), basis_state(("1", "1"))) == 0
+
     @given(small_states())
     @settings(max_examples=60, deadline=None)
     def test_norm_is_sqrt_self_inner(self, s):
@@ -284,6 +292,12 @@ class TestStateVector:
     def test_nan_amplitude_rejected(self, bad):
         # a NaN amplitude used to be pruned away as if it were zero
         with pytest.raises(ValueError, match="NaN"):
+            StateVector({BasisKet(("e",)): bad, BasisKet(("m",)): 1.0})
+
+    @pytest.mark.parametrize("bad", [math.inf, complex(0, -math.inf)])
+    def test_infinite_amplitude_rejected(self, bad):
+        # a kept infinite amplitude would turn every marginal into NaN
+        with pytest.raises(ValueError, match=r"amplitude of \|e> is not finite"):
             StateVector({BasisKet(("e",)): bad, BasisKet(("m",)): 1.0})
 
     def test_mixed_register_counts_rejected(self):

@@ -2,7 +2,8 @@
 
 An infinite tolerance passed a product state as masked, and a NaN one
 failed every trial of a correct campaign; both now raise ValueError at
-the call, as ``--tol`` does at the command line.
+the call, as ``--tol`` does at the command line.  So do a bool, which ran
+as 1.0, and a value that is no real number, which raised TypeError.
 """
 
 import math
@@ -15,7 +16,7 @@ from anyonmask.qstate import basis_state
 from anyonmask.teleport import run_teleport
 from anyonmask.trials import evaluate_trials
 
-BAD_TOLS = [math.inf, math.nan, 0.0, -1.0]
+BAD_TOLS = [math.inf, math.nan, 0.0, -1.0, True, "1e-12", None]
 
 
 ENTRY_POINTS = {

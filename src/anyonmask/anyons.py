@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
+
 from .qstate import ValidationReport, check_seed
 
 VAC = "1"
@@ -31,13 +33,23 @@ ABELIAN_ALPHABET = (VAC, E, M, EPS)
 ISING_ALPHABET = (VAC, EPS, SIGMA)
 
 
+def _mod16(k: int, name: str) -> int:
+    """``k`` mod 16 as an int, through ``check_seed``; ValueError naming ``name`` unless ``k`` is an integer."""
+    try:
+        if not isinstance(k, (bool, np.bool_)):
+            return check_seed(k % 16, name)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {k!r}")
+
+
 def phase_from_eighths(k: int) -> complex:
-    """Return exp(i*pi*k/8) for integer k, reduced mod 16.
+    """Return exp(i*pi*k/8) for integer k (a bool or a float raises ValueError), reduced mod 16.
 
     Multiples of pi/2 are returned as exact unit complex numbers so that
     values like -1 and -i carry no floating-point dust.
     """
-    k = k % 16
+    k = _mod16(k, "eighths k")
     if k == 0:
         return complex(1.0, 0.0)
     if k == 4:
@@ -167,7 +179,7 @@ def abelian_c0() -> AnyonModel:
 
 
 def ising_like(c: int = 1) -> AnyonModel:
-    """An Ising-type model with odd Chern number c (taken mod 16).
+    """An Ising-type model with odd integer Chern number c (taken mod 16).
 
     The vortex data is theta_sigma = exp(i*pi*c/8) and
     kappa_sigma = (-1)^((c^2 - 1)/8); the exchange phases are
@@ -175,9 +187,10 @@ def ising_like(c: int = 1) -> AnyonModel:
     R(sigma,sigma;eps) = kappa * exp(i*3*pi*c/8),
     R(eps,sigma;sigma) = R(sigma,eps;sigma) = -i^c, and R(eps,eps;1) = -1.
     """
-    if c % 2 == 0:
+    reduced = _mod16(c, "Chern number c")
+    if reduced % 2 == 0:
         raise ValueError(f"Ising-type models require an odd Chern number, got {c}")
-    c = c % 16
+    c = reduced
     kappa_sigma = (-1) ** (((c * c - 1) // 8) % 2)
     kappa_shift = 0 if kappa_sigma == 1 else 8
     fusion = {

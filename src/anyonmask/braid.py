@@ -24,13 +24,15 @@ these gathers exactly: a labeled result is pruned once, as a
 ``StateVector`` prunes, and a conflict is an amplitude above
 ``PRUNE_EPS`` on a conflicting ket, as a labeled state would judge it.
 
-Braid sequences parse from compact op strings such as ``"xBC;cBA;t3"``
-(exchange B and C, circle B around A, tripartite braid).
+Braid sequences are op strings such as ``"xBC:eps;cBA;t3"`` (exchange B
+and C in the fermion channel, circle B around A, tripartite braid), in
+the one grammar that ``BraidOp.token`` writes and ``parse_ops`` reads.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import string
 from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence
@@ -59,8 +61,11 @@ TRIPARTITE = "tripartite"
 SPLIT = "split"
 CHANNEL_MODES = (SPLIT, VAC, EPS)
 
-_PARTY_NAMES = "ABC"  # the parties an op string names
 _PARTY_LETTERS = string.ascii_uppercase  # the parties a token names
+_KIND_NAMES = {EXCHANGE: "x", CIRCLE: "c", TRIPARTITE: "t3"}  # how a token names each kind
+_KINDS = {name: kind for kind, name in _KIND_NAMES.items()}
+# The op grammar: the kind's name, the parties' letters, then ":1" or ":eps" on a resolved exchange
+_TOKEN = re.compile(rf"({'|'.join(_KINDS)})([{_PARTY_LETTERS}]{{2}})?(?::({VAC}|{EPS}))?")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -106,31 +111,25 @@ class BraidOp:
         object.__setattr__(self, "y", y)
 
     def token(self) -> str:
-        if self.kind == TRIPARTITE:
-            return "t3"
-        return ("x" if self.kind == EXCHANGE else "c") + _PARTY_LETTERS[self.x] + _PARTY_LETTERS[self.y]
+        """The op in the grammar of ``parse_ops``, which reads it back as this op."""
+        parties = "" if self.kind == TRIPARTITE else _PARTY_LETTERS[self.x] + _PARTY_LETTERS[self.y]
+        return _KIND_NAMES[self.kind] + parties + ("" if self.mode == SPLIT else ":" + self.mode)
 
 
 def parse_ops(text: str) -> tuple[BraidOp, ...]:
-    """Parse an op string like "xBC;cBA;t3" into a BraidOp sequence."""
+    """Parse an op string like "xBC;cBA:eps;t3" into a BraidOp sequence.
+
+    Each ``;``-separated token, stripped, is read by ``_TOKEN``, the
+    grammar ``BraidOp.token`` writes, so ``parse_ops(op.token()) == (op,)``;
+    whether the token names an op is left to ``BraidOp``.
+    """
     ops: list[BraidOp] = []
-    for raw in text.split(";"):
-        token = raw.strip()
-        if not token:
-            continue
-        if token == "t3":
-            ops.append(BraidOp(kind=TRIPARTITE))
-            continue
-        if len(token) == 3 and token[0] in "xc":
-            try:
-                x = _PARTY_NAMES.index(token[1])
-                y = _PARTY_NAMES.index(token[2])
-            except ValueError:
-                raise BraidError(f"unknown party letter in op token {token!r}") from None
-            kind = EXCHANGE if token[0] == "x" else CIRCLE
-            ops.append(BraidOp(kind=kind, x=x, y=y))
-            continue
-        raise BraidError(f"unknown op token {token!r}")
+    for token in filter(None, map(str.strip, text.split(";"))):
+        match = _TOKEN.fullmatch(token)
+        if match is None:
+            raise BraidError(f"unknown op token {token!r}")
+        name, parties, mode = match.groups()
+        ops.append(BraidOp(_KINDS[name], *map(_PARTY_LETTERS.index, parties or ""), mode=mode or SPLIT))
     if not ops:
         raise BraidError("empty op string")
     return tuple(ops)
@@ -380,14 +379,7 @@ def tripartite_braid(model: AnyonModel, state: StateVector) -> StateVector:
 def op_set(kind: str) -> tuple[BraidOp, ...]:
     """The single ops of the exhaustive sweep: both adjacent exchanges, all
     three circles, and, for the Ising model, the tripartite braid."""
-    ops = (
-        BraidOp(kind=EXCHANGE, x=0, y=1),
-        BraidOp(kind=EXCHANGE, x=1, y=2),
-        BraidOp(kind=CIRCLE, x=0, y=1),
-        BraidOp(kind=CIRCLE, x=0, y=2),
-        BraidOp(kind=CIRCLE, x=1, y=2),
-    )
-    return ops + (BraidOp(kind=TRIPARTITE),) if kind == "ising" else ops
+    return parse_ops("xAB;xBC;cAB;cAC;cBC" + (";t3" if kind == "ising" else ""))
 
 
 def _braid_dense(model: AnyonModel, ops: Sequence[BraidOp], n: int, psi: np.ndarray) -> np.ndarray:

@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_braid.add_argument(
         "--ops",
         required=True,
-        help='op string, e.g. "xBC;cBA;t3" (x=exchange, c=circle X around Y, t3=tripartite)',
+        help='op string, e.g. "xBC;cBA;t3" (x=exchange, c=circle X around Y, t3=tripartite; '
+        'xAB:1 or xAB:eps resolves an exchange into one channel)',
     )
 
     p_mols = sub.add_parser("mols", help="search for a mutually orthogonal Latin pair")

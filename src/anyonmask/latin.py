@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .qstate import ValidationReport, check_seed
@@ -63,24 +64,12 @@ def is_latin(square: Square) -> bool:
     return True
 
 
-def is_constant_row(square: Square) -> bool:
-    """True iff every row equals the alphabet sequence 0..d-1."""
-    identity = tuple(range(square.d))
-    return all(row == identity for row in square.cells)
-
-
-def is_constant_column(square: Square) -> bool:
-    """True iff every column equals the alphabet sequence 0..d-1."""
-    identity = tuple(range(square.d))
-    return all(square.column(k) == identity for k in range(square.d))
-
-
 def classify(square: Square) -> str:
     if square.d == 1:
         return LATIN
-    if is_constant_row(square):
+    if square == constant_row_square(square.d):
         return CONSTANT_ROW
-    if is_constant_column(square):
+    if square == constant_column_square(square.d):
         return CONSTANT_COLUMN
     if is_latin(square):
         return LATIN
@@ -116,6 +105,7 @@ def cyclic_square(d: int, direction: str = "forward") -> Square:
     return Square(tuple(tuple((k + sign * r) % d for k in range(d)) for r in range(d)))
 
 
+@lru_cache(maxsize=16)  # the A of each built-in triple, and classify's first test; a Square is frozen
 def constant_row_square(d: int) -> Square:
     return Square(tuple(tuple(range(d)) for _ in range(d)))
 

@@ -61,6 +61,9 @@ class StateVector:
                 n_registers = len(ket.labels)
             elif len(ket.labels) != n_registers:
                 raise ValueError("all kets in a state must have the same register count")
+            if not isinstance(amp, (complex, float)):  # one quick check for the usual amplitude
+                if isinstance(amp, bool) or not isinstance(amp, numbers.Number):  # np.True_ is no Number
+                    raise ValueError(f"amplitude of {ket} is not a number: {amp!r}")
             value = complex(amp)
             magnitude = abs(value)
             if PRUNE_EPS < magnitude < math.inf:

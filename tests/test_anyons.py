@@ -1,8 +1,10 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anyonmask.anyons import (
@@ -69,6 +71,15 @@ class TestPhaseFromEighths:
     @pytest.mark.parametrize("k", range(16))
     def test_unit_modulus(self, k):
         assert abs(abs(phase_from_eighths(k)) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("k", [2.5, 4.0, True, np.True_, "4", None, 1j], ids=repr)
+    def test_no_whole_number_of_eighths_is_refused(self, k):
+        # phase_from_eighths(2.5) returned exp(2.5 i pi / 8) and True ran as 1
+        with pytest.raises(ValueError, match=rf"^eighths k must be an integer, got {re.escape(repr(k))}$"):
+            phase_from_eighths(k)
+
+    def test_a_numpy_integer_runs_as_the_int_it_holds(self):
+        assert phase_from_eighths(np.int64(-3)) == phase_from_eighths(13)
 
 
 class TestFusion:
@@ -215,6 +226,17 @@ class TestTopologicalData:
         with pytest.raises(ValueError, match="odd"):
             ising_like(2)
 
+    @pytest.mark.parametrize("c", [1.5, 1.0, True, np.True_, "1", None], ids=repr)
+    def test_a_chern_number_that_is_no_integer_is_refused(self, c):
+        # ising_like(1.5) built "ising-c1.5", whose braids passed, and True ran as c = 1
+        with pytest.raises(ValueError, match=rf"^Chern number c must be an integer, got {re.escape(repr(c))}$"):
+            ising_like(c)
+
+    @pytest.mark.parametrize("c, name", [(-1, "ising-c15"), (np.int64(3), "ising-c3"), (np.int8(-15), "ising-c1")])
+    def test_a_signed_or_numpy_integer_reduces_mod_16(self, c, name):
+        model = ising_like(c)
+        assert model.name == name and type(model.c) is int
+
 
 class TestValidateModel:
     def test_abelian_passes(self, abelian_model):
@@ -256,9 +278,14 @@ class TestValidateModel:
         assert not report.ok
         assert "theta-eighths:eps" in report.violations
 
-    def test_float_tables_are_refused(self):
-        # ising_like(1.0) builds every phase as a float
-        report = validate_model(ising_like(1.0))
+    def test_float_tables_are_refused(self, ising_model):
+        # every phase as a float (ising_like itself refuses a float Chern number)
+        floats = replace(
+            ising_model,
+            r_eighths={key: float(k) for key, k in ising_model.r_eighths.items()},
+            theta_eighths={key: float(k) for key, k in ising_model.theta_eighths.items()},
+        )
+        report = validate_model(floats)
         assert not report.ok
         assert "theta-eighths:sigma" in report.violations and "r-eighths:(sigma,sigma;1)" in report.violations
 

@@ -329,7 +329,11 @@ class TestOpStrings:
             parse_ops("xBC;zap")
 
     def test_unknown_party_rejected(self):
-        with pytest.raises(BraidError, match="party"):
+        with pytest.raises(BraidError, match="unknown op token 'xBz'"):
+            parse_ops("xBz")
+
+    def test_a_party_letter_past_c_reaches_the_op_check(self):
+        with pytest.raises(BraidError, match=r"exchange requires adjacent parties, got \(1, 3\)"):
             parse_ops("xBD")
 
     def test_empty_rejected(self):

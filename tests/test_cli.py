@@ -238,6 +238,24 @@ class TestBraidCommand:
         assert code == 2
         assert "Ising" in capsys.readouterr().err
 
+    def test_a_resolved_exchange_runs_and_is_recorded(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["braid", "--model", "ising", "--ops", "xAB:eps", "--trials", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["ops"] == "xAB:eps"
+        assert " [xAB:eps]: 5 trials" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ("xAB:eps;xAB:1", "already fuses in channel 'eps'; cannot resolve to '1'"),
+            ("cAB:eps", "only an exchange takes a channel mode"),
+            ("xDE", "party indices (3, 4) out of range for 3 registers"),
+        ],
+    )
+    def test_an_op_string_that_cannot_run_is_usage_error(self, capsys, ops, message):
+        assert main(["braid", "--model", "ising", "--ops", ops, "--trials", "5"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_summary_names_the_canonical_ops(self, capsys):
         assert main(["braid", "--model", "abelian", "--ops", " xAB ;; cBC ", "--trials", "2"]) == 0
         assert capsys.readouterr().out.startswith("braid abelian-c0 [xAB;cBC]: 2 trials")

@@ -300,6 +300,16 @@ class TestStateVector:
         with pytest.raises(ValueError, match=r"amplitude of \|e> is not finite"):
             StateVector({BasisKet(("e",)): bad, BasisKet(("m",)): 1.0})
 
+    @pytest.mark.parametrize("bad", ["1", True, np.True_, None, [1.0]], ids=repr)
+    def test_an_amplitude_that_is_no_number_rejected(self, bad):
+        # "1", True and np.True_ were stored as 1+0j, and None raised TypeError
+        with pytest.raises(ValueError, match=rf"^amplitude of \|e> is not a number: {re.escape(repr(bad))}$"):
+            StateVector({BasisKet(("e",)): bad, BasisKet(("m",)): 1.0})
+
+    @pytest.mark.parametrize("amp", [np.float32(0.5), np.int64(2), np.complex64(1j), np.float64(-1.0)], ids=repr)
+    def test_a_numpy_number_is_an_amplitude(self, amp):
+        assert StateVector({BasisKet(("e",)): amp}).amplitude(BasisKet(("e",))) == complex(amp)
+
     def test_mixed_register_counts_rejected(self):
         with pytest.raises(ValueError, match="register count"):
             StateVector({BasisKet(("e",)): 1.0, BasisKet(("e", "m")): 1.0})

@@ -467,9 +467,9 @@ def verify_invariance(
     alphabet = scheme.model.alphabet
     rows = _braided_rows(scheme, ops)
     batch = evaluate_trials(rows, trials, seed, tol)
-    pre_report = verify_masking(encode(scheme, batch.worst_coeffs), alphabet, tol=tol, seed=seed)
+    pre_report = verify_masking(encode(scheme, batch.worst_coeffs), alphabet, tol=tol)
     post_state = _combined(rows, np.array(batch.worst_coeffs), alphabet)
-    post_report = verify_masking(post_state, alphabet, tol=tol, seed=seed)
+    post_report = verify_masking(post_state, alphabet, tol=tol)
     return BraidReport(
         ops=ops,
         trials=trials,

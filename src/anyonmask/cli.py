@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .anyons import AnyonModel, abelian_c0, ising_like
-from .braid import BraidError, parse_ops, verify_invariance
+from .braid import parse_ops, verify_invariance
 from .latin import find_mols_pair, parse_triple, square_to_text
 from .masker import (
     BUILTIN_TRIPLES,
@@ -58,6 +58,16 @@ _COMPLEX_RE = re.compile(
     r")\s*$",
     re.ASCII,
 )
+
+
+def _ascii(convert):
+    """``convert`` (int or float) of ASCII text with no ``_``: both also read other scripts' digits and ``1_0``."""
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"{text!r} is not a number in ASCII digits")
+        return convert(text)
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def parse_complex(text: str) -> complex:
@@ -88,7 +98,7 @@ def parse_model(selector: str) -> AnyonModel:
         return ising_like(1)
     if selector.startswith("ising:"):
         try:
-            c = int(selector.split(":", 1)[1])
+            c = _ascii(int)(selector.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad Chern number in model selector {selector!r}") from None
         return ising_like(c)
@@ -115,7 +125,7 @@ def _default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        seed = int(raw)
+        seed = _ascii(int)(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     return check_seed(seed, SEED_ENV_VAR)
@@ -160,9 +170,9 @@ def _report_result(args: argparse.Namespace, command: str, config: dict, result)
 def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="abelian", help="abelian or ising[:c] (odd c)")
     parser.add_argument("--scheme", default=None, help="standard-d4, cyclic-d3, or a triple file")
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--trials", type=_ascii(int), default=100)
+    parser.add_argument("--seed", type=_ascii(int), default=None)
+    parser.add_argument("--tol", type=_ascii(float), default=DEFAULT_TOL)
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument(
         "--format", choices=("structured", "text"), default="structured", dest="fmt"
@@ -190,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_mols = sub.add_parser("mols", help="search for a mutually orthogonal Latin pair")
-    p_mols.add_argument("--dim", type=int, required=True)
+    p_mols.add_argument("--dim", type=_ascii(int), required=True)
 
     p_teleport = sub.add_parser("teleport", help="run the teleportation pipeline")
     p_teleport.add_argument(
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='three comma-separated complex coefficients, e.g. "0.6,0.8i,0"',
     )
-    p_teleport.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_teleport.add_argument("--tol", type=_ascii(float), default=DEFAULT_TOL)
     p_teleport.add_argument("--out", default=None)
     p_teleport.add_argument(
         "--format", choices=("structured", "text"), default="structured", dest="fmt"
@@ -316,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, BraidError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,13 +111,6 @@ def _combined(rows: np.ndarray, coeffs: np.ndarray, alphabet: Sequence[str]) -> 
     return dense_state((coeffs @ rows.reshape(len(coeffs), -1)).reshape(rows.shape[1:]), alphabet)
 
 
-def encode_basis(scheme: MaskingScheme, j: int) -> StateVector:
-    """The j-th encoder row (1/sqrt(d)) * sum_k |A[j][k], B[j][k], C[j][k]>."""
-    if check_seed(j, "row index j") >= scheme.d:
-        raise ValueError(f"row index {j} out of range for order {scheme.d}")
-    return dense_state(encoder_rows(scheme)[j], scheme.model.alphabet)
-
-
 def encode(scheme: MaskingScheme, coeffs: Sequence[complex]) -> StateVector:
     """Encode a unit coefficient vector; the result has norm 1."""
     coeffs = unit_coeffs(coeffs, scheme.d)
@@ -132,32 +125,26 @@ class MaskingReport:
     deviations: tuple[float, ...]
     tol: float
     verdict: bool
-    seed: Optional[int] = None
-    pair_deviations: Optional[dict[str, float]] = None
 
     @property
     def worst_deviation(self) -> float:
         return float(np.max(self.deviations))
 
     def record(self) -> dict:
-        rec = {
+        return {
             "per_party_deviation": list(self.deviations),
             "tol": self.tol,
             "verdict": "pass" if self.verdict else "fail",
-            "seed": self.seed,
         }
-        if self.pair_deviations is not None:
-            rec["pair_deviation_info"] = dict(sorted(self.pair_deviations.items()))
-        return rec
 
 
 @lru_cache(maxsize=None)
-def _maximally_mixed(alphabet: tuple[str, ...], n_registers: int) -> tuple[tuple, DensityMatrix]:
-    """The product basis of ``n_registers`` and I/d^n over it, built once per alphabet.
+def _maximally_mixed(alphabet: tuple[str, ...]) -> tuple[tuple, DensityMatrix]:
+    """The one-register basis and I/d over it, built once per alphabet.
 
     A ``DensityMatrix``'s entries are read-only, so every caller can share it.
     """
-    basis = product_basis(alphabet, n_registers)
+    basis = product_basis(alphabet, 1)
     return basis, DensityMatrix.maximally_mixed(basis)
 
 
@@ -165,34 +152,19 @@ def verify_masking(
     state: StateVector,
     alphabet: Sequence[str],
     tol: float = DEFAULT_TOL,
-    seed: Optional[int] = None,
-    include_pairs: bool = False,
 ) -> MaskingReport:
-    """Check that each single-party marginal of a 3-register state is I/d.
-
-    Two-party marginals are never part of the verdict; they can be
-    attached for information with ``include_pairs``.
-    """
+    """Check that each single-party marginal of a 3-register state is I/d."""
     check_tol(tol)
     if state.n_registers != 3:
         raise ValueError(f"masking verification needs 3 registers, got {state.n_registers}")
-    basis, target = _maximally_mixed(tuple(alphabet), 1)
+    basis, target = _maximally_mixed(tuple(alphabet))
     marginals = tuple(partial_trace(state, {party}, basis) for party in range(3))
     deviations = tuple(hs_distance(rho, target) for rho in marginals)
-    pair_devs = None
-    if include_pairs:
-        pair_basis, pair_target = _maximally_mixed(tuple(alphabet), 2)
-        pair_devs = {
-            f"{i}{j}": hs_distance(partial_trace(state, {i, j}, pair_basis), pair_target)
-            for i, j in ((0, 1), (0, 2), (1, 2))
-        }
     return MaskingReport(
         marginals=marginals,
         deviations=deviations,
         tol=tol,
         verdict=all(dev <= tol for dev in deviations),
-        seed=seed,
-        pair_deviations=pair_devs,
     )
 
 
@@ -238,7 +210,7 @@ def run_masking_campaign(
     seed = check_seed(seed)
     trials = check_seed(trials, "trials", positive=True)
     batch = evaluate_trials(encoder_rows(scheme), trials, seed, tol)
-    replay = verify_masking(encode(scheme, batch.worst_coeffs), scheme.model.alphabet, tol=tol, seed=seed)
+    replay = verify_masking(encode(scheme, batch.worst_coeffs), scheme.model.alphabet, tol=tol)
     return MaskingCampaignResult(
         trials=trials,
         seed=seed,

@@ -96,10 +96,6 @@ def basis_state(labels: Sequence[str], tag: str | None = None, amp: complex = 1.
     return StateVector({BasisKet(tuple(labels), tag): amp})
 
 
-def scale(state: StateVector, z: complex) -> StateVector:
-    return StateVector({ket: z * amp for ket, amp in state.items()})
-
-
 def norm(state: StateVector) -> float:
     return math.sqrt(sum(abs(a) ** 2 for a in state.amplitudes.values()))
 
@@ -285,8 +281,8 @@ def check_tol(tol: float, name: str = "tol") -> None:
 def check_seed(seed: int, name: str = "seed", positive: bool = False) -> int:
     """``seed`` as a plain int; ValueError unless it is a non-negative integer, of any size.
 
-    The package's one integer rule: seeds, trial counts, orders, cells, row
-    indices, kept registers, braid parties and outcomes.  None would draw
+    The package's one integer rule: seeds, trial counts, orders, cells,
+    kept registers, braid parties and outcomes.  None would draw
     from fresh OS entropy, a bool would run as 0 or 1 and a float is no
     index.  With ``positive`` it must be at least 1.  A numpy integer comes
     back as an int.

@@ -10,7 +10,10 @@ copy of the payload, fixed up by a diagonal correction.
 
 After the encoding both of Alice's registers are maximally mixed for
 every input, so the payload lives only in the correlations until the
-measurement outcome is announced.
+measurement outcome is announced.  The encoding is the Latin-square encoder
+of (constant-row, backward cyclic, constant-column): Alice's squares have
+permutation rows and the other two squares orthogonal; Bob's has constant
+rows, so his held register keeps the input populations.
 """
 
 from __future__ import annotations
@@ -127,6 +130,10 @@ def alice_projector_states() -> tuple[StateVector, StateVector, StateVector]:
     return tuple(states)
 
 
+# the projector amplitudes alice_measure reads, built once
+_PROJECTORS = tuple(state.amplitudes for state in alice_projector_states())
+
+
 def alice_measure(encoded: StateVector, outcome: int) -> tuple[float, StateVector]:
     """Project registers 0, 1 onto the normalized phase-pattern state.
 
@@ -135,11 +142,12 @@ def alice_measure(encoded: StateVector, outcome: int) -> tuple[float, StateVecto
     """
     _check_outcome(outcome)
     _check_untagged(encoded, 3, "measurement")
+    projector = _PROJECTORS[outcome - 1]
     bob = np.zeros(3, dtype=complex)
     for ket, amp in encoded.items():
-        x, y, z = (_SECTOR[label] for label in ket.labels)
-        # conjugate of the projector amplitude omega^((outcome-1)(y-x)), over norm 3
-        bob[z] += omega_power(-(outcome - 1) * (y - x)) * amp / 3.0
+        _, _, z = (_SECTOR[label] for label in ket.labels)  # a foreign label is refused by name
+        # conjugate of the projector amplitude on Alice's pair, over its norm 3
+        bob[z] += projector[BasisKet(ket.labels[:2])].conjugate() * amp / 3.0
     probability = float(np.sum(np.abs(bob) ** 2))
     if probability < 1e-15:
         raise ValueError(f"outcome {outcome} has zero probability on this state")

@@ -104,7 +104,7 @@ def unit_coeffs(draw, d):
     return vec / total
 
 
-def reference_encode_basis(scheme, j: int) -> StateVector:
+def reference_encode_row(scheme, j: int) -> StateVector:
     """Encoder row j as a dict loop over the columns of the triple."""
     alphabet, (a, b, c) = scheme.model.alphabet, (scheme.triple.a, scheme.triple.b, scheme.triple.c)
     amp = 1.0 / math.sqrt(scheme.d)
@@ -149,7 +149,7 @@ def labeled_campaign(scheme, trials: int, seed: int, tol: float) -> MaskingCampa
     failed = 0
     for _ in range(trials):
         coeffs = random_unit_coeffs(scheme.d, rng)
-        report = verify_masking(encode(scheme, coeffs), alphabet, tol=tol, seed=seed)
+        report = verify_masking(encode(scheme, coeffs), alphabet, tol=tol)
         for party, deviation in enumerate(report.deviations):
             # a NaN sticks, where max(worst, nan) would keep the old worst
             if deviation > per_party[party] or math.isnan(deviation):

@@ -36,7 +36,6 @@ from anyonmask.masker import (
     abelian_standard_scheme,
     bipartite_control,
     encode,
-    encode_basis,
     ising_cyclic_scheme,
     random_unit_coeffs,
     run_masking_campaign,
@@ -179,7 +178,7 @@ def test_criterion_4_ising_circling_matches_display():
 def test_criterion_5_orthogonality_oracles():
     ok = True
     for scheme in (abelian_standard_scheme(), ising_cyclic_scheme()):
-        rows = [encode_basis(scheme, j) for j in range(scheme.d)]
+        rows = [encode(scheme, basis) for basis in np.eye(scheme.d)]
         for i, row_i in enumerate(rows):
             for j, row_j in enumerate(rows):
                 target = 1.0 if i == j else 0.0

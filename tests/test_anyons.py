@@ -55,6 +55,16 @@ ISING_C1_R_TABLE = {
     (SIGMA, EPS, SIGMA): 12,
 }
 
+# (violation, model, field, key, value): one entry of one table changed, or the whole field if key is None
+STRUCTURAL_VIOLATIONS = [
+    ("self-inverse:e", "abelian", "fusion", (E, E), (M,)),
+    ("abelian-theta:e", "abelian", "theta_eighths", E, 8),
+    ("abelian-kappa:m", "abelian", "kappa", M, -1),
+    ("theta-sigma", "ising", "theta_eighths", SIGMA, 3),
+    ("kappa-sigma", "ising", "kappa", SIGMA, -1),
+    ("unknown-kind:fibonacci", "ising", "kind", None, "fibonacci"),
+]
+
 
 class TestPhaseFromEighths:
     def test_quarter_multiples_are_exact(self):
@@ -277,6 +287,16 @@ class TestValidateModel:
         report = validate_model(replace(ising_model, theta_eighths={**ising_model.theta_eighths, EPS: 24}))
         assert not report.ok
         assert "theta-eighths:eps" in report.violations
+
+    @pytest.mark.parametrize(
+        "violation, kind, field, key, value", STRUCTURAL_VIOLATIONS, ids=[case[0] for case in STRUCTURAL_VIOLATIONS]
+    )
+    def test_each_structural_violation_is_named(self, violation, kind, field, key, value, abelian_model, ising_model):
+        model = abelian_model if kind == "abelian" else ising_model
+        table = value if key is None else {**getattr(model, field), key: value}
+        report = validate_model(replace(model, **{field: table}))
+        assert not report.ok
+        assert violation in report.violations
 
     def test_float_tables_are_refused(self, ising_model):
         # every phase as a float (ising_like itself refuses a float Chern number)

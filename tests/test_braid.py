@@ -25,7 +25,7 @@ from anyonmask.braid import (
     tripartite_braid,
     verify_invariance,
 )
-from anyonmask.masker import encode, encode_basis, random_unit_coeffs, verify_masking
+from anyonmask.masker import encode, random_unit_coeffs, verify_masking
 from anyonmask.qstate import (
     PRUNE_EPS,
     BasisKet,
@@ -274,6 +274,10 @@ class TestTripartiteBraid:
         with pytest.raises(BraidError, match="Ising"):
             tripartite_braid(abelian_model, basis_state(["1", "1", "1"]))
 
+    def test_four_registers_rejected(self, ising_model):
+        with pytest.raises(BraidError, match="^the tripartite braid needs 3 registers, got 4$"):
+            apply_ops(ising_model, basis_state(["1"] * 4), parse_ops("t3"))
+
     def test_tagged_all_sigma_term_evolves_in_channel(self, ising_model):
         vac_in = basis_state(["sigma"] * 3, tag="1")
         eps_in = basis_state(["sigma"] * 3, tag="eps")
@@ -314,6 +318,13 @@ class TestTagBookkeeping:
             for sector in sectors.values()
         )
         assert np.max(np.abs(whole.entries - summed)) == 0.0
+
+    def test_no_ops_return_the_state_itself(self, ising_scheme):
+        # nothing is compiled and no label is checked, even a foreign one
+        _, state = seeded_encoded(ising_scheme, 37)
+        assert apply_ops(ising_scheme.model, state, []) is state
+        foreign = basis_state(["e", "m", "1"])
+        assert apply_ops(ising_scheme.model, foreign, ()) is foreign
 
 
 class TestOpStrings:
@@ -469,7 +480,7 @@ class TestCodeSpaceProperties:
         # (U E)^dagger (U E) = I over the d encoder rows: U is an isometry on the code space
         scheme = abelian_scheme if kind == "abelian" else ising_scheme
         ops = data.draw(st.lists(st.sampled_from(op_set(kind)), min_size=1, max_size=3))
-        rows = [apply_ops(scheme.model, encode_basis(scheme, j), ops) for j in range(scheme.d)]
+        rows = [apply_ops(scheme.model, encode(scheme, basis), ops) for basis in np.eye(scheme.d)]
         gram = np.array([[inner(a, b) for b in rows] for a in rows])
         np.testing.assert_allclose(gram, np.eye(scheme.d), rtol=0, atol=1e-12)
 
@@ -593,7 +604,7 @@ class TestOpTables:
         model, alphabet = scheme.model, scheme.model.alphabet
         for ops in itertools.product(op_set(kind), repeat=2):
             labeled = np.stack(
-                [dense_vector(reference_ops(model, encode_basis(scheme, j), ops), alphabet) for j in range(scheme.d)]
+                [dense_vector(reference_ops(model, encode(scheme, basis), ops), alphabet) for basis in np.eye(scheme.d)]
             )
             np.testing.assert_allclose(braid._braided_rows(scheme, ops), labeled, rtol=0, atol=1e-15)
 

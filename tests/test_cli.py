@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -82,6 +83,15 @@ class TestSelectors:
         with pytest.raises(ValueError, match="unknown model"):
             parse_model("fibonacci")
 
+    @pytest.mark.parametrize("chern", ["x", "1_5", "\u0663", "\uff11", ""])
+    def test_a_chern_number_not_in_ascii_digits_is_refused(self, chern, capsys):
+        # int() reads "1_5" as 15 and the Arabic-Indic or fullwidth digits as 3 and 1
+        message = f"bad Chern number in model selector {f'ising:{chern}'!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_model(f"ising:{chern}")
+        assert main(["verify", "--model", f"ising:{chern}", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_default_schemes(self):
         assert resolve_scheme(parse_model("abelian"), None).d == 4
         assert resolve_scheme(parse_model("ising"), None).d == 3
@@ -146,6 +156,27 @@ class TestVerifyCommand:
         code = main(["verify", "--model", "ising", "--trials", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--trials", "1_0"],
+            ["verify", "--trials", "2", "--seed", "\u0663"],
+            ["braid", "--ops", "xAB", "--seed", "\uff13"],
+            ["verify", "--tol", "\uff11e-12"],
+            ["teleport", "--input", "1,0,0", "--tol", "1e-1_2"],
+            ["mols", "--dim", "\u0663"],
+        ],
+        ids=repr,
+    )
+    def test_a_number_not_in_ascii_digits_is_usage_error(self, argv, capsys):
+        # int() and float() take other scripts' digits and grouping underscores
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        flag, value = argv[-2:]
+        kind = "float" if flag == "--tol" else "int"
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid {kind} value: {value!r}\n")
+
     @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
         # exit 1 means a gated check failed; a report that cannot be written
@@ -192,6 +223,13 @@ class TestVerifyCommand:
         monkeypatch.delenv("ANYONMASK_SEED")
         main(["verify", "--model", "ising", "--trials", "5", "--seed", "99", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("raw", ["seven", "1_1", "\u0661\u0661"])
+    def test_a_seed_variable_that_is_no_ascii_integer_is_usage_error(self, raw, monkeypatch, capsys):
+        # int() reads "1_1" and the two Arabic-Indic ones as 11
+        monkeypatch.setenv("ANYONMASK_SEED", raw)
+        assert main(["verify", "--model", "ising", "--trials", "2"]) == 2
+        assert capsys.readouterr().err == f"error: ANYONMASK_SEED must be an integer, got {raw!r}\n"
 
 
 class TestBraidCommand:
@@ -317,6 +355,10 @@ class TestTeleportCommand:
     def test_arity_error(self, capsys):
         assert main(["teleport", "--input", "1,1"]) == 2
         assert "3 coefficients" in capsys.readouterr().err
+
+    def test_zero_input_is_usage_error(self, capsys):
+        assert main(["teleport", "--input", "0,0,0"]) == 2
+        assert capsys.readouterr().err == "error: teleport input must be a nonzero vector\n"
 
     def test_bad_literal_error(self, capsys):
         assert main(["teleport", "--input", "1,zap,0"]) == 2

@@ -71,6 +71,14 @@ class TestSquareCells:
         assert all(type(x) is int for row in square.cells for x in row)
         assert is_latin(square)
 
+    def test_a_ragged_row_is_refused(self):
+        with pytest.raises(ValueError, match="^square rows must all have length d$"):
+            Square(((0, 1), (1,)))
+
+    def test_a_cell_of_the_order_or_more_is_refused(self):
+        with pytest.raises(ValueError, match=r"^cell value 2 outside 0\.\.1$"):
+            Square(((0, 1), (2, 0)))
+
 
 class TestOrthogonality:
     def test_standard_pair(self):
@@ -166,6 +174,10 @@ class TestClassify:
     def test_other(self):
         assert classify(Square(((0, 0, 1), (0, 1, 2), (1, 2, 0)))) == OTHER
 
+    def test_order_one_is_latin(self):
+        # the one 1 x 1 square is also constant-row and constant-column
+        assert classify(Square(((0,),))) == LATIN
+
 
 class TestStandardSquaresD4:
     def test_b_row_one(self):
@@ -208,6 +220,16 @@ class TestValidateTriple:
         )
         assert not report.ok
         assert "B-not-latin" in report.violations
+
+    def test_non_latin_c_fails(self):
+        report = validate_triple(
+            SchemeTriple(
+                a=constant_row_square(3),
+                b=cyclic_square(3, "forward"),
+                c=constant_column_square(3),
+            )
+        )
+        assert report.violations == ("C-not-latin",)
 
     def test_arbitrary_a_fails(self):
         report = validate_triple(

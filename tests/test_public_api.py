@@ -24,10 +24,10 @@ PUBLIC_NAMES = (
     "TeleportRun", "VAC", "__version__", "abelian_c0", "abelian_standard_scheme",
     "alice_measure", "apply_ops", "are_orthogonal", "basis_state", "bipartite_control",
     "build_channel", "build_joint", "circle", "correct", "cyclic_square", "cyclic_triple",
-    "encode", "encode_basis", "exchange", "find_mols_pair", "fuse", "hs_distance", "inner",
+    "encode", "exchange", "find_mols_pair", "fuse", "hs_distance", "inner",
     "is_latin", "ising_cyclic_scheme", "ising_like", "monodromy", "norm", "parse_ops",
     "partial_trace", "permutation_encode", "phase_from_eighths", "r_phase",
-    "run_masking_campaign", "run_teleport", "scale", "standard_squares_d4", "tensor",
+    "run_masking_campaign", "run_teleport", "standard_squares_d4", "tensor",
     "tripartite_braid", "validate_model", "validate_triple", "verify_invariance",
     "verify_masking",
 )
@@ -42,7 +42,7 @@ def tracer_targets():
 
 
 def test_all_is_pinned():
-    assert len(anyonmask.__all__) == len(set(anyonmask.__all__)) == 57
+    assert len(anyonmask.__all__) == len(set(anyonmask.__all__)) == 55
     assert sorted(anyonmask.__all__) == sorted(PUBLIC_NAMES)
 
 

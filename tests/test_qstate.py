@@ -19,7 +19,6 @@ from anyonmask.qstate import (
     norm,
     partial_trace,
     product_basis,
-    scale,
     tagged_basis,
     tensor,
     unit_coeffs,
@@ -88,11 +87,6 @@ class TestInnerNormScale:
         s1 = basis_state(["sigma", "sigma", "sigma"], tag="1")
         s2 = basis_state(["sigma", "sigma", "sigma"], tag="eps")
         assert inner(s1, s2) == 0
-
-    def test_unit_phase_scale_preserves_norm(self):
-        state = StateVector({BasisKet(("e",)): 0.6, BasisKet(("m",)): 0.8})
-        phase = complex(math.cos(0.7), math.sin(0.7))
-        assert norm(scale(state, phase)) == pytest.approx(norm(state), abs=1e-15)
 
     @given(small_states(), small_states(n_min=1, n_max=3))
     @settings(max_examples=60, deadline=None)
@@ -281,6 +275,10 @@ class TestDensityMatrix:
         rho = DensityMatrix.maximally_mixed(product_basis(ABELIAN, 1))
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 9.0
+
+    def test_entries_of_another_shape_are_refused(self):
+        with pytest.raises(ValueError, match=r"^entries shape \(3, 3\) does not match basis size 4$"):
+            DensityMatrix(product_basis(ABELIAN, 1), np.eye(3))
 
 
 class TestStateVector:

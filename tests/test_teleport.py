@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from anyonmask.anyons import ISING_ALPHABET
+from anyonmask import masker
+from anyonmask.latin import constant_column_square, constant_row_square, cyclic_square
 from anyonmask.masker import random_unit_coeffs
 from anyonmask.qstate import (
     BasisKet,
@@ -172,6 +174,16 @@ class TestPermutationEncode:
         rho = partial_trace(encoded, {2}, product_basis(LABELS, 1))
         np.testing.assert_allclose(rho.entries, np.diag([0.36, 0.64, 0.0]), atol=1e-12)
 
+    def test_is_the_latin_square_encoder_of_a_triple(self):
+        # A = constant-row, B = backward cyclic, C = constant-column: validate_triple
+        # refuses it (C-not-latin), so the encoder rows are built from the squares
+        rows = masker._rows((constant_row_square(3), cyclic_square(3, "backward"), constant_column_square(3)))
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            coeffs = random_unit_coeffs(3, rng)
+            latin = masker._combined(rows, coeffs, ISING_ALPHABET)
+            assert permutation_encode(build_joint(coeffs)).amplitudes == latin.amplitudes
+
     def test_tagged_state_rejected(self):
         state = StateVector({BasisKet(("1", "1", "1"), "eps"): 1.0})
         with pytest.raises(ValueError, match="untagged"):
@@ -239,6 +251,13 @@ class TestAliceMeasure:
         encoded = permutation_encode(build_joint([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="outcome"):
             alice_measure(encoded, 0)
+
+    def test_an_outcome_of_zero_probability_is_refused(self):
+        # Alice's pairs |1 1> and |eps eps> have y = x, phase 1 in every projector, so the kets cancel
+        half = 1 / math.sqrt(2)
+        state = StateVector({BasisKet(("1", "1", "1")): half, BasisKet(("eps", "eps", "1")): -half})
+        with pytest.raises(ValueError, match="^outcome 1 has zero probability on this state$"):
+            alice_measure(state, 1)
 
 
 class TestCorrect:

@@ -1,9 +1,7 @@
 import json
 import os
-import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -44,53 +42,12 @@ class TestComplexLiterals:
         assert parse_complex(repr(x)) == x
         assert parse_complex(f"{x!r}{-x:+}i") == complex(x, -x)
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "one", "1+2j", "i2", "1 + 2i", "--3", "nan", "inf", "-inf", "infinity",
-         "nani", "1+infi", "1e", "e5", "1e5.0", "1e-5e3", "1e+i"],
-    )
-    def test_invalid_forms(self, text):
-        with pytest.raises(ValueError, match="complex literal"):
-            parse_complex(text)
-
-    @pytest.mark.parametrize(
-        "text",
-        ["\u0661", "\u0661.\u0665", "0.5+\u0663i", "\uff11", "1\u2003", "\u00a01", "\U0001d7d9e5"],
-    )
-    def test_only_ascii_digits_and_spaces_parse(self, text):
-        # \d and \s also take the digits and spaces of other scripts, and float() reads them
-        with pytest.raises(ValueError, match="cannot parse complex literal"):
-            parse_complex(text)
-
-    @pytest.mark.parametrize("text", ["1e400", "-1e400i", "9" * 400, "1+1e309i"])
-    def test_a_part_too_large_for_a_float_is_refused(self, text):
-        # float() turns each of these into inf, which a teleport would normalize into NaN
-        with pytest.raises(ValueError, match="too large for a float"):
-            parse_complex(text)
-
 
 class TestSelectors:
     def test_models(self):
         assert parse_model("abelian").name == "abelian-c0"
         assert parse_model("ising").name == "ising-c1"
         assert parse_model("ising:3").name == "ising-c3"
-
-    def test_even_chern_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            parse_model("ising:2")
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            parse_model("fibonacci")
-
-    @pytest.mark.parametrize("chern", ["x", "1_5", "\u0663", "\uff11", ""])
-    def test_a_chern_number_not_in_ascii_digits_is_refused(self, chern, capsys):
-        # int() reads "1_5" as 15 and the Arabic-Indic or fullwidth digits as 3 and 1
-        message = f"bad Chern number in model selector {f'ising:{chern}'!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            parse_model(f"ising:{chern}")
-        assert main(["verify", "--model", f"ising:{chern}", "--trials", "1"]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_default_schemes(self):
         assert resolve_scheme(parse_model("abelian"), None).d == 4
@@ -102,10 +59,6 @@ class TestSelectors:
         path.write_text(triple_to_text(cyclic_triple(3), model.alphabet))
         scheme = resolve_scheme(model, str(path))
         assert scheme.triple == cyclic_triple(3)
-
-    def test_missing_scheme_rejected(self):
-        with pytest.raises(ValueError, match="neither"):
-            resolve_scheme(parse_model("ising"), "no-such-scheme")
 
 
 class TestVerifyCommand:
@@ -147,57 +100,6 @@ class TestVerifyCommand:
         assert "verdict: pass" in text
         assert "config.model: ising-c1" in text
 
-    def test_even_chern_is_usage_error(self, capsys):
-        code = main(["verify", "--model", "ising:2", "--trials", "1"])
-        assert code == 2
-        assert "odd" in capsys.readouterr().err
-
-    def test_bad_trials_rejected(self, capsys):
-        code = main(["verify", "--model", "ising", "--trials", "0"])
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--trials", "1_0"],
-            ["verify", "--trials", "2", "--seed", "\u0663"],
-            ["braid", "--ops", "xAB", "--seed", "\uff13"],
-            ["verify", "--tol", "\uff11e-12"],
-            ["teleport", "--input", "1,0,0", "--tol", "1e-1_2"],
-            ["mols", "--dim", "\u0663"],
-        ],
-        ids=repr,
-    )
-    def test_a_number_not_in_ascii_digits_is_usage_error(self, argv, capsys):
-        # int() and float() take other scripts' digits and grouping underscores
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        flag, value = argv[-2:]
-        kind = "float" if flag == "--tol" else "int"
-        assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid {kind} value: {value!r}\n")
-
-    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
-        # exit 1 means a gated check failed; a report that cannot be written
-        # raised FileNotFoundError or IsADirectoryError out of main
-        out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
-        assert main(["verify", "--trials", "10", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-
-    @pytest.mark.parametrize("command", ["verify", "braid", "teleport"])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-12"])
-    def test_bad_tol_is_usage_error(self, capsys, command, tol):
-        # --tol nan used to fail every trial (exit 1) and --tol inf to pass every one
-        extra = {
-            "verify": ["--model", "ising", "--trials", "2"],
-            "braid": ["--model", "ising", "--ops", "t3", "--trials", "2"],
-            "teleport": ["--input", "1,0,0"],
-        }[command]
-        assert main([command, *extra, f"--tol={tol}"]) == 2
-        assert "--tol must be finite and positive" in capsys.readouterr().err
-
     def test_custom_scheme_file(self, tmp_path, capsys):
         model = parse_model("ising")
         path = tmp_path / "triple.txt"
@@ -223,13 +125,6 @@ class TestVerifyCommand:
         monkeypatch.delenv("ANYONMASK_SEED")
         main(["verify", "--model", "ising", "--trials", "5", "--seed", "99", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
-
-    @pytest.mark.parametrize("raw", ["seven", "1_1", "\u0661\u0661"])
-    def test_a_seed_variable_that_is_no_ascii_integer_is_usage_error(self, raw, monkeypatch, capsys):
-        # int() reads "1_1" and the two Arabic-Indic ones as 11
-        monkeypatch.setenv("ANYONMASK_SEED", raw)
-        assert main(["verify", "--model", "ising", "--trials", "2"]) == 2
-        assert capsys.readouterr().err == f"error: ANYONMASK_SEED must be an integer, got {raw!r}\n"
 
 
 class TestBraidCommand:
@@ -262,37 +157,11 @@ class TestBraidCommand:
         assert payload["results"]["ops"] == "t3;xBC"
         assert payload["verdict"] == "pass"
 
-    def test_non_adjacent_exchange_rejected(self, capsys):
-        code = main(["braid", "--model", "abelian", "--ops", "xAC", "--trials", "5"])
-        assert code == 2
-        assert "adjacent" in capsys.readouterr().err
-
-    def test_unknown_token_rejected(self, capsys):
-        code = main(["braid", "--model", "abelian", "--ops", "frobnicate", "--trials", "5"])
-        assert code == 2
-
-    def test_tripartite_needs_ising(self, capsys):
-        code = main(["braid", "--model", "abelian", "--ops", "t3", "--trials", "5"])
-        assert code == 2
-        assert "Ising" in capsys.readouterr().err
-
     def test_a_resolved_exchange_runs_and_is_recorded(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(["braid", "--model", "ising", "--ops", "xAB:eps", "--trials", "5", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["results"]["ops"] == "xAB:eps"
         assert " [xAB:eps]: 5 trials" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "ops, message",
-        [
-            ("xAB:eps;xAB:1", "already fuses in channel 'eps'; cannot resolve to '1'"),
-            ("cAB:eps", "only an exchange takes a channel mode"),
-            ("xDE", "party indices (3, 4) out of range for 3 registers"),
-        ],
-    )
-    def test_an_op_string_that_cannot_run_is_usage_error(self, capsys, ops, message):
-        assert main(["braid", "--model", "ising", "--ops", ops, "--trials", "5"]) == 2
-        assert message in capsys.readouterr().err
 
     def test_summary_names_the_canonical_ops(self, capsys):
         assert main(["braid", "--model", "abelian", "--ops", " xAB ;; cBC ", "--trials", "2"]) == 0
@@ -331,10 +200,6 @@ class TestMolsCommand:
         assert main(["mols", "--dim", "2"]) == 0
         assert capsys.readouterr().out.strip() == "none"
 
-    def test_dim_nine_bound_error(self, capsys):
-        assert main(["mols", "--dim", "9"]) == 2
-        assert "bounded" in capsys.readouterr().err
-
 
 class TestTeleportCommand:
     def test_basis_input(self, capsys):
@@ -352,52 +217,15 @@ class TestTeleportCommand:
         for outcome in payload["results"]["outcomes"]:
             assert abs(outcome["fidelity"] - 1.0) <= 1e-12
 
-    def test_arity_error(self, capsys):
-        assert main(["teleport", "--input", "1,1"]) == 2
-        assert "3 coefficients" in capsys.readouterr().err
-
-    def test_zero_input_is_usage_error(self, capsys):
-        assert main(["teleport", "--input", "0,0,0"]) == 2
-        assert capsys.readouterr().err == "error: teleport input must be a nonzero vector\n"
-
-    def test_bad_literal_error(self, capsys):
-        assert main(["teleport", "--input", "1,zap,0"]) == 2
-        assert "complex literal" in capsys.readouterr().err
-
     def test_non_unit_input_normalized_with_warning(self, capsys):
         code = main(["teleport", "--input", "1,1,0"])
         assert code == 0
         assert "normalizing" in capsys.readouterr().err
 
-    def test_a_non_ascii_digit_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "tp.txt"
-        assert main(["teleport", "--input=\u0661,0,0", "--format", "text", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: cannot parse complex literal '\u0661'\n"
-        assert not out.exists()
-
     def test_exponent_input(self, capsys):
         # 1e-05 is how Python prints that float; it used to exit 2
         assert main(["teleport", "--input=1e-05,1,0"]) == 0
         assert "normalizing" in capsys.readouterr().err
-
-    def test_overflowing_literal_is_usage_error(self, capsys):
-        # the token parsed to inf, was "normalized" into NaN with a numpy
-        # RuntimeWarning, and the error named NaN coefficients nobody typed
-        token = "1" * 400
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["teleport", f"--input={token},0,0"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: complex literal {token!r} is too large for a float\n"
-
-    @pytest.mark.parametrize("text,way", [("1e200,1e200i,0", "overflows"), ("1e-200,0,0", "underflows")])
-    def test_norm_out_of_float_range_is_usage_error(self, capsys, text, way):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["teleport", f"--input={text}"]) == 2
-        assert capsys.readouterr().err == f"error: teleport input norm^2 {way} a float; scale the coefficients\n"
 
 
 class TestSharedParser:

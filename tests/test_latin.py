@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,34 +48,11 @@ class TestIsLatin:
 class TestSquareCells:
     """A cell is an alphabet index: int() would truncate a float and parse a string."""
 
-    @pytest.mark.parametrize(
-        "cells,cell,value",
-        [
-            (((0, 1.9), (1.2, 0)), "(0, 1)", "1.9"),
-            ((("0", "1"), ("1", "0")), "(0, 0)", "'0'"),
-            (((0, 1), (True, 0)), "(1, 0)", "True"),
-            (((0, 1), (1, None)), "(1, 1)", "None"),
-            (((0, -1), (1, 0)), "(0, 1)", "-1"),
-        ],
-    )
-    def test_a_non_index_cell_is_refused_by_position(self, cells, cell, value):
-        message = f"cell {cell} must be a non-negative integer, got {value}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Square(cells)
-
     def test_numpy_integers_are_stored_as_ints(self):
         square = Square(((np.int64(0), np.uint8(1)), (np.int32(1), 0)))
         assert square.cells == ((0, 1), (1, 0))
         assert all(type(x) is int for row in square.cells for x in row)
         assert is_latin(square)
-
-    def test_a_ragged_row_is_refused(self):
-        with pytest.raises(ValueError, match="^square rows must all have length d$"):
-            Square(((0, 1), (1,)))
-
-    def test_a_cell_of_the_order_or_more_is_refused(self):
-        with pytest.raises(ValueError, match=r"^cell value 2 outside 0\.\.1$"):
-            Square(((0, 1), (2, 0)))
 
 
 class TestOrthogonality:
@@ -92,10 +67,6 @@ class TestOrthogonality:
 
     def test_cyclic_d3_pair(self):
         assert are_orthogonal(cyclic_square(3, "forward"), cyclic_square(3, "backward"))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="order mismatch"):
-            are_orthogonal(cyclic_square(3, "forward"), cyclic_square(4, "forward"))
 
     @given(st.integers(1, 7), st.integers(1, 7))
     @settings(max_examples=30, deadline=None)
@@ -139,10 +110,6 @@ class TestCyclicSquares:
     def test_row_zero_is_identity(self, d):
         for direction in ("forward", "backward"):
             assert cyclic_square(d, direction).row(0) == tuple(range(d))
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError, match="direction"):
-            cyclic_square(3, "sideways")
 
     @pytest.mark.parametrize(
         "square",
@@ -242,14 +209,6 @@ class TestValidateTriple:
         assert not report.ok
         assert "A-not-constant-or-latin" in report.violations
 
-    def test_mismatched_orders_rejected(self):
-        with pytest.raises(ValueError, match="share one order"):
-            SchemeTriple(
-                a=constant_row_square(3),
-                b=cyclic_square(4, "forward"),
-                c=cyclic_square(3, "backward"),
-            )
-
 
 class TestFindMolsPair:
     def test_d3_returns_valid_pair(self):
@@ -275,10 +234,6 @@ class TestFindMolsPair:
     def test_d1_trivial_pair(self):
         pair = find_mols_pair(1)
         assert pair is not None
-
-    def test_search_bound(self):
-        with pytest.raises(ValueError, match="bounded"):
-            find_mols_pair(9)
 
     def test_deterministic(self):
         assert find_mols_pair(4) == find_mols_pair(4)
@@ -333,18 +288,3 @@ class TestTextFormat:
         text = triple_to_text(triple, ISING).replace("\n", "\r\n")
         assert parse_triple(text, ISING) == triple
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown label"):
-            parse_square("1 eps bogus\n", ISING)
-
-    def test_wrong_row_count_rejected(self):
-        with pytest.raises(ValueError, match="rows"):
-            parse_square("1 eps sigma\n", ISING)
-
-    def test_wrong_block_count_rejected(self):
-        with pytest.raises(ValueError, match="three"):
-            parse_triple("1 eps sigma\neps sigma 1\nsigma 1 eps\n", ISING)
-
-    def test_alphabet_size_checked(self):
-        with pytest.raises(ValueError, match="alphabet"):
-            square_to_text(cyclic_square(4, "forward"), ISING)

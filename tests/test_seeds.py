@@ -6,10 +6,11 @@ nor the flag.  Each now raises ValueError at the call, and the CLI exits
 2 naming ``--seed`` or ``ANYONMASK_SEED``.  A trial count goes through the
 same integer test and must also be positive: True ran one trial recorded
 as ``"trials": true``, and 2.5 or None raised TypeError from ``range``.
+Those cases are rows of ``test_refusals.py``; here every integer of any
+size runs, numpy's included.
 """
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -20,20 +21,11 @@ from anyonmask.masker import encoder_rows, run_masking_campaign
 from anyonmask.qstate import check_seed
 from anyonmask.trials import evaluate_trials
 
-BAD_SEEDS = [None, True, -1, 1.5, "3"]
-
 ENTRY_POINTS = {
     "evaluate_trials": lambda s, seed=3, trials=5: evaluate_trials(encoder_rows(s), trials, seed, 1e-12),
     "run_masking_campaign": lambda s, seed=3, trials=5: run_masking_campaign(s, trials, seed),
     "verify_invariance": lambda s, seed=3, trials=5: verify_invariance(s, parse_ops("xAB"), trials, seed=seed),
 }
-
-
-@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-def test_bad_seed_rejected(ising_scheme, name, seed):
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        ENTRY_POINTS[name](ising_scheme, seed)
 
 
 def test_a_seed_of_any_size_runs(ising_scheme):
@@ -49,35 +41,10 @@ def test_integers_pass(seed):
     assert type(value) is int and value == seed
 
 
-def test_the_message_names_the_argument():
-    with pytest.raises(ValueError, match=r"--seed must be a non-negative integer, got -1"):
-        check_seed(-1, "--seed")
-
-
-@pytest.mark.parametrize("command", ["verify", "braid"])
-def test_cli_negative_seed_exits_2(command, capsys, monkeypatch):
-    extra = ["--ops", "xAB"] if command == "braid" else []
-    assert main([command, "--model", "ising", "--trials", "5", "--seed", "-1"] + extra) == 2
-    assert "error: --seed must be a non-negative integer, got -1" in capsys.readouterr().err
-    monkeypatch.setenv("ANYONMASK_SEED", "-3")
-    assert main([command, "--model", "ising", "--trials", "5"] + extra) == 2
-    assert "error: ANYONMASK_SEED must be a non-negative integer, got -3" in capsys.readouterr().err
-
-
 def test_cli_huge_seed_runs(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--model", "ising", "--trials", "5", "--seed", str(2**70), "--out", str(out)]) == 0
     assert f'"seed": {2**70}' in out.read_text()
-
-
-BAD_TRIAL_COUNTS = [True, 0, -1, 2.5, 3.0, None, "3"]
-
-
-@pytest.mark.parametrize("count", BAD_TRIAL_COUNTS, ids=repr)
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-def test_bad_trial_count_rejected(ising_scheme, name, count):
-    with pytest.raises(ValueError, match=f"trials must be a positive integer, got {re.escape(repr(count))}"):
-        ENTRY_POINTS[name](ising_scheme, trials=count)
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))

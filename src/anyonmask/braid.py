@@ -389,9 +389,18 @@ def _braid_dense(model: AnyonModel, ops: Sequence[BraidOp], n: int, psi: np.ndar
     return psi
 
 
+def _op_tuple(ops: Sequence[BraidOp]) -> tuple[BraidOp, ...]:
+    """``ops`` as a tuple; BraidError for anything that is no ``BraidOp``, an op string included."""
+    found = (ops,) if isinstance(ops, str) else tuple(ops)
+    for op in found:
+        if not isinstance(op, BraidOp):
+            raise BraidError(f"an op must be a BraidOp, got {op!r}; parse_ops reads an op string")
+    return found
+
+
 def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> StateVector:
     """Apply the ops in order: dense once, a gather per op, labeled once."""
-    ops = tuple(ops)
+    ops = _op_tuple(ops)
     if not ops:
         return state
     n = state.n_registers
@@ -463,7 +472,7 @@ def verify_invariance(
     check_tol(tol)
     seed = check_seed(seed)
     trials = check_seed(trials, "trials", positive=True)
-    ops = tuple(ops)
+    ops = _op_tuple(ops)
     alphabet = scheme.model.alphabet
     rows = _braided_rows(scheme, ops)
     batch = evaluate_trials(rows, trials, seed, tol)

@@ -116,7 +116,7 @@ def resolve_scheme(model: AnyonModel, selector: Optional[str]) -> MaskingScheme:
             raise ValueError(
                 f"scheme {selector!r} is neither a built-in ({', '.join(BUILTIN_TRIPLES)}) nor a file"
             )
-        triple = parse_triple(path.read_text(), model.alphabet)
+        triple = parse_triple(path.read_text(encoding="utf-8"), model.alphabet)
     return MaskingScheme(model=model, triple=triple)
 
 

@@ -29,6 +29,8 @@ class Square:
 
     def __post_init__(self) -> None:
         d = len(self.cells)
+        if d == 0:
+            raise ValueError("a square needs at least one row")
         cells = tuple(
             tuple(check_seed(x, f"cell ({j}, {k})") for k, x in enumerate(row))
             for j, row in enumerate(self.cells)

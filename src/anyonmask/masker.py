@@ -130,13 +130,6 @@ class MaskingReport:
     def worst_deviation(self) -> float:
         return float(np.max(self.deviations))
 
-    def record(self) -> dict:
-        return {
-            "per_party_deviation": list(self.deviations),
-            "tol": self.tol,
-            "verdict": "pass" if self.verdict else "fail",
-        }
-
 
 @lru_cache(maxsize=None)
 def _maximally_mixed(alphabet: tuple[str, ...]) -> tuple[tuple, DensityMatrix]:

@@ -243,10 +243,21 @@ def hs_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
 
 
 def finite_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
-    """``coeffs`` as a complex array; ValueError unless it holds d finite values."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (d,):
-        raise ValueError(f"expected {d} coefficients, got shape {coeffs.shape}")
+    """``coeffs`` as a complex array; ValueError unless it holds d finite numbers.
+
+    A bool or anything that is no number is refused by position, as a
+    ``StateVector`` amplitude is: a complex array would hold "1" and True
+    as 1 and None as NaN.
+    """
+    array = np.asarray(coeffs)
+    if array.shape != (d,):
+        raise ValueError(f"expected {d} coefficients, got shape {array.shape}")
+    if not (isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "iufc"):  # a numeric array holds numbers
+        for position, value in enumerate(coeffs):
+            if not isinstance(value, (complex, float)):  # one quick check for the usual coefficient
+                if isinstance(value, bool) or not isinstance(value, numbers.Number):  # np.True_ is no Number
+                    raise ValueError(f"coefficient {position} is not a number: {value!r}")
+    coeffs = array.astype(complex, copy=False)
     if not np.isfinite(coeffs).all():
         raise ValueError(f"coefficients must be finite, got {coeffs}")
     return coeffs

@@ -284,13 +284,13 @@ class TestSharedParser:
 
 
 class TestReportEncoding:
-    """Reports are UTF-8 whatever the locale: an --ops or --scheme argument can hold any character."""
+    """Reports and scheme files are UTF-8 whatever the locale: an --ops or --scheme argument can hold any character."""
 
-    def test_text_report_under_an_ascii_locale(self, tmp_path):
-        out = tmp_path / "report.txt"
+    @staticmethod
+    def run_under_an_ascii_locale(argv: list[str]) -> subprocess.CompletedProcess:
+        """``main(argv)`` in a process whose locale encodes files as ASCII; skipped where there is none."""
         # the argv is written in the script, so it reaches main as text whatever the locale decodes;
-        # stdout is UTF-8, as the summary line echoes the ops, so only the report file sees the locale
-        argv = ["braid", "--ops", "xAB;\u00a0cBC", "--trials", "2", "--format", "text", "--out", str(out)]
+        # stdout is UTF-8, as the summary line echoes the ops, so only the files see the locale
         script = f"import sys; from anyonmask.cli import main; sys.exit(main({argv!r}))"
         env = {
             **os.environ,
@@ -306,9 +306,23 @@ class TestReportEncoding:
         )
         if probe.stdout.strip().lower() in ("utf-8", "utf8"):
             pytest.skip("this platform writes files as UTF-8 even in the C locale")
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
+    def test_text_report_under_an_ascii_locale(self, tmp_path):
+        out = tmp_path / "report.txt"
+        argv = ["braid", "--ops", "xAB;\u00a0cBC", "--trials", "2", "--format", "text", "--out", str(out)]
+        proc = self.run_under_an_ascii_locale(argv)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "config.ops: xAB;\u00a0cBC\n" in out.read_bytes().decode("utf-8")
+
+    def test_a_scheme_file_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # it was read in the locale's encoding: one no-break space in it exited 2 as "'ascii' codec can't decode"
+        scheme = tmp_path / "triple.txt"
+        text = triple_to_text(cyclic_triple(3), ("1", "eps", "sigma")).replace(" ", "\u00a0", 1)
+        scheme.write_text(text, encoding="utf-8")
+        proc = self.run_under_an_ascii_locale(["verify", "--model", "ising", "--scheme", str(scheme), "--trials", "2"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "verify ising-c1: 2 trials" in proc.stdout
 
     def test_a_non_ascii_scheme_path_reaches_the_text_report(self, tmp_path):
         scheme = tmp_path / "sch\u00e9ma.txt"

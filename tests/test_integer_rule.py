@@ -4,9 +4,7 @@ Orders, row indices and teleport outcomes had their own range tests, and
 those let a bool or a float through: ``find_mols_pair(True)`` returned a
 1 x 1 pair, ``alice_measure(enc, True)`` ran as outcome 1, and
 ``alice_measure(enc, 2.0)`` failed later with an error that did not name
-it.  Each now raises ValueError naming the argument: those cases are rows
-of ``test_refusals.py``.  Here a numpy integer runs as the int it holds,
-and only the rule converts to an index.
+it.  Each now raises ValueError naming the argument, a row of ``test_refusals.py``.
 """
 
 import ast

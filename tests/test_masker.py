@@ -245,13 +245,6 @@ class TestVerifyMasking:
             rho_b = partial_trace(second, {party}, basis)
             assert np.max(np.abs(rho_a.entries - rho_b.entries)) <= 2e-12
 
-    def test_report_record_fields(self, ising_scheme):
-        state = encode(ising_scheme, [0.0, 1.0, 0.0])
-        record = verify_masking(state, ising_scheme.model.alphabet).record()
-        assert set(record) == {"per_party_deviation", "tol", "verdict"}
-        assert record["verdict"] == "pass"
-        assert len(record["per_party_deviation"]) == 3
-
 
 class TestSchemeVariants:
     def test_swapping_b_and_c_still_masks(self, ising_scheme):

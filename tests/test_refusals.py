@@ -1,25 +1,24 @@
-"""Every refusal of the package, one row each, checked by one test.
+"""Every refusal of the package, one row each, checked by one test; a new refusal is one more row.
 
-A library row names an entry point, the arguments it is called with, the
-exception it must raise and a pattern its message must match
-(``re.search``, as ``pytest.raises`` reads it; None checks the type only).
-A CLI row gives the argv of ``cli.main`` (``{tmp}`` is a fresh empty
-directory), any ``ANYONMASK_SEED``, whether argparse raises
-``SystemExit(2)`` or ``main`` returns 2, and a pattern searched in stderr.
-Every CLI row also runs with warnings as errors and must print nothing to
-stdout, no traceback to stderr, and write no file.
-
-A new refusal is one more row.  Tests that check a result stay in their
-own files, and so do the bit-for-bit cross-checks of ``test_batch.py``.
+A library row names an entry point, its arguments, the exception it must
+raise and a pattern its message must match (``re.search``, as
+``pytest.raises`` reads it; None checks the type only).  A CLI row gives
+the argv of ``cli.main`` (``{tmp}`` is a fresh empty directory), any
+``ANYONMASK_SEED``, whether argparse raises ``SystemExit(2)`` or ``main``
+returns 2, and a pattern searched in stderr; every CLI row also runs with
+warnings as errors and must print nothing to stdout, no traceback to
+stderr, and write no file.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -92,6 +91,7 @@ from anyonmask.trials import evaluate_trials
 ABELIAN, ISING = abelian_c0(), ising_like(1)
 ABELIAN_SCHEME, ISING_SCHEME = abelian_standard_scheme(), ising_cyclic_scheme()
 ISING_LABELS = ("1", "eps", "sigma")
+ENCODED = permutation_encode(build_joint([1.0, 0.0, 0.0]))
 
 
 @dataclass(frozen=True)
@@ -111,24 +111,23 @@ class Cli:
     env: Optional[str] = None
 
 
-def refuse(id: str, error: type[Exception], match: Optional[str], entry: Callable, /, *args: Any, **kwargs: Any):
-    return pytest.param(Call(entry, args, kwargs, error, match), id=id)
+def refuse(name: str, error: type[Exception], match: Optional[str], entry: Callable, /, *args: Any, **kwargs: Any):
+    return pytest.param(Call(entry, args, kwargs, error, match), id=name)
 
 
-def cli(id: str, err: str, *argv: str, exits: bool = False, env: Optional[str] = None):
-    return pytest.param(Cli(argv, err, exits, env), id=f"cli-{id}")
-
-
-def whole(text: str) -> str:
-    """The pattern of exactly ``text``."""
-    return f"^{re.escape(text)}\\Z"
+def cli(name: str, err: str, *argv: str, exits: bool = False, env: Optional[str] = None):
+    return pytest.param(Cli(argv, err, exits, env), id=f"cli-{name}")
 
 
 def anchored(message: str) -> str:
+    """A message and nothing else; ``$`` also takes a final newline."""
     return f"^{re.escape(message)}$"
 
 
-# --- anyons ---------------------------------------------------------------------------------------
+def whole(text: str) -> str:
+    """Exactly ``text``, up to its last character."""
+    return f"^{re.escape(text)}\\Z"
+
 
 ANYON_ROWS = [
     # phase_from_eighths(2.5) returned exp(2.5 i pi / 8) and True ran as 1
@@ -147,8 +146,6 @@ ANYON_ROWS = [
         for c in [1.5, 1.0, True, np.True_, "1", None]
     ),
 ]
-
-# --- braid ----------------------------------------------------------------------------------------
 
 SIGMA_PAIR = ("sigma", "sigma", "1")
 
@@ -230,9 +227,14 @@ BRAID_ROWS = [
            exchange, ISING, basis_state(("1", "eps", "zz")), 0, 1),
     refuse("circle-foreign-tag", FusionChannelError, "channel tag 'zz' is not one of",
            circle, ISING, basis_state(("1", "eps", "1"), tag="zz"), 0, 1),
+    # an op string is a sequence of one-letter "ops", which failed with AttributeError
+    refuse("apply_ops-op-string", BraidError,
+           anchored("an op must be a BraidOp, got 'xAB'; parse_ops reads an op string"),
+           apply_ops, ISING, basis_state(["1", "1", "1"]), "xAB"),
+    refuse("verify_invariance-op-string", BraidError,
+           anchored("an op must be a BraidOp, got 'xAB'; parse_ops reads an op string"),
+           verify_invariance, ISING_SCHEME, "xAB", 5),
 ]
-
-# --- cli, as a library ----------------------------------------------------------------------------
 
 BAD_CHERN_NUMBERS = ["x", "1_5", "\u0663", "\uff11", ""]
 
@@ -263,8 +265,6 @@ CLI_LIBRARY_ROWS = [
     refuse("resolve_scheme-missing", ValueError, "neither", resolve_scheme, ISING, "no-such-scheme"),
 ]
 
-# --- latin ----------------------------------------------------------------------------------------
-
 # (cells, the cell the message names, the value it shows)
 BAD_CELLS = [
     (((0, 1.9), (1.2, 0)), "(0, 1)", "1.9"),
@@ -282,6 +282,8 @@ LATIN_ROWS = [
     ),
     refuse("Square-ragged-row", ValueError, "^square rows must all have length d$", Square, ((0, 1), (1,))),
     refuse("Square-cell-of-the-order", ValueError, r"^cell value 2 outside 0\.\.1$", Square, ((0, 1), (2, 0))),
+    # validate_triple called a triple of three empty squares valid
+    refuse("Square-empty", ValueError, "^a square needs at least one row$", Square, ()),
     refuse("are_orthogonal-order-mismatch", ValueError, "order mismatch",
            are_orthogonal, cyclic_square(3, "forward"), cyclic_square(4, "forward")),
     refuse("cyclic_square-bad-direction", ValueError, "direction", cyclic_square, 3, "sideways"),
@@ -295,8 +297,6 @@ LATIN_ROWS = [
     refuse("square_to_text-alphabet-size", ValueError, "alphabet",
            square_to_text, cyclic_square(4, "forward"), ISING_LABELS),
 ]
-
-# --- masker ---------------------------------------------------------------------------------------
 
 MASKER_ROWS = [
     refuse("encode-wrong-length", ValueError, "coefficients", encode, ABELIAN_SCHEME, [1.0, 0.0, 0.0]),
@@ -323,9 +323,7 @@ MASKER_ROWS = [
            bipartite_control, ISING, SchemeTriple(a=cyclic_square(3), b=cyclic_square(3), c=cyclic_square(3))),
 ]
 
-# --- qstate ---------------------------------------------------------------------------------------
-
-# (coefficients, the message every taker of unit coefficients gives, and the finite-only takers for the first four)
+# (coefficients, message): every taker of unit coefficients gives the message, the finite-only takers the first four
 BAD_COEFFS = [
     ([1, 0], "expected 3 coefficients, got shape (2,)"),
     ([[1, 0, 0]], "expected 3 coefficients, got shape (1, 3)"),
@@ -407,9 +405,22 @@ QSTATE_ROWS = [
         for coeffs, message in BAD_COEFFS[:4]
         for name, (entry, args) in FINITE_TAKERS.items()
     ),
+    # a complex array holds "1" and True as 1, so run_teleport(["1", "0", "0"]) passed, and None as a NaN
+    # the caller never gave
+    *(
+        refuse(f"unit_coeffs-{coeffs!r}", ValueError, anchored(message), unit_coeffs, coeffs, 3)
+        for coeffs, message in [
+            (["1", 0, 0], "coefficient 0 is not a number: '1'"),
+            ([True, 0, 0], "coefficient 0 is not a number: True"),
+            ([b"1", 0, 0], "coefficient 0 is not a number: b'1'"),
+            (np.array([True, False, False]), "coefficient 0 is not a number: np.True_"),
+            ([None, 1, 0], "coefficient 0 is not a number: None"),
+            ([0.6, 0.8j, "0"], "coefficient 2 is not a number: '0'"),
+        ]
+    ),
+    refuse("run_teleport-strings", ValueError, anchored("coefficient 0 is not a number: '1'"),
+           run_teleport, ["1", "0", "0"]),
 ]
-
-# --- teleport -------------------------------------------------------------------------------------
 
 TELEPORT_ROWS = [
     refuse("build_joint-non-unit", ValueError, "unit norm", build_joint, [1.0, 1.0, 0.0]),
@@ -417,8 +428,7 @@ TELEPORT_ROWS = [
     refuse("permutation_encode-tagged", ValueError, "untagged",
            permutation_encode, StateVector({BasisKet(("1", "1", "1"), "eps"): 1.0})),
     refuse("permutation_encode-register-count", ValueError, "3 registers", permutation_encode, build_channel()),
-    refuse("alice_measure-outcome-0", ValueError, "outcome",
-           alice_measure, permutation_encode(build_joint([1.0, 0.0, 0.0])), 0),
+    refuse("alice_measure-outcome-0", ValueError, "outcome", alice_measure, ENCODED, 0),
     # Alice's pairs |1 1> and |eps eps> have y = x, phase 1 in every projector, so the kets cancel
     refuse("alice_measure-zero-probability", ValueError, "^outcome 1 has zero probability on this state$",
            alice_measure, StateVector({BasisKet(("1", "1", "1")): 1 / math.sqrt(2),
@@ -446,13 +456,10 @@ TELEPORT_ROWS = [
     ),
 ]
 
-# --- every integer, seed, trial count and tolerance -----------------------------------------------
-
 # (entry, the arguments before the integer, the name the message gives, how it must be, value): orders,
 # row indices and teleport outcomes had their own range tests, which let a bool or a float through:
 # find_mols_pair(True) returned a 1 x 1 pair, alice_measure(enc, True) ran as outcome 1, and
 # alice_measure(enc, 2.0) failed later with an error that did not name it
-ENCODED = permutation_encode(build_joint([1.0, 0.0, 0.0]))
 NON_INTEGERS = [
     (find_mols_pair, (), "order d", "positive", True),
     (find_mols_pair, (), "order d", "positive", 2.5),
@@ -513,14 +520,6 @@ RULE_ROWS = [
     ),
 ]
 
-# --- the command line -----------------------------------------------------------------------------
-
-TOL_COMMANDS = {
-    "verify": ("verify", "--model", "ising", "--trials", "2"),
-    "braid": ("braid", "--model", "ising", "--ops", "t3", "--trials", "2"),
-    "teleport": ("teleport", "--input", "1,0,0"),
-}
-
 # int() and float() take other scripts' digits and grouping underscores
 NON_ASCII_NUMBERS = [
     ("verify", "--trials", "1_0"),
@@ -544,9 +543,10 @@ CLI_ROWS = [
     cli("zero-trials", whole("error: --trials must be a positive integer, got 0\n"),
         "verify", "--model", "ising", "--trials", "0"),
     *(
-        cli(repr(argv), re.escape(f"error: argument {argv[-2]}: invalid {'float' if argv[-2] == '--tol' else 'int'} "
-                                  f"value: {argv[-1]!r}\n") + r"\Z", *argv, exits=True)
+        cli(" ".join(argv), re.escape(f"error: argument {argv[-2]}: invalid {kind} value: {argv[-1]!r}\n") + r"\Z",
+            *argv, exits=True)
         for argv in NON_ASCII_NUMBERS
+        for kind in ["float" if argv[-2] == "--tol" else "int"]
     ),
     # exit 1 means a gated check failed; a report that cannot be written raised FileNotFoundError or
     # IsADirectoryError out of main
@@ -554,8 +554,9 @@ CLI_ROWS = [
     cli("out-is-a-directory", "^error: ", "verify", "--trials", "10", "--out", "{tmp}"),
     # --tol nan used to fail every trial (exit 1) and --tol inf to pass every one
     *(
-        cli(f"{command}-tol={tol}", "--tol must be finite and positive", *TOL_COMMANDS[command], f"--tol={tol}")
-        for command in ["verify", "braid", "teleport"]
+        cli(f"{command[0]}-tol={tol}", "--tol must be finite and positive", *command, f"--tol={tol}")
+        for command in [("verify", "--model", "ising", "--trials", "2"),
+                        ("braid", "--model", "ising", "--ops", "t3", "--trials", "2"), ("teleport", "--input", "1,0,0")]
         for tol in ["nan", "inf", "-inf", "0", "-1e-12"]
     ),
     # int() reads "1_1" and the two Arabic-Indic ones as 11
@@ -564,17 +565,14 @@ CLI_ROWS = [
             "verify", "--model", "ising", "--trials", "2", env=raw)
         for raw in ["seven", "1_1", "\u0661\u0661"]
     ),
-    *(
-        row
-        for command, extra in [("verify", ()), ("braid", ("--ops", "xAB"))]
-        for row in (
-            cli(f"{command}-negative-seed", re.escape("error: --seed must be a non-negative integer, got -1"),
-                command, "--model", "ising", "--trials", "5", "--seed", "-1", *extra),
-            cli(f"{command}-negative-seed-variable",
-                re.escape("error: ANYONMASK_SEED must be a non-negative integer, got -3"),
-                command, "--model", "ising", "--trials", "5", *extra, env="-3"),
-        )
-    ),
+    cli("verify-negative-seed", re.escape("error: --seed must be a non-negative integer, got -1"),
+        "verify", "--model", "ising", "--trials", "5", "--seed", "-1"),
+    cli("braid-negative-seed", re.escape("error: --seed must be a non-negative integer, got -1"),
+        "braid", "--model", "ising", "--trials", "5", "--seed", "-1", "--ops", "xAB"),
+    cli("verify-negative-seed-variable", re.escape("error: ANYONMASK_SEED must be a non-negative integer, got -3"),
+        "verify", "--model", "ising", "--trials", "5", env="-3"),
+    cli("braid-negative-seed-variable", re.escape("error: ANYONMASK_SEED must be a non-negative integer, got -3"),
+        "braid", "--model", "ising", "--trials", "5", "--ops", "xAB", env="-3"),
     cli("braid-non-adjacent", "adjacent", "braid", "--model", "abelian", "--ops", "xAC", "--trials", "5"),
     cli("braid-unknown-token", "unknown op token 'frobnicate'",
         "braid", "--model", "abelian", "--ops", "frobnicate", "--trials", "5"),
@@ -630,3 +628,44 @@ def test_refused(row, tmp_path, monkeypatch, capsys):
     assert (code, out) == (2, "")
     assert re.search(row.err, err) and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# files whose refusals stay out of the table, and why
+OUTSIDE_THE_TABLE = {
+    "test_refusals.py": "the table",
+    "test_batch.py": "bit-for-bit cross-checks, whose refusals need a patched draw or a foreign row array",
+    "test_acceptance.py": "the acceptance criteria, which check results",
+}
+# test functions whose refusal is one step of a longer check, and what the step checks
+REFUSAL_STEPS = {
+    ("test_cli.py", "test_main_builds_the_parser_once"): "a refused argv builds no second parser",
+    ("test_cli.py", "test_a_bad_argv_then_a_good_one"): "a refused argv leaves the shared parser usable",
+}
+
+
+def _is_pytest_raises(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "raises" and isinstance(node.value, ast.Name) and node.value.id == "pytest"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "pytest" and any(alias.name == "raises" for alias in node.names)
+    return False
+
+
+def test_a_refusal_is_a_row():
+    # a new refusal is one more row here, not one more test function elsewhere
+    found, steps = [], set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name in OUTSIDE_THE_TABLE:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        exempt = set()
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef) and (path.name, function.name) in REFUSAL_STEPS:
+                inside = {id(node) for node in ast.walk(function) if _is_pytest_raises(node)}
+                if inside:
+                    exempt |= inside
+                    steps.add((path.name, function.name))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _is_pytest_raises(node) and id(node) not in exempt]
+    assert found == []
+    assert steps == set(REFUSAL_STEPS)  # an exemption with no refusal left goes too

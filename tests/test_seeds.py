@@ -6,8 +6,7 @@ nor the flag.  Each now raises ValueError at the call, and the CLI exits
 2 naming ``--seed`` or ``ANYONMASK_SEED``.  A trial count goes through the
 same integer test and must also be positive: True ran one trial recorded
 as ``"trials": true``, and 2.5 or None raised TypeError from ``range``.
-Those cases are rows of ``test_refusals.py``; here every integer of any
-size runs, numpy's included.
+Those refusals are rows of ``test_refusals.py``.
 """
 
 import json

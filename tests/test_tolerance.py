@@ -4,8 +4,7 @@ An infinite tolerance passed a product state as masked, and a NaN one
 failed every trial of a correct campaign; both now raise ValueError at
 the call, as ``--tol`` does at the command line.  So do a bool, which ran
 as 1.0, and a value that is no real number, which raised TypeError.
-Those cases are rows of ``test_refusals.py``; here a finite positive
-tolerance is accepted as given.
+Those refusals are rows of ``test_refusals.py``.
 """
 
 import pytest

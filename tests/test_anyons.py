@@ -25,6 +25,7 @@ from anyonmask.anyons import (
     table_lines,
     validate_model,
 )
+from test_refusals import kept
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -82,6 +83,9 @@ class TestPhaseFromEighths:
     def test_a_numpy_integer_runs_as_the_int_it_holds(self):
         assert phase_from_eighths(np.int64(-3)) == phase_from_eighths(13)
 
+    test_no_whole_number_of_eighths_is_refused = kept(
+        "test_anyons.py::TestPhaseFromEighths::test_no_whole_number_of_eighths_is_refused")
+
 
 class TestFusion:
     def test_vortex_pair_fuses_to_fermion(self, abelian_model):
@@ -120,6 +124,8 @@ class TestFusion:
                     ]
                     assert sorted(left) == sorted(right)
 
+    test_foreign_label_rejected = kept("test_anyons.py::TestFusion::test_foreign_label_rejected")
+
 
 class TestRPhases:
     def test_abelian_table_complete_and_exact(self, abelian_model):
@@ -157,6 +163,8 @@ class TestRPhases:
             for b in model.alphabet:
                 for ch in fuse(model, a, b):
                     assert abs(abs(r_phase(model, a, b, ch)) - 1.0) == 0.0
+
+    test_bad_channel_rejected = kept("test_anyons.py::TestRPhases::test_bad_channel_rejected")
 
 
 class TestMonodromy:
@@ -219,6 +227,10 @@ class TestTopologicalData:
     def test_a_signed_or_numpy_integer_reduces_mod_16(self, c, name):
         model = ising_like(c)
         assert model.name == name and type(model.c) is int
+
+    test_even_c_rejected = kept("test_anyons.py::TestTopologicalData::test_even_c_rejected")
+    test_a_chern_number_that_is_no_integer_is_refused = kept(
+        "test_anyons.py::TestTopologicalData::test_a_chern_number_that_is_no_integer_is_refused")
 
 
 class TestValidateModel:

@@ -45,6 +45,7 @@ from helpers import (
     reference_ops,
     unit_coeffs,
 )
+from test_refusals import kept
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 R1_SS = cmath.exp(-1j * math.pi / 8)
@@ -147,6 +148,14 @@ class TestExchange:
             out = exchange(ising_scheme.model, state, 1, 2, mode=mode)
             assert verify_masking(out, ising_scheme.model.alphabet, tol=2e-12).verdict
 
+    test_non_adjacent_rejected = kept("test_braid.py::TestExchange::test_non_adjacent_rejected")
+    test_out_of_range_rejected = kept("test_braid.py::TestExchange::test_out_of_range_rejected")
+    test_resolved_mode_conflicting_tag_rejected = kept(
+        "test_braid.py::TestExchange::test_resolved_mode_conflicting_tag_rejected")
+    test_a_foreign_tag_is_no_channel_in_every_mode = kept(
+        "test_braid.py::TestExchange::test_a_foreign_tag_is_no_channel_in_every_mode")
+    test_bad_mode_rejected = kept("test_braid.py::TestExchange::test_bad_mode_rejected")
+
 
 class TestCircle:
     def test_ising_circle_b_around_a_matches_display(self, ising_scheme):
@@ -211,6 +220,8 @@ class TestCircle:
             cmath.exp(3j * math.pi / 4), abs=1e-15
         )
 
+    test_same_party_rejected = kept("test_braid.py::TestCircle::test_same_party_rejected")
+
 
 class TestTripartiteBraid:
     def test_displayed_output_on_encoded_state(self, ising_scheme):
@@ -260,6 +271,9 @@ class TestTripartiteBraid:
         # pairs (eps,eps), (eps,1), (eps,1): single nontrivial factor -1
         out = tripartite_braid(ising_model, basis_state(["eps", "eps", "1"]))
         assert out.amplitudes == {BasisKet(("eps", "eps", "1")): -1.0 + 0j}
+
+    test_non_ising_model_rejected = kept("test_braid.py::TestTripartiteBraid::test_non_ising_model_rejected")
+    test_four_registers_rejected = kept("test_braid.py::TestTripartiteBraid::test_four_registers_rejected")
 
 
 class TestTagBookkeeping:
@@ -317,6 +331,14 @@ class TestOpStrings:
         assert apply_ops(model, state, (BraidOp("exchange", 1, 2, "eps"),)) == exchange(model, state, 1, 2, "eps")
         assert apply_ops(model, state, (BraidOp("circle", 2, 0),)) == circle(model, state, 2, 0)
         assert apply_ops(model, state, (BraidOp("tripartite"),)) == tripartite_braid(model, state)
+
+    test_unknown_token_rejected = kept("test_braid.py::TestOpStrings::test_unknown_token_rejected")
+    test_unknown_party_rejected = kept("test_braid.py::TestOpStrings::test_unknown_party_rejected")
+    test_a_party_letter_past_c_reaches_the_op_check = kept(
+        "test_braid.py::TestOpStrings::test_a_party_letter_past_c_reaches_the_op_check")
+    test_empty_rejected = kept("test_braid.py::TestOpStrings::test_empty_rejected")
+    test_op_with_unknown_kind_or_mode_is_refused = kept(
+        "test_braid.py::TestOpStrings::test_op_with_unknown_kind_or_mode_is_refused")
 
 
 class TestVerifyInvariance:
@@ -556,6 +578,13 @@ class TestOpTables:
             want = outcome(lambda: reference_ops(ising_model, state, ops))
             assert want[0] is error
             assert outcome(lambda: apply_ops(ising_model, state, ops)) == want
+
+    test_a_channel_conflict_on_the_rows_is_refused = kept(
+        "test_braid.py::TestOpTables::test_a_channel_conflict_on_the_rows_is_refused")
+    test_a_foreign_tag_on_a_sigma_pair_is_no_channel_of_it = kept(
+        "test_braid.py::TestOpTables::test_a_foreign_tag_on_a_sigma_pair_is_no_channel_of_it")
+    test_what_the_dict_loops_passed_on_is_refused = kept(
+        "test_braid.py::TestOpTables::test_what_the_dict_loops_passed_on_is_refused")
 
 
 class TestTableMemo:

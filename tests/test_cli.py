@@ -9,6 +9,7 @@ import pytest
 from anyonmask import __version__, cli
 from anyonmask.cli import build_parser, main, parse_complex, parse_model, render_text, resolve_scheme
 from anyonmask.latin import cyclic_triple, triple_to_text
+from test_refusals import kept
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -42,6 +43,12 @@ class TestComplexLiterals:
         assert parse_complex(repr(x)) == x
         assert parse_complex(f"{x!r}{-x:+}i") == complex(x, -x)
 
+    test_invalid_forms = kept("test_cli.py::TestComplexLiterals::test_invalid_forms")
+    test_only_ascii_digits_and_spaces_parse = kept(
+        "test_cli.py::TestComplexLiterals::test_only_ascii_digits_and_spaces_parse")
+    test_a_part_too_large_for_a_float_is_refused = kept(
+        "test_cli.py::TestComplexLiterals::test_a_part_too_large_for_a_float_is_refused")
+
 
 class TestSelectors:
     def test_models(self):
@@ -59,6 +66,12 @@ class TestSelectors:
         path.write_text(triple_to_text(cyclic_triple(3), model.alphabet))
         scheme = resolve_scheme(model, str(path))
         assert scheme.triple == cyclic_triple(3)
+
+    test_even_chern_rejected = kept("test_cli.py::TestSelectors::test_even_chern_rejected")
+    test_unknown_model_rejected = kept("test_cli.py::TestSelectors::test_unknown_model_rejected")
+    test_a_chern_number_not_in_ascii_digits_is_refused = kept(
+        "test_cli.py::TestSelectors::test_a_chern_number_not_in_ascii_digits_is_refused")
+    test_missing_scheme_rejected = kept("test_cli.py::TestSelectors::test_missing_scheme_rejected")
 
 
 class TestVerifyCommand:
@@ -126,6 +139,15 @@ class TestVerifyCommand:
         main(["verify", "--model", "ising", "--trials", "5", "--seed", "99", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    test_even_chern_is_usage_error = kept("test_cli.py::TestVerifyCommand::test_even_chern_is_usage_error")
+    test_bad_trials_rejected = kept("test_cli.py::TestVerifyCommand::test_bad_trials_rejected")
+    test_a_number_not_in_ascii_digits_is_usage_error = kept(
+        "test_cli.py::TestVerifyCommand::test_a_number_not_in_ascii_digits_is_usage_error")
+    test_unwritable_out_is_usage_error = kept("test_cli.py::TestVerifyCommand::test_unwritable_out_is_usage_error")
+    test_bad_tol_is_usage_error = kept("test_cli.py::TestVerifyCommand::test_bad_tol_is_usage_error")
+    test_a_seed_variable_that_is_no_ascii_integer_is_usage_error = kept(
+        "test_cli.py::TestVerifyCommand::test_a_seed_variable_that_is_no_ascii_integer_is_usage_error")
+
 
 class TestBraidCommand:
     def test_abelian_exchange(self, capsys):
@@ -180,6 +202,12 @@ class TestBraidCommand:
         assert b" [xAB;cBC]: 2 trials" in proc.stdout
         assert "config.ops: xAB;\u00a0cBC\n" in out.read_bytes().decode("utf-8")
 
+    test_non_adjacent_exchange_rejected = kept("test_cli.py::TestBraidCommand::test_non_adjacent_exchange_rejected")
+    test_unknown_token_rejected = kept("test_cli.py::TestBraidCommand::test_unknown_token_rejected")
+    test_tripartite_needs_ising = kept("test_cli.py::TestBraidCommand::test_tripartite_needs_ising")
+    test_an_op_string_that_cannot_run_is_usage_error = kept(
+        "test_cli.py::TestBraidCommand::test_an_op_string_that_cannot_run_is_usage_error")
+
 
 class TestMolsCommand:
     def test_dim_three_prints_pair(self, capsys):
@@ -199,6 +227,8 @@ class TestMolsCommand:
     def test_dim_two_prints_none(self, capsys):
         assert main(["mols", "--dim", "2"]) == 0
         assert capsys.readouterr().out.strip() == "none"
+
+    test_dim_nine_bound_error = kept("test_cli.py::TestMolsCommand::test_dim_nine_bound_error")
 
 
 class TestTeleportCommand:
@@ -226,6 +256,16 @@ class TestTeleportCommand:
         # 1e-05 is how Python prints that float; it used to exit 2
         assert main(["teleport", "--input=1e-05,1,0"]) == 0
         assert "normalizing" in capsys.readouterr().err
+
+    test_arity_error = kept("test_cli.py::TestTeleportCommand::test_arity_error")
+    test_zero_input_is_usage_error = kept("test_cli.py::TestTeleportCommand::test_zero_input_is_usage_error")
+    test_bad_literal_error = kept("test_cli.py::TestTeleportCommand::test_bad_literal_error")
+    test_a_non_ascii_digit_is_usage_error = kept(
+        "test_cli.py::TestTeleportCommand::test_a_non_ascii_digit_is_usage_error")
+    test_overflowing_literal_is_usage_error = kept(
+        "test_cli.py::TestTeleportCommand::test_overflowing_literal_is_usage_error")
+    test_norm_out_of_float_range_is_usage_error = kept(
+        "test_cli.py::TestTeleportCommand::test_norm_out_of_float_range_is_usage_error")
 
 
 class TestSharedParser:

@@ -15,6 +15,7 @@ import pytest
 
 from anyonmask.latin import cyclic_square, find_mols_pair
 from anyonmask.teleport import alice_measure, build_joint, correct, payload_state, permutation_encode
+from test_refusals import kept
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anyonmask"
 
@@ -58,3 +59,6 @@ def test_only_the_integer_rule_calls_operator_index():
     ]
     assert found == []
     assert any(map(_calls_operator_index, ast.walk(ast.parse((PACKAGE / "qstate.py").read_text(encoding="utf-8")))))
+
+
+test_a_non_integer_is_refused_by_name = kept("test_integer_rule.py::test_a_non_integer_is_refused_by_name")

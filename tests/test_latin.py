@@ -25,6 +25,7 @@ from anyonmask.latin import (
     triple_to_text,
     validate_triple,
 )
+from test_refusals import kept
 
 ISING = ("1", "eps", "sigma")
 
@@ -54,6 +55,12 @@ class TestSquareCells:
         assert all(type(x) is int for row in square.cells for x in row)
         assert is_latin(square)
 
+    test_a_non_index_cell_is_refused_by_position = kept(
+        "test_latin.py::TestSquareCells::test_a_non_index_cell_is_refused_by_position")
+    test_a_ragged_row_is_refused = kept("test_latin.py::TestSquareCells::test_a_ragged_row_is_refused")
+    test_a_cell_of_the_order_or_more_is_refused = kept(
+        "test_latin.py::TestSquareCells::test_a_cell_of_the_order_or_more_is_refused")
+
 
 class TestOrthogonality:
     def test_standard_pair(self):
@@ -76,6 +83,8 @@ class TestOrthogonality:
         s1 = cyclic_square(da, "forward")
         s2 = cyclic_square(da, "backward")
         assert are_orthogonal(s1, s2) == are_orthogonal(s2, s1)
+
+    test_dimension_mismatch_rejected = kept("test_latin.py::TestOrthogonality::test_dimension_mismatch_rejected")
 
 
 class TestCyclicSquares:
@@ -123,6 +132,8 @@ class TestCyclicSquares:
             assert len(cells) == d
             assert len({j for j, _ in cells}) == d
             assert len({k for _, k in cells}) == d
+
+    test_bad_direction_rejected = kept("test_latin.py::TestCyclicSquares::test_bad_direction_rejected")
 
 
 class TestClassify:
@@ -209,6 +220,8 @@ class TestValidateTriple:
         assert not report.ok
         assert "A-not-constant-or-latin" in report.violations
 
+    test_mismatched_orders_rejected = kept("test_latin.py::TestValidateTriple::test_mismatched_orders_rejected")
+
 
 class TestFindMolsPair:
     def test_d3_returns_valid_pair(self):
@@ -264,6 +277,8 @@ class TestFindMolsPair:
         else:
             assert (pair[0].cells, pair[1].cells) == self.PINNED[d]
 
+    test_search_bound = kept("test_latin.py::TestFindMolsPair::test_search_bound")
+
 
 class TestTextFormat:
     def test_square_round_trip(self):
@@ -288,3 +303,7 @@ class TestTextFormat:
         text = triple_to_text(triple, ISING).replace("\n", "\r\n")
         assert parse_triple(text, ISING) == triple
 
+    test_unknown_label_rejected = kept("test_latin.py::TestTextFormat::test_unknown_label_rejected")
+    test_wrong_row_count_rejected = kept("test_latin.py::TestTextFormat::test_wrong_row_count_rejected")
+    test_wrong_block_count_rejected = kept("test_latin.py::TestTextFormat::test_wrong_block_count_rejected")
+    test_alphabet_size_checked = kept("test_latin.py::TestTextFormat::test_alphabet_size_checked")

@@ -39,6 +39,7 @@ from helpers import (
     reference_encode_row,
     unit_coeffs,
 )
+from test_refusals import kept
 
 
 def display_state(rows, coeffs):
@@ -183,6 +184,11 @@ class TestEncode:
             rhs = complex(np.vdot(x, y))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    test_wrong_length_rejected = kept("test_masker.py::TestEncode::test_wrong_length_rejected")
+    test_non_unit_norm_rejected = kept("test_masker.py::TestEncode::test_non_unit_norm_rejected")
+    test_non_finite_rejected = kept("test_masker.py::TestEncode::test_non_finite_rejected")
+    test_bipartite_non_finite_rejected = kept("test_masker.py::TestEncode::test_bipartite_non_finite_rejected")
+
 
 class TestVerifyMasking:
     @pytest.mark.parametrize("scheme_name", ["abelian", "ising"])
@@ -245,6 +251,8 @@ class TestVerifyMasking:
             rho_b = partial_trace(second, {party}, basis)
             assert np.max(np.abs(rho_a.entries - rho_b.entries)) <= 2e-12
 
+    test_register_count_checked = kept("test_masker.py::TestVerifyMasking::test_register_count_checked")
+
 
 class TestSchemeVariants:
     def test_swapping_b_and_c_still_masks(self, ising_scheme):
@@ -275,6 +283,9 @@ class TestSchemeVariants:
         assert report.deviations[0] > 0.5
         assert report.deviations[1] <= 1e-12
         assert report.deviations[2] <= 1e-12
+
+    test_order_mismatch_rejected = kept("test_masker.py::TestSchemeVariants::test_order_mismatch_rejected")
+    test_invalid_triple_rejected = kept("test_masker.py::TestSchemeVariants::test_invalid_triple_rejected")
 
 
 class TestCampaign:
@@ -308,6 +319,8 @@ class TestCampaign:
         assert math.isnan(result.worst_deviation)
         assert math.isnan(result.per_party_worst[1])
         assert not math.isnan(result.per_party_worst[0])
+
+    test_trials_validated = kept("test_masker.py::TestCampaign::test_trials_validated")
 
 
 class TestBipartiteControl:
@@ -361,3 +374,7 @@ class TestBipartiteControl:
         record = bipartite_control(abelian_model).record()
         assert record["max_marginal_distance"] > 0.1
         assert record["model"] == "abelian-c0"
+
+    test_a_triple_of_another_order_is_refused = kept(
+        "test_masker.py::TestBipartiteControl::test_a_triple_of_another_order_is_refused")
+    test_an_invalid_triple_is_refused = kept("test_masker.py::TestBipartiteControl::test_an_invalid_triple_is_refused")

@@ -23,6 +23,7 @@ from anyonmask.qstate import (
     unit_coeffs,
 )
 from helpers import ROWS_D4, dense_partial_trace, dense_vector, max_amplitude_diff, reference_partial_trace
+from test_refusals import kept
 
 ABELIAN = ("1", "e", "m", "eps")
 
@@ -72,6 +73,8 @@ class TestTensor:
         out = tensor(basis_state(["sigma"], tag="1"), basis_state(["sigma"]))
         assert list(out.amplitudes) == [BasisKet(("sigma", "sigma"), "1")]
 
+    test_two_tagged_inputs_rejected = kept("test_qstate.py::TestTensor::test_two_tagged_inputs_rejected")
+
 
 class TestInnerNormScale:
     def test_tag_orthogonality_is_exact(self):
@@ -94,6 +97,9 @@ class TestInnerNormScale:
     @settings(max_examples=60, deadline=None)
     def test_norm_is_sqrt_self_inner(self, s):
         assert norm(s) ** 2 == pytest.approx(inner(s, s).real, abs=1e-10)
+
+    test_inner_of_two_register_counts_rejected = kept(
+        "test_qstate.py::TestInnerNormScale::test_inner_of_two_register_counts_rejected")
 
 
 class TestPartialTrace:
@@ -174,6 +180,14 @@ class TestPartialTrace:
         # the two tagged branches add incoherently
         np.testing.assert_allclose(rho.entries, [[1.0]], atol=1e-15)
 
+    test_rejects_empty_keep = kept("test_qstate.py::TestPartialTrace::test_rejects_empty_keep")
+    test_rejects_out_of_range = kept("test_qstate.py::TestPartialTrace::test_rejects_out_of_range")
+    test_rejects_a_kept_index_that_is_no_integer = kept(
+        "test_qstate.py::TestPartialTrace::test_rejects_a_kept_index_that_is_no_integer")
+    test_rejects_basis_missing_support = kept("test_qstate.py::TestPartialTrace::test_rejects_basis_missing_support")
+    test_rejects_basis_missing_a_later_ket_of_a_group = kept(
+        "test_qstate.py::TestPartialTrace::test_rejects_basis_missing_a_later_ket_of_a_group")
+
 
 class TestHsDistance:
     def test_identity_case(self):
@@ -197,6 +211,8 @@ class TestHsDistance:
         bumped[0, 0] += 1e-13
         assert hs_distance(mixed, DensityMatrix(basis, bumped)) <= 2e-13
 
+    test_basis_mismatch_rejected = kept("test_qstate.py::TestHsDistance::test_basis_mismatch_rejected")
+
 
 class TestDenseLayout:
     @given(small_states(n_min=1, n_max=4))
@@ -206,6 +222,8 @@ class TestDenseLayout:
         assert back == state
         kets = tagged_basis(ABELIAN, state.n_registers)[0]
         assert list(back.amplitudes) == [ket for ket in kets if ket in state.amplitudes]
+
+    test_foreign_shape_rejected = kept("test_qstate.py::TestDenseLayout::test_foreign_shape_rejected")
 
 
 class TestDensityMatrix:
@@ -224,6 +242,10 @@ class TestDensityMatrix:
         assert np.linalg.eigvalsh(rho)[0] == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho - 0.1 * np.eye(16))[0] < -1e-10
 
+    test_entries_are_frozen = kept("test_qstate.py::TestDensityMatrix::test_entries_are_frozen")
+    test_entries_of_another_shape_are_refused = kept(
+        "test_qstate.py::TestDensityMatrix::test_entries_of_another_shape_are_refused")
+
 
 class TestStateVector:
     def test_prunes_tiny_amplitudes(self):
@@ -239,6 +261,12 @@ class TestStateVector:
         s2 = StateVector({BasisKet(("e",)): 1.0, BasisKet(("m",)): 1e-3})
         assert max_amplitude_diff(s1, s2) == pytest.approx(1e-3)
 
+    test_nan_amplitude_rejected = kept("test_qstate.py::TestStateVector::test_nan_amplitude_rejected")
+    test_infinite_amplitude_rejected = kept("test_qstate.py::TestStateVector::test_infinite_amplitude_rejected")
+    test_an_amplitude_that_is_no_number_rejected = kept(
+        "test_qstate.py::TestStateVector::test_an_amplitude_that_is_no_number_rejected")
+    test_mixed_register_counts_rejected = kept("test_qstate.py::TestStateVector::test_mixed_register_counts_rejected")
+
 
 class TestCoefficientChecks:
     """One check of shape, finite values and unit norm behind every function that takes coefficients."""
@@ -247,3 +275,8 @@ class TestCoefficientChecks:
         coeffs = unit_coeffs([0.6, 0.8j, 0], 3)
         assert coeffs.dtype == complex and coeffs.tolist() == [0.6, 0.8j, 0j]
         assert finite_coeffs([2, 0, 0], 3).tolist() == [2, 0, 0]
+
+    test_unit_coefficient_takers_refuse_alike = kept(
+        "test_qstate.py::TestCoefficientChecks::test_unit_coefficient_takers_refuse_alike")
+    test_the_bipartite_encoder_refuses_alike = kept(
+        "test_qstate.py::TestCoefficientChecks::test_the_bipartite_encoder_refuses_alike")

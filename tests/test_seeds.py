@@ -19,6 +19,7 @@ from anyonmask.cli import main
 from anyonmask.masker import encoder_rows, run_masking_campaign
 from anyonmask.qstate import check_seed
 from anyonmask.trials import evaluate_trials
+from test_refusals import kept
 
 ENTRY_POINTS = {
     "evaluate_trials": lambda s, seed=3, trials=5: evaluate_trials(encoder_rows(s), trials, seed, 1e-12),
@@ -61,3 +62,9 @@ def test_a_record_of_numpy_integers_serializes(ising_scheme, name):
     got = ENTRY_POINTS[name](ising_scheme, seed=np.int64(3), trials=np.int64(5)).record()
     want = ENTRY_POINTS[name](ising_scheme, seed=3, trials=5).record()
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+test_bad_seed_rejected = kept("test_seeds.py::test_bad_seed_rejected")
+test_the_message_names_the_argument = kept("test_seeds.py::test_the_message_names_the_argument")
+test_bad_trial_count_rejected = kept("test_seeds.py::test_bad_trial_count_rejected")
+test_cli_negative_seed_exits_2 = kept("test_seeds.py::test_cli_negative_seed_exits_2")

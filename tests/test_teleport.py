@@ -31,6 +31,7 @@ from anyonmask.teleport import (
     run_teleport,
 )
 from helpers import dense_vector, max_amplitude_diff
+from test_refusals import kept
 
 LABELS = ISING_ALPHABET
 
@@ -118,6 +119,9 @@ class TestBuildJoint:
         rng = np.random.default_rng(43)
         assert norm(build_joint(random_unit_coeffs(3, rng))) == pytest.approx(1.0, abs=1e-12)
 
+    test_non_unit_rejected = kept("test_teleport.py::TestBuildJoint::test_non_unit_rejected")
+    test_wrong_arity_rejected = kept("test_teleport.py::TestBuildJoint::test_wrong_arity_rejected")
+
 
 class TestPermutationEncode:
     def test_matches_direct_construction(self):
@@ -176,6 +180,9 @@ class TestPermutationEncode:
             latin = masker._combined(rows, coeffs, ISING_ALPHABET)
             assert permutation_encode(build_joint(coeffs)).amplitudes == latin.amplitudes
 
+    test_tagged_state_rejected = kept("test_teleport.py::TestPermutationEncode::test_tagged_state_rejected")
+    test_register_count_checked = kept("test_teleport.py::TestPermutationEncode::test_register_count_checked")
+
 
 class TestProjectorStates:
     def test_pairwise_orthogonal_with_norm_three(self):
@@ -230,6 +237,10 @@ class TestAliceMeasure:
         total = sum(alice_measure(encoded, i)[0] for i in (1, 2, 3))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    test_outcome_range_checked = kept("test_teleport.py::TestAliceMeasure::test_outcome_range_checked")
+    test_an_outcome_of_zero_probability_is_refused = kept(
+        "test_teleport.py::TestAliceMeasure::test_an_outcome_of_zero_probability_is_refused")
+
 
 class TestCorrect:
     def test_outcome_one_is_identity(self):
@@ -249,6 +260,8 @@ class TestCorrect:
         )
         fixed = correct(twisted, outcome)
         assert max_amplitude_diff(fixed, payload_state(coeffs)) <= 1e-12
+
+    test_outcome_range_checked = kept("test_teleport.py::TestCorrect::test_outcome_range_checked")
 
 
 class TestRunTeleport:
@@ -289,3 +302,16 @@ class TestRunTeleport:
             assert run.alice_marginal_deviations == tuple(want[:2])
             assert run.held_marginal_deviation == want[2]
 
+    test_non_unit_rejected = kept("test_teleport.py::TestRunTeleport::test_non_unit_rejected")
+    test_non_finite_rejected = kept("test_teleport.py::TestRunTeleport::test_non_finite_rejected")
+
+
+class TestForeignInput:
+    """Each map refuses a state it cannot read, by name, rather than misreading it."""
+
+    test_foreign_label_is_named = kept("test_teleport.py::TestForeignInput::test_foreign_label_is_named")
+    test_measure_refuses_a_tagged_state = kept(
+        "test_teleport.py::TestForeignInput::test_measure_refuses_a_tagged_state")
+    test_correct_refuses_a_tagged_state = kept(
+        "test_teleport.py::TestForeignInput::test_correct_refuses_a_tagged_state")
+    test_correct_refuses_two_registers = kept("test_teleport.py::TestForeignInput::test_correct_refuses_two_registers")

@@ -10,9 +10,13 @@ Those refusals are rows of ``test_refusals.py``.
 import pytest
 
 from anyonmask.masker import encode, verify_masking
+from test_refusals import kept
 
 
 @pytest.mark.parametrize("tol", [1e-300, 1e-12, 1.0, 1e300])
 def test_finite_positive_tol_accepted(ising_scheme, tol):
     report = verify_masking(encode(ising_scheme, [1.0, 0.0, 0.0]), ising_scheme.model.alphabet, tol=tol)
     assert report.tol == tol
+
+
+test_bad_tol_rejected = kept("test_tolerance.py::test_bad_tol_rejected")

@@ -24,6 +24,12 @@ import numpy as np
 
 PRUNE_EPS = 1e-15
 
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a ``numbers.Number`` and no bool; np.True_ is no Number."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Number)
+
+
 # The channel tags a ket can carry, in the order of the tag axis of the
 # dense layout: amplitudes of n-register kets as an array of shape
 # (d,) * n + (len(TAGS),), labels by alphabet position.
@@ -61,9 +67,8 @@ class StateVector:
                 n_registers = len(ket.labels)
             elif len(ket.labels) != n_registers:
                 raise ValueError("all kets in a state must have the same register count")
-            if not isinstance(amp, (complex, float)):  # one quick check for the usual amplitude
-                if isinstance(amp, bool) or not isinstance(amp, numbers.Number):  # np.True_ is no Number
-                    raise ValueError(f"amplitude of {ket} is not a number: {amp!r}")
+            if not isinstance(amp, (complex, float)) and not _is_number(amp):  # a quick check first
+                raise ValueError(f"amplitude of {ket} is not a number: {amp!r}")
             value = complex(amp)
             magnitude = abs(value)
             if PRUNE_EPS < magnitude < math.inf:
@@ -254,9 +259,8 @@ def finite_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
         raise ValueError(f"expected {d} coefficients, got shape {array.shape}")
     if not (isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "iufc"):  # a numeric array holds numbers
         for position, value in enumerate(coeffs):
-            if not isinstance(value, (complex, float)):  # one quick check for the usual coefficient
-                if isinstance(value, bool) or not isinstance(value, numbers.Number):  # np.True_ is no Number
-                    raise ValueError(f"coefficient {position} is not a number: {value!r}")
+            if not isinstance(value, (complex, float)) and not _is_number(value):  # a quick check first
+                raise ValueError(f"coefficient {position} is not a number: {value!r}")
     coeffs = array.astype(complex, copy=False)
     if not np.isfinite(coeffs).all():
         raise ValueError(f"coefficients must be finite, got {coeffs}")

@@ -68,10 +68,6 @@ def dense_inner(s1: StateVector, s2: StateVector, alphabet: tuple[str, ...]) -> 
     return complex(np.vdot(dense_vector(s1, alphabet), dense_vector(s2, alphabet)))
 
 
-def dense_norm(state: StateVector, alphabet: tuple[str, ...]) -> float:
-    return float(np.linalg.norm(dense_vector(state, alphabet)))
-
-
 def dense_partial_trace(
     state: StateVector, keep: set[int], alphabet: tuple[str, ...]
 ) -> np.ndarray:

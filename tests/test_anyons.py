@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,10 +12,11 @@ from anyonmask.anyons import (
     EPS,
     E,
     ISING_ALPHABET,
+    FusionChannelError,
     M,
     SIGMA,
     VAC,
-    abelian_c0,
+    UnknownSectorError,
     fuse,
     ising_like,
     monodromy,
@@ -25,7 +27,7 @@ from anyonmask.anyons import (
     table_lines,
     validate_model,
 )
-from test_refusals import kept
+from test_refusals import ABELIAN, ISING, refusals, refuse
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -83,8 +85,12 @@ class TestPhaseFromEighths:
     def test_a_numpy_integer_runs_as_the_int_it_holds(self):
         assert phase_from_eighths(np.int64(-3)) == phase_from_eighths(13)
 
-    test_no_whole_number_of_eighths_is_refused = kept(
-        "test_anyons.py::TestPhaseFromEighths::test_no_whole_number_of_eighths_is_refused")
+    # phase_from_eighths(2.5) returned exp(2.5 i pi / 8) and True ran as 1
+    test_no_whole_number_of_eighths_is_refused = refusals(*(
+        refuse(ValueError, rf"^eighths k must be an integer, got {re.escape(repr(k))}$", phase_from_eighths, k,
+               id=repr(k))
+        for k in [2.5, 4.0, True, np.True_, "4", None, 1j]
+    ))
 
 
 class TestFusion:
@@ -124,7 +130,7 @@ class TestFusion:
                     ]
                     assert sorted(left) == sorted(right)
 
-    test_foreign_label_rejected = kept("test_anyons.py::TestFusion::test_foreign_label_rejected")
+    test_foreign_label_rejected = refusals(refuse(UnknownSectorError, None, fuse, ISING, E, SIGMA))
 
 
 class TestRPhases:
@@ -164,7 +170,7 @@ class TestRPhases:
                 for ch in fuse(model, a, b):
                     assert abs(abs(r_phase(model, a, b, ch)) - 1.0) == 0.0
 
-    test_bad_channel_rejected = kept("test_anyons.py::TestRPhases::test_bad_channel_rejected")
+    test_bad_channel_rejected = refusals(refuse(FusionChannelError, None, r_phase, ABELIAN, E, M, VAC))
 
 
 class TestMonodromy:
@@ -228,9 +234,13 @@ class TestTopologicalData:
         model = ising_like(c)
         assert model.name == name and type(model.c) is int
 
-    test_even_c_rejected = kept("test_anyons.py::TestTopologicalData::test_even_c_rejected")
-    test_a_chern_number_that_is_no_integer_is_refused = kept(
-        "test_anyons.py::TestTopologicalData::test_a_chern_number_that_is_no_integer_is_refused")
+    test_even_c_rejected = refusals(refuse(ValueError, "odd", ising_like, 2))
+    # ising_like(1.5) built "ising-c1.5", whose braids passed, and True ran as c = 1
+    test_a_chern_number_that_is_no_integer_is_refused = refusals(*(
+        refuse(ValueError, rf"^Chern number c must be an integer, got {re.escape(repr(c))}$", ising_like, c,
+               id=repr(c))
+        for c in [1.5, 1.0, True, np.True_, "1", None]
+    ))
 
 
 class TestValidateModel:

@@ -14,7 +14,9 @@ from anyonmask.anyons import SIGMA, VAC, FusionChannelError, UnknownSectorError,
 from anyonmask.braid import (
     CHANNEL_MODES,
     SPLIT,
+    BraidError,
     BraidOp,
+    ChannelConflictError,
     apply_ops,
     circle,
     exchange,
@@ -45,7 +47,7 @@ from helpers import (
     reference_ops,
     unit_coeffs,
 )
-from test_refusals import kept
+from test_refusals import ABELIAN, ISING, ISING_SCHEME, refusals, refuse, whole
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 R1_SS = cmath.exp(-1j * math.pi / 8)
@@ -54,6 +56,8 @@ REPS_SS = cmath.exp(3j * math.pi / 8)
 # Abelian label pairs whose left-over-right exchange phase is -1;
 # every other pair (including anything with the vacuum) gives +1
 NEG_EXCHANGE_PAIRS = {("m", "e"), ("eps", "e"), ("m", "eps"), ("eps", "eps")}
+
+SIGMA_PAIR = ("sigma", "sigma", "1")
 
 
 def abelian_exchange_phase(a, b):
@@ -148,13 +152,25 @@ class TestExchange:
             out = exchange(ising_scheme.model, state, 1, 2, mode=mode)
             assert verify_masking(out, ising_scheme.model.alphabet, tol=2e-12).verdict
 
-    test_non_adjacent_rejected = kept("test_braid.py::TestExchange::test_non_adjacent_rejected")
-    test_out_of_range_rejected = kept("test_braid.py::TestExchange::test_out_of_range_rejected")
-    test_resolved_mode_conflicting_tag_rejected = kept(
-        "test_braid.py::TestExchange::test_resolved_mode_conflicting_tag_rejected")
-    test_a_foreign_tag_is_no_channel_in_every_mode = kept(
-        "test_braid.py::TestExchange::test_a_foreign_tag_is_no_channel_in_every_mode")
-    test_bad_mode_rejected = kept("test_braid.py::TestExchange::test_bad_mode_rejected")
+    test_non_adjacent_rejected = refusals(
+        refuse(BraidError, "adjacent", exchange, ABELIAN, basis_state(["1", "e", "m"]), 0, 2))
+    test_out_of_range_rejected = refusals(
+        refuse(BraidError, "out of range", exchange, ABELIAN, basis_state(["1", "e"]), 1, 2))
+    test_resolved_mode_conflicting_tag_rejected = refusals(
+        refuse(ChannelConflictError, None, exchange, ISING, basis_state(SIGMA_PAIR, tag="1"), 0, 1, mode="eps"))
+    # a channel-1 part larger than the residue PRUNE_EPS allows is a conflict
+    test_a_channel_1_part_past_the_residue_is_a_conflict = refusals(
+        refuse(ChannelConflictError, "already fuses in channel '1'; cannot resolve to 'eps'",
+               apply_ops, ISING, StateVector({BasisKet(SIGMA_PAIR): 1.0, BasisKet(SIGMA_PAIR, "1"): -0.5}),
+               (BraidOp("exchange", 0, 1), BraidOp("exchange", 0, 1, "eps"))))
+    # the tag is no channel of the pair, so no mode can find it in conflict
+    test_a_foreign_tag_is_no_channel_in_every_mode = refusals(*(
+        refuse(FusionChannelError, r"'zz' is not a fusion channel of \(sigma, sigma\)",
+               exchange, ISING, basis_state(SIGMA_PAIR, tag="zz"), 0, 1, mode=mode, id=mode)
+        for mode in CHANNEL_MODES
+    ))
+    test_bad_mode_rejected = refusals(
+        refuse(BraidError, "channel mode", exchange, ISING, basis_state(SIGMA_PAIR), 0, 1, mode="both"))
 
 
 class TestCircle:
@@ -220,7 +236,7 @@ class TestCircle:
             cmath.exp(3j * math.pi / 4), abs=1e-15
         )
 
-    test_same_party_rejected = kept("test_braid.py::TestCircle::test_same_party_rejected")
+    test_same_party_rejected = refusals(refuse(BraidError, "itself", circle, ISING, basis_state(["1", "1", "1"]), 1, 1))
 
 
 class TestTripartiteBraid:
@@ -272,8 +288,10 @@ class TestTripartiteBraid:
         out = tripartite_braid(ising_model, basis_state(["eps", "eps", "1"]))
         assert out.amplitudes == {BasisKet(("eps", "eps", "1")): -1.0 + 0j}
 
-    test_non_ising_model_rejected = kept("test_braid.py::TestTripartiteBraid::test_non_ising_model_rejected")
-    test_four_registers_rejected = kept("test_braid.py::TestTripartiteBraid::test_four_registers_rejected")
+    test_non_ising_model_rejected = refusals(
+        refuse(BraidError, "Ising", tripartite_braid, ABELIAN, basis_state(["1", "1", "1"])))
+    test_four_registers_rejected = refusals(refuse(BraidError, "^the tripartite braid needs 3 registers, got 4$",
+                                                   apply_ops, ISING, basis_state(["1"] * 4), parse_ops("t3")))
 
 
 class TestTagBookkeeping:
@@ -298,6 +316,27 @@ class TestTagBookkeeping:
         assert apply_ops(ising_scheme.model, state, []) is state
         foreign = basis_state(["e", "m", "1"])
         assert apply_ops(ising_scheme.model, foreign, ()) is foreign
+
+
+# (BraidOp fields, message): an op that cannot run must not exist, or its token could name it in a report
+BAD_OPS = [
+    ({"kind": "bogus"}, "unknown op kind 'bogus'"),
+    ({"kind": "exchange", "x": 0, "y": 1, "mode": "both"}, "channel mode must be one of"),
+    ({"kind": "circle", "x": 0, "y": 1, "mode": "eps "}, "channel mode must be one of"),
+    ({"kind": "exchange"}, r"exchange needs integer parties x and y, got x=None, y=None"),
+    ({"kind": "exchange", "x": 1.0, "y": 2}, r"exchange needs integer parties x and y, got x=1.0, y=2"),
+    ({"kind": "circle", "x": 0, "y": True}, r"circle needs integer parties x and y, got x=0, y=True"),
+    ({"kind": "tripartite", "x": 0, "y": 1}, r"the tripartite braid takes no parties, got x=0, y=1"),
+    ({"kind": "tripartite", "y": 2}, r"the tripartite braid takes no parties, got x=None, y=2"),
+    # a negative party read a register from the end; its token read "xCA"
+    ({"kind": "exchange", "x": -1, "y": 0}, r"exchange needs integer parties x and y, got x=-1, y=0"),
+    ({"kind": "exchange", "x": 0, "y": 2}, r"exchange requires adjacent parties, got \(0, 2\)"),
+    ({"kind": "circle", "x": 1, "y": 1}, "cannot circle a party around itself"),
+    # a mode on an op that has no channel to resolve ran as "split"
+    ({"kind": "circle", "x": 0, "y": 1, "mode": "eps"}, "only an exchange takes a channel mode"),
+    ({"kind": "tripartite", "mode": "1"}, "only an exchange takes a channel mode"),
+    ({"kind": "circle", "x": 0, "y": 26}, r"parties must be below 26 to have a letter, got \(0, 26\)"),
+]
 
 
 class TestOpStrings:
@@ -332,13 +371,22 @@ class TestOpStrings:
         assert apply_ops(model, state, (BraidOp("circle", 2, 0),)) == circle(model, state, 2, 0)
         assert apply_ops(model, state, (BraidOp("tripartite"),)) == tripartite_braid(model, state)
 
-    test_unknown_token_rejected = kept("test_braid.py::TestOpStrings::test_unknown_token_rejected")
-    test_unknown_party_rejected = kept("test_braid.py::TestOpStrings::test_unknown_party_rejected")
-    test_a_party_letter_past_c_reaches_the_op_check = kept(
-        "test_braid.py::TestOpStrings::test_a_party_letter_past_c_reaches_the_op_check")
-    test_empty_rejected = kept("test_braid.py::TestOpStrings::test_empty_rejected")
-    test_op_with_unknown_kind_or_mode_is_refused = kept(
-        "test_braid.py::TestOpStrings::test_op_with_unknown_kind_or_mode_is_refused")
+    test_unknown_token_rejected = refusals(refuse(BraidError, "unknown op token", parse_ops, "xBC;zap"))
+    test_unknown_party_rejected = refusals(refuse(BraidError, "unknown op token 'xBz'", parse_ops, "xBz"))
+    test_a_party_letter_past_c_reaches_the_op_check = refusals(
+        refuse(BraidError, r"exchange requires adjacent parties, got \(1, 3\)", parse_ops, "xBD"))
+    test_empty_rejected = refusals(refuse(BraidError, "empty", parse_ops, " ; "))
+    test_op_with_unknown_kind_or_mode_is_refused = refusals(*(
+        refuse(BraidError, message, BraidOp, **fields, id=f"fields{i}-{message}")
+        for i, (fields, message) in enumerate(BAD_OPS)
+    ))
+    # an op string is a sequence of one-letter "ops", which failed with AttributeError
+    test_an_op_that_is_no_braid_op_is_refused = refusals(
+        refuse(BraidError, whole("an op must be a BraidOp, got 'xAB'; parse_ops reads an op string"),
+               apply_ops, ISING, basis_state(["1", "1", "1"]), "xAB", id="apply_ops"),
+        refuse(BraidError, whole("an op must be a BraidOp, got 'xAB'; parse_ops reads an op string"),
+               verify_invariance, ISING_SCHEME, "xAB", 5, id="verify_invariance"),
+    )
 
 
 class TestVerifyInvariance:
@@ -579,12 +627,21 @@ class TestOpTables:
             assert want[0] is error
             assert outcome(lambda: apply_ops(ising_model, state, ops)) == want
 
-    test_a_channel_conflict_on_the_rows_is_refused = kept(
-        "test_braid.py::TestOpTables::test_a_channel_conflict_on_the_rows_is_refused")
-    test_a_foreign_tag_on_a_sigma_pair_is_no_channel_of_it = kept(
-        "test_braid.py::TestOpTables::test_a_foreign_tag_on_a_sigma_pair_is_no_channel_of_it")
-    test_what_the_dict_loops_passed_on_is_refused = kept(
-        "test_braid.py::TestOpTables::test_what_the_dict_loops_passed_on_is_refused")
+    test_a_channel_conflict_on_the_rows_is_refused = refusals(
+        refuse(ChannelConflictError, "already fuses in channel 'eps'; cannot resolve to '1'",
+               verify_invariance, ISING_SCHEME, (BraidOp("exchange", 0, 1, "eps"), BraidOp("exchange", 0, 1, "1")),
+               trials=5))
+    # the dict loop of the tripartite braid read any tag but "1" as "eps"
+    test_a_foreign_tag_on_a_sigma_pair_is_no_channel_of_it = refusals(
+        refuse(FusionChannelError, r"'zz' is not a fusion channel of \(sigma, sigma\)",
+               tripartite_braid, ISING, basis_state(SIGMA_PAIR, tag="zz")))
+    # the dict loops never looked at party C during xAB, nor at a tag they did not read
+    test_what_the_dict_loops_passed_on_is_refused = refusals(
+        refuse(UnknownSectorError, "'zz' is not in the ising-c1 alphabet",
+               exchange, ISING, basis_state(("1", "eps", "zz")), 0, 1),
+        refuse(FusionChannelError, "channel tag 'zz' is not one of",
+               circle, ISING, basis_state(("1", "eps", "1"), tag="zz"), 0, 1),
+    )
 
 
 class TestTableMemo:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,21 @@ import pytest
 from anyonmask import __version__, cli
 from anyonmask.cli import build_parser, main, parse_complex, parse_model, render_text, resolve_scheme
 from anyonmask.latin import cyclic_triple, triple_to_text
-from test_refusals import kept
+from test_refusals import ISING, check, refusals, refuse, refuse_argv, whole
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+# int() and float() take other scripts' digits and grouping underscores
+NON_ASCII_NUMBERS = [
+    ("verify", "--trials", "1_0"),
+    ("verify", "--trials", "2", "--seed", "\u0663"),
+    ("braid", "--ops", "xAB", "--seed", "\uff13"),
+    ("verify", "--tol", "\uff11e-12"),
+    ("teleport", "--input", "1,0,0", "--tol", "1e-1_2"),
+    ("mols", "--dim", "\u0663"),
+]
+OVERFLOW = "1" * 400
 
 
 class TestComplexLiterals:
@@ -43,11 +56,21 @@ class TestComplexLiterals:
         assert parse_complex(repr(x)) == x
         assert parse_complex(f"{x!r}{-x:+}i") == complex(x, -x)
 
-    test_invalid_forms = kept("test_cli.py::TestComplexLiterals::test_invalid_forms")
-    test_only_ascii_digits_and_spaces_parse = kept(
-        "test_cli.py::TestComplexLiterals::test_only_ascii_digits_and_spaces_parse")
-    test_a_part_too_large_for_a_float_is_refused = kept(
-        "test_cli.py::TestComplexLiterals::test_a_part_too_large_for_a_float_is_refused")
+    test_invalid_forms = refusals(*(
+        refuse(ValueError, "complex literal", parse_complex, text, id=text)
+        for text in ["", "one", "1+2j", "i2", "1 + 2i", "--3", "nan", "inf", "-inf", "infinity",
+                     "nani", "1+infi", "1e", "e5", "1e5.0", "1e-5e3", "1e+i"]
+    ))
+    # \d and \s also take the digits and spaces of other scripts, and float() reads them
+    test_only_ascii_digits_and_spaces_parse = refusals(*(
+        refuse(ValueError, "cannot parse complex literal", parse_complex, text, id=text)
+        for text in ["\u0661", "\u0661.\u0665", "0.5+\u0663i", "\uff11", "1\u2003", "\u00a01", "\U0001d7d9e5"]
+    ))
+    # float() turns each of these into inf, which a teleport would normalize into NaN
+    test_a_part_too_large_for_a_float_is_refused = refusals(*(
+        refuse(ValueError, "too large for a float", parse_complex, text, id=text)
+        for text in ["1e400", "-1e400i", "9" * 400, "1+1e309i"]
+    ))
 
 
 class TestSelectors:
@@ -67,11 +90,18 @@ class TestSelectors:
         scheme = resolve_scheme(model, str(path))
         assert scheme.triple == cyclic_triple(3)
 
-    test_even_chern_rejected = kept("test_cli.py::TestSelectors::test_even_chern_rejected")
-    test_unknown_model_rejected = kept("test_cli.py::TestSelectors::test_unknown_model_rejected")
-    test_a_chern_number_not_in_ascii_digits_is_refused = kept(
-        "test_cli.py::TestSelectors::test_a_chern_number_not_in_ascii_digits_is_refused")
-    test_missing_scheme_rejected = kept("test_cli.py::TestSelectors::test_missing_scheme_rejected")
+    test_even_chern_rejected = refusals(refuse(ValueError, "odd", parse_model, "ising:2"))
+    test_unknown_model_rejected = refusals(refuse(ValueError, "unknown model", parse_model, "fibonacci"))
+    # int() reads "1_5" as 15 and the Arabic-Indic or fullwidth digits as 3 and 1
+    test_a_chern_number_not_in_ascii_digits_is_refused = refusals(*(
+        row
+        for chern in ["x", "1_5", "\u0663", "\uff11", ""]
+        for message in [f"bad Chern number in model selector {f'ising:{chern}'!r}"]
+        for row in [refuse(ValueError, whole(message), parse_model, f"ising:{chern}", id=chern),
+                    refuse_argv(whole(f"error: {message}\n"), "verify", "--model", f"ising:{chern}", "--trials", "1",
+                                id=chern)]
+    ))
+    test_missing_scheme_rejected = refusals(refuse(ValueError, "neither", resolve_scheme, ISING, "no-such-scheme"))
 
 
 class TestVerifyCommand:
@@ -139,14 +169,35 @@ class TestVerifyCommand:
         main(["verify", "--model", "ising", "--trials", "5", "--seed", "99", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    test_even_chern_is_usage_error = kept("test_cli.py::TestVerifyCommand::test_even_chern_is_usage_error")
-    test_bad_trials_rejected = kept("test_cli.py::TestVerifyCommand::test_bad_trials_rejected")
-    test_a_number_not_in_ascii_digits_is_usage_error = kept(
-        "test_cli.py::TestVerifyCommand::test_a_number_not_in_ascii_digits_is_usage_error")
-    test_unwritable_out_is_usage_error = kept("test_cli.py::TestVerifyCommand::test_unwritable_out_is_usage_error")
-    test_bad_tol_is_usage_error = kept("test_cli.py::TestVerifyCommand::test_bad_tol_is_usage_error")
-    test_a_seed_variable_that_is_no_ascii_integer_is_usage_error = kept(
-        "test_cli.py::TestVerifyCommand::test_a_seed_variable_that_is_no_ascii_integer_is_usage_error")
+    test_even_chern_is_usage_error = refusals(refuse_argv("odd", "verify", "--model", "ising:2", "--trials", "1"))
+    test_bad_trials_rejected = refusals(refuse_argv(whole("error: --trials must be a positive integer, got 0\n"),
+                                                    "verify", "--model", "ising", "--trials", "0"))
+    # argparse writes its usage first, and ends stderr with the error line
+    test_a_number_not_in_ascii_digits_is_usage_error = refusals(*(
+        refuse_argv(re.escape(f"error: argument {argv[-2]}: invalid {kind} value: {argv[-1]!r}\n") + r"\Z", *argv,
+                    exits=True, id=repr(list(argv)))
+        for argv in NON_ASCII_NUMBERS
+        for kind in ["float" if argv[-2] == "--tol" else "int"]
+    ))
+    # exit 1 means a gated check failed; a report that cannot be written raised FileNotFoundError or
+    # IsADirectoryError out of main
+    test_unwritable_out_is_usage_error = refusals(
+        refuse_argv("^error: ", "verify", "--trials", "10", "--out", "{tmp}/missing/r.json", id="missing-directory"),
+        refuse_argv("^error: ", "verify", "--trials", "10", "--out", "{tmp}", id="a-directory"),
+    )
+    # --tol nan used to fail every trial (exit 1) and --tol inf to pass every one
+    test_bad_tol_is_usage_error = refusals(*(
+        refuse_argv("--tol must be finite and positive", *command, f"--tol={tol}", id=f"{tol}-{command[0]}")
+        for command in [("verify", "--model", "ising", "--trials", "2"),
+                        ("braid", "--model", "ising", "--ops", "t3", "--trials", "2"), ("teleport", "--input", "1,0,0")]
+        for tol in ["nan", "inf", "-inf", "0", "-1e-12"]
+    ))
+    # int() reads "1_1" and the two Arabic-Indic ones as 11
+    test_a_seed_variable_that_is_no_ascii_integer_is_usage_error = refusals(*(
+        refuse_argv(whole(f"error: ANYONMASK_SEED must be an integer, got {raw!r}\n"),
+                    "verify", "--model", "ising", "--trials", "2", env=raw, id=raw)
+        for raw in ["seven", "1_1", "\u0661\u0661"]
+    ))
 
 
 class TestBraidCommand:
@@ -202,11 +253,21 @@ class TestBraidCommand:
         assert b" [xAB;cBC]: 2 trials" in proc.stdout
         assert "config.ops: xAB;\u00a0cBC\n" in out.read_bytes().decode("utf-8")
 
-    test_non_adjacent_exchange_rejected = kept("test_cli.py::TestBraidCommand::test_non_adjacent_exchange_rejected")
-    test_unknown_token_rejected = kept("test_cli.py::TestBraidCommand::test_unknown_token_rejected")
-    test_tripartite_needs_ising = kept("test_cli.py::TestBraidCommand::test_tripartite_needs_ising")
-    test_an_op_string_that_cannot_run_is_usage_error = kept(
-        "test_cli.py::TestBraidCommand::test_an_op_string_that_cannot_run_is_usage_error")
+    test_non_adjacent_exchange_rejected = refusals(
+        refuse_argv("adjacent", "braid", "--model", "abelian", "--ops", "xAC", "--trials", "5"))
+    test_unknown_token_rejected = refusals(refuse_argv(
+        "unknown op token 'frobnicate'", "braid", "--model", "abelian", "--ops", "frobnicate", "--trials", "5"))
+    test_tripartite_needs_ising = refusals(
+        refuse_argv("Ising", "braid", "--model", "abelian", "--ops", "t3", "--trials", "5"))
+    test_an_op_string_that_cannot_run_is_usage_error = refusals(*(
+        refuse_argv(re.escape(message), "braid", "--model", "ising", "--ops", ops, "--trials", "5",
+                    id=f"{ops}-{message}")
+        for ops, message in [
+            ("xAB:eps;xAB:1", "already fuses in channel 'eps'; cannot resolve to '1'"),
+            ("cAB:eps", "only an exchange takes a channel mode"),
+            ("xDE", "party indices (3, 4) out of range for 3 registers"),
+        ]
+    ))
 
 
 class TestMolsCommand:
@@ -228,7 +289,7 @@ class TestMolsCommand:
         assert main(["mols", "--dim", "2"]) == 0
         assert capsys.readouterr().out.strip() == "none"
 
-    test_dim_nine_bound_error = kept("test_cli.py::TestMolsCommand::test_dim_nine_bound_error")
+    test_dim_nine_bound_error = refusals(refuse_argv("bounded", "mols", "--dim", "9"))
 
 
 class TestTeleportCommand:
@@ -257,21 +318,29 @@ class TestTeleportCommand:
         assert main(["teleport", "--input=1e-05,1,0"]) == 0
         assert "normalizing" in capsys.readouterr().err
 
-    test_arity_error = kept("test_cli.py::TestTeleportCommand::test_arity_error")
-    test_zero_input_is_usage_error = kept("test_cli.py::TestTeleportCommand::test_zero_input_is_usage_error")
-    test_bad_literal_error = kept("test_cli.py::TestTeleportCommand::test_bad_literal_error")
-    test_a_non_ascii_digit_is_usage_error = kept(
-        "test_cli.py::TestTeleportCommand::test_a_non_ascii_digit_is_usage_error")
-    test_overflowing_literal_is_usage_error = kept(
-        "test_cli.py::TestTeleportCommand::test_overflowing_literal_is_usage_error")
-    test_norm_out_of_float_range_is_usage_error = kept(
-        "test_cli.py::TestTeleportCommand::test_norm_out_of_float_range_is_usage_error")
+    test_arity_error = refusals(refuse_argv("3 coefficients", "teleport", "--input", "1,1"))
+    test_zero_input_is_usage_error = refusals(
+        refuse_argv(whole("error: teleport input must be a nonzero vector\n"), "teleport", "--input", "0,0,0"))
+    test_bad_literal_error = refusals(refuse_argv("complex literal", "teleport", "--input", "1,zap,0"))
+    test_a_non_ascii_digit_is_usage_error = refusals(
+        refuse_argv(whole("error: cannot parse complex literal '\u0661'\n"),
+                    "teleport", "--input=\u0661,0,0", "--format", "text", "--out", "{tmp}/tp.txt"))
+    # the token parsed to inf, was "normalized" into NaN with a numpy RuntimeWarning, and the error named
+    # NaN coefficients nobody typed
+    test_overflowing_literal_is_usage_error = refusals(
+        refuse_argv(whole(f"error: complex literal {OVERFLOW!r} is too large for a float\n"),
+                    "teleport", f"--input={OVERFLOW},0,0"))
+    test_norm_out_of_float_range_is_usage_error = refusals(*(
+        refuse_argv(whole(f"error: teleport input norm^2 {way} a float; scale the coefficients\n"),
+                    "teleport", f"--input={text}", id=f"{text}-{way}")
+        for text, way in [("1e200,1e200i,0", "overflows"), ("1e-200,0,0", "underflows")]
+    ))
 
 
 class TestSharedParser:
     """In-process ``main`` callers share one parser, built on the first call."""
 
-    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch, capsys):
         built = []
 
         def counting_build_parser():
@@ -283,20 +352,17 @@ class TestSharedParser:
         try:
             for argv in (["mols", "--dim", "3"], ["mols", "--dim", "2"], ["teleport", "--input", "1,0,0"]):
                 assert main(argv) == 0
-            with pytest.raises(SystemExit):
-                main(["mols"])
+            capsys.readouterr()
+            check(refuse_argv("--dim", "mols", exits=True), tmp_path, monkeypatch, capsys)
         finally:
             cli._shared_parser.cache_clear()
         assert len(built) == 1
 
-    def test_a_bad_argv_then_a_good_one(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["braid", "--model", "ising", "--trials", "5"])  # --ops is required
-        assert exit_info.value.code == 2
-        assert "--ops" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["verify", "--trials", "many"])
-        capsys.readouterr()
+    def test_a_bad_argv_then_a_good_one(self, tmp_path, monkeypatch, capsys):
+        # --ops is required
+        check(refuse_argv("--ops", "braid", "--model", "ising", "--trials", "5", exits=True),
+              tmp_path, monkeypatch, capsys)
+        check(refuse_argv("'many'", "verify", "--trials", "many", exits=True), tmp_path, monkeypatch, capsys)
         assert main(["braid", "--model", "ising", "--ops", "t3", "--trials", "5", "--seed", "1"]) == 0
         assert "pass" in capsys.readouterr().out
 

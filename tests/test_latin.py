@@ -25,7 +25,7 @@ from anyonmask.latin import (
     triple_to_text,
     validate_triple,
 )
-from test_refusals import kept
+from test_refusals import refusals, refuse, whole
 
 ISING = ("1", "eps", "sigma")
 
@@ -46,6 +46,16 @@ class TestIsLatin:
         assert is_latin(Square(((0,),)))
 
 
+# (cells, the cell the message names, the value it shows)
+BAD_CELLS = [
+    (((0, 1.9), (1.2, 0)), "(0, 1)", "1.9"),
+    ((("0", "1"), ("1", "0")), "(0, 0)", "'0'"),
+    (((0, 1), (True, 0)), "(1, 0)", "True"),
+    (((0, 1), (1, None)), "(1, 1)", "None"),
+    (((0, -1), (1, 0)), "(0, 1)", "-1"),
+]
+
+
 class TestSquareCells:
     """A cell is an alphabet index: int() would truncate a float and parse a string."""
 
@@ -55,11 +65,17 @@ class TestSquareCells:
         assert all(type(x) is int for row in square.cells for x in row)
         assert is_latin(square)
 
-    test_a_non_index_cell_is_refused_by_position = kept(
-        "test_latin.py::TestSquareCells::test_a_non_index_cell_is_refused_by_position")
-    test_a_ragged_row_is_refused = kept("test_latin.py::TestSquareCells::test_a_ragged_row_is_refused")
-    test_a_cell_of_the_order_or_more_is_refused = kept(
-        "test_latin.py::TestSquareCells::test_a_cell_of_the_order_or_more_is_refused")
+    test_a_non_index_cell_is_refused_by_position = refusals(*(
+        refuse(ValueError, whole(f"cell {cell} must be a non-negative integer, got {value}"), Square, cells,
+               id=f"cells{i}-{cell}-{value}")
+        for i, (cells, cell, value) in enumerate(BAD_CELLS)
+    ))
+    test_a_ragged_row_is_refused = refusals(
+        refuse(ValueError, "^square rows must all have length d$", Square, ((0, 1), (1,))))
+    test_a_cell_of_the_order_or_more_is_refused = refusals(
+        refuse(ValueError, r"^cell value 2 outside 0\.\.1$", Square, ((0, 1), (2, 0))))
+    # validate_triple called a triple of three empty squares valid
+    test_an_empty_square_is_refused = refusals(refuse(ValueError, "^a square needs at least one row$", Square, ()))
 
 
 class TestOrthogonality:
@@ -84,7 +100,8 @@ class TestOrthogonality:
         s2 = cyclic_square(da, "backward")
         assert are_orthogonal(s1, s2) == are_orthogonal(s2, s1)
 
-    test_dimension_mismatch_rejected = kept("test_latin.py::TestOrthogonality::test_dimension_mismatch_rejected")
+    test_dimension_mismatch_rejected = refusals(
+        refuse(ValueError, "order mismatch", are_orthogonal, cyclic_square(3, "forward"), cyclic_square(4, "forward")))
 
 
 class TestCyclicSquares:
@@ -133,7 +150,7 @@ class TestCyclicSquares:
             assert len({j for j, _ in cells}) == d
             assert len({k for _, k in cells}) == d
 
-    test_bad_direction_rejected = kept("test_latin.py::TestCyclicSquares::test_bad_direction_rejected")
+    test_bad_direction_rejected = refusals(refuse(ValueError, "direction", cyclic_square, 3, "sideways"))
 
 
 class TestClassify:
@@ -220,7 +237,9 @@ class TestValidateTriple:
         assert not report.ok
         assert "A-not-constant-or-latin" in report.violations
 
-    test_mismatched_orders_rejected = kept("test_latin.py::TestValidateTriple::test_mismatched_orders_rejected")
+    test_mismatched_orders_rejected = refusals(
+        refuse(ValueError, "share one order",
+               SchemeTriple, a=constant_row_square(3), b=cyclic_square(4, "forward"), c=cyclic_square(3, "backward")))
 
 
 class TestFindMolsPair:
@@ -277,7 +296,7 @@ class TestFindMolsPair:
         else:
             assert (pair[0].cells, pair[1].cells) == self.PINNED[d]
 
-    test_search_bound = kept("test_latin.py::TestFindMolsPair::test_search_bound")
+    test_search_bound = refusals(refuse(ValueError, "bounded", find_mols_pair, 9))
 
 
 class TestTextFormat:
@@ -303,7 +322,9 @@ class TestTextFormat:
         text = triple_to_text(triple, ISING).replace("\n", "\r\n")
         assert parse_triple(text, ISING) == triple
 
-    test_unknown_label_rejected = kept("test_latin.py::TestTextFormat::test_unknown_label_rejected")
-    test_wrong_row_count_rejected = kept("test_latin.py::TestTextFormat::test_wrong_row_count_rejected")
-    test_wrong_block_count_rejected = kept("test_latin.py::TestTextFormat::test_wrong_block_count_rejected")
-    test_alphabet_size_checked = kept("test_latin.py::TestTextFormat::test_alphabet_size_checked")
+    test_unknown_label_rejected = refusals(refuse(ValueError, "unknown label", parse_square, "1 eps bogus\n", ISING))
+    test_wrong_row_count_rejected = refusals(refuse(ValueError, "rows", parse_square, "1 eps sigma\n", ISING))
+    test_wrong_block_count_rejected = refusals(
+        refuse(ValueError, "three", parse_triple, "1 eps sigma\neps sigma 1\nsigma 1 eps\n", ISING))
+    test_alphabet_size_checked = refusals(
+        refuse(ValueError, "alphabet", square_to_text, cyclic_square(4, "forward"), ISING))

@@ -21,7 +21,6 @@ from anyonmask.masker import (
     default_triple_name,
     encode,
     encoder_rows,
-    ising_cyclic_scheme,
     random_unit_coeffs,
     run_masking_campaign,
     verify_masking,
@@ -39,7 +38,7 @@ from helpers import (
     reference_encode_row,
     unit_coeffs,
 )
-from test_refusals import kept
+from test_refusals import ABELIAN, ABELIAN_SCHEME, ISING, ISING_SCHEME, refusals, refuse
 
 
 def display_state(rows, coeffs):
@@ -184,10 +183,16 @@ class TestEncode:
             rhs = complex(np.vdot(x, y))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    test_wrong_length_rejected = kept("test_masker.py::TestEncode::test_wrong_length_rejected")
-    test_non_unit_norm_rejected = kept("test_masker.py::TestEncode::test_non_unit_norm_rejected")
-    test_non_finite_rejected = kept("test_masker.py::TestEncode::test_non_finite_rejected")
-    test_bipartite_non_finite_rejected = kept("test_masker.py::TestEncode::test_bipartite_non_finite_rejected")
+    test_wrong_length_rejected = refusals(refuse(ValueError, "coefficients", encode, ABELIAN_SCHEME, [1.0, 0.0, 0.0]))
+    test_non_unit_norm_rejected = refusals(
+        refuse(ValueError, "unit norm", encode, ABELIAN_SCHEME, [1.0, 1.0, 0.0, 0.0]))
+    # a NaN once passed the norm check and encoded to an empty state
+    test_non_finite_rejected = refusals(*(
+        refuse(ValueError, "finite", encode, ABELIAN_SCHEME, [bad, 0.0, 0.0, 0.0], id=str(bad))
+        for bad in [math.nan, math.inf, complex(0, math.nan)]
+    ))
+    test_bipartite_non_finite_rejected = refusals(
+        refuse(ValueError, "finite", bipartite_encode, ABELIAN_SCHEME.triple, ABELIAN.alphabet, [math.nan, 0, 0, 0]))
 
 
 class TestVerifyMasking:
@@ -251,7 +256,8 @@ class TestVerifyMasking:
             rho_b = partial_trace(second, {party}, basis)
             assert np.max(np.abs(rho_a.entries - rho_b.entries)) <= 2e-12
 
-    test_register_count_checked = kept("test_masker.py::TestVerifyMasking::test_register_count_checked")
+    test_register_count_checked = refusals(
+        refuse(ValueError, "3 registers", verify_masking, StateVector({BasisKet(("1", "1")): 1.0}), ABELIAN.alphabet))
 
 
 class TestSchemeVariants:
@@ -284,8 +290,11 @@ class TestSchemeVariants:
         assert report.deviations[1] <= 1e-12
         assert report.deviations[2] <= 1e-12
 
-    test_order_mismatch_rejected = kept("test_masker.py::TestSchemeVariants::test_order_mismatch_rejected")
-    test_invalid_triple_rejected = kept("test_masker.py::TestSchemeVariants::test_invalid_triple_rejected")
+    test_order_mismatch_rejected = refusals(
+        refuse(ValueError, "alphabet size", MaskingScheme, model=ISING, triple=ABELIAN_SCHEME.triple))
+    test_invalid_triple_rejected = refusals(refuse(
+        ValueError, "invalid scheme triple", MaskingScheme, model=ISING,
+        triple=SchemeTriple(a=ISING_SCHEME.triple.a, b=cyclic_square(3, "forward"), c=cyclic_square(3, "forward"))))
 
 
 class TestCampaign:
@@ -320,7 +329,7 @@ class TestCampaign:
         assert math.isnan(result.per_party_worst[1])
         assert not math.isnan(result.per_party_worst[0])
 
-    test_trials_validated = kept("test_masker.py::TestCampaign::test_trials_validated")
+    test_trials_validated = refusals(refuse(ValueError, "trials", run_masking_campaign, ISING_SCHEME, trials=0, seed=1))
 
 
 class TestBipartiteControl:
@@ -375,6 +384,10 @@ class TestBipartiteControl:
         assert record["max_marginal_distance"] > 0.1
         assert record["model"] == "abelian-c0"
 
-    test_a_triple_of_another_order_is_refused = kept(
-        "test_masker.py::TestBipartiteControl::test_a_triple_of_another_order_is_refused")
-    test_an_invalid_triple_is_refused = kept("test_masker.py::TestBipartiteControl::test_an_invalid_triple_is_refused")
+    # the encoder used to fail on it as "expected 3 coefficients, got shape (4,)"
+    test_a_triple_of_another_order_is_refused = refusals(
+        refuse(ValueError, "triple order 3 does not match the abelian-c0 alphabet size 4",
+               bipartite_control, ABELIAN, cyclic_triple(3)))
+    test_an_invalid_triple_is_refused = refusals(
+        refuse(ValueError, "invalid scheme triple: B-C-not-orthogonal",
+               bipartite_control, ISING, SchemeTriple(a=cyclic_square(3), b=cyclic_square(3), c=cyclic_square(3))))

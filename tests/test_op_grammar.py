@@ -23,7 +23,7 @@ from anyonmask.braid import (
     verify_invariance,
 )
 from anyonmask.masker import ising_cyclic_scheme
-from test_refusals import kept
+from test_refusals import refusals, refuse
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -100,5 +100,18 @@ def test_the_bench_sweep_runs_the_library_op_sets():
     assert parse_ops(";".join(tokens["ISING_TOKENS"])) == op_set("ising")
 
 
-test_a_token_outside_the_grammar_or_no_op_is_refused = kept(
-    "test_op_grammar.py::test_a_token_outside_the_grammar_or_no_op_is_refused")
+# (text, message): a token outside the grammar that BraidOp.token writes, or one naming no op
+BAD_TOKENS = [
+    ("xAB:split", "unknown op token 'xAB:split'"),
+    ("xAB:", "unknown op token 'xAB:'"),
+    ("xab", "unknown op token 'xab'"),
+    ("xABC", "unknown op token 'xABC'"),
+    ("cAB:eps", "only an exchange takes a channel mode"),
+    ("t3:1", "only an exchange takes a channel mode"),
+    ("t3AB", "the tripartite braid takes no parties"),
+    ("xAC:1", r"exchange requires adjacent parties, got \(0, 2\)"),
+    ("cDD", "cannot circle a party around itself"),
+]
+test_a_token_outside_the_grammar_or_no_op_is_refused = refusals(*(
+    refuse(BraidError, message, parse_ops, text, id=f"{text}-{message}") for text, message in BAD_TOKENS
+))

@@ -1,11 +1,15 @@
 import itertools
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anyonmask.latin import cyclic_triple
+from anyonmask.masker import bipartite_encode, encode
 from anyonmask.qstate import (
     BasisKet,
     DensityMatrix,
@@ -22,10 +26,12 @@ from anyonmask.qstate import (
     tensor,
     unit_coeffs,
 )
+from anyonmask.teleport import payload_state, run_teleport
 from helpers import ROWS_D4, dense_partial_trace, dense_vector, max_amplitude_diff, reference_partial_trace
-from test_refusals import kept
+from test_refusals import ISING_SCHEME, refusals, refuse, whole
 
 ABELIAN = ("1", "e", "m", "eps")
+ISING = ("1", "eps", "sigma")
 
 
 def encoded_d4(coeffs) -> StateVector:
@@ -73,7 +79,8 @@ class TestTensor:
         out = tensor(basis_state(["sigma"], tag="1"), basis_state(["sigma"]))
         assert list(out.amplitudes) == [BasisKet(("sigma", "sigma"), "1")]
 
-    test_two_tagged_inputs_rejected = kept("test_qstate.py::TestTensor::test_two_tagged_inputs_rejected")
+    test_two_tagged_inputs_rejected = refusals(
+        refuse(ValueError, "tag", tensor, basis_state(["sigma"], tag="eps"), basis_state(["sigma"], tag="eps")))
 
 
 class TestInnerNormScale:
@@ -98,8 +105,11 @@ class TestInnerNormScale:
     def test_norm_is_sqrt_self_inner(self, s):
         assert norm(s) ** 2 == pytest.approx(inner(s, s).real, abs=1e-10)
 
-    test_inner_of_two_register_counts_rejected = kept(
-        "test_qstate.py::TestInnerNormScale::test_inner_of_two_register_counts_rejected")
+    # 0 would pass for orthogonal states of one register count
+    test_inner_of_two_register_counts_rejected = refusals(
+        refuse(ValueError, "states of 1 and 2 registers", inner, basis_state(("1",)), basis_state(("1", "1"))),
+        refuse(ValueError, "states of 2 and 1 registers", inner, basis_state(("1", "1")), basis_state(("1",))),
+    )
 
 
 class TestPartialTrace:
@@ -180,13 +190,22 @@ class TestPartialTrace:
         # the two tagged branches add incoherently
         np.testing.assert_allclose(rho.entries, [[1.0]], atol=1e-15)
 
-    test_rejects_empty_keep = kept("test_qstate.py::TestPartialTrace::test_rejects_empty_keep")
-    test_rejects_out_of_range = kept("test_qstate.py::TestPartialTrace::test_rejects_out_of_range")
-    test_rejects_a_kept_index_that_is_no_integer = kept(
-        "test_qstate.py::TestPartialTrace::test_rejects_a_kept_index_that_is_no_integer")
-    test_rejects_basis_missing_support = kept("test_qstate.py::TestPartialTrace::test_rejects_basis_missing_support")
-    test_rejects_basis_missing_a_later_ket_of_a_group = kept(
-        "test_qstate.py::TestPartialTrace::test_rejects_basis_missing_a_later_ket_of_a_group")
+    test_rejects_empty_keep = refusals(
+        refuse(ValueError, "at least one", partial_trace, basis_state(["e", "m"]), set()))
+    test_rejects_out_of_range = refusals(
+        refuse(ValueError, "out of range", partial_trace, basis_state(["e", "m"]), {2}))
+    # True ran as register 1; 1.5 and 1.0 failed with TypeError when slicing
+    test_rejects_a_kept_index_that_is_no_integer = refusals(*(
+        refuse(ValueError, f"^keep must be a non-negative integer, got {re.escape(repr(index))}$",
+               partial_trace, basis_state(["e", "m", "1"]), [index], id=repr(index))
+        for index in [True, 1.5, 1.0, -1]
+    ))
+    test_rejects_basis_missing_support = refusals(
+        refuse(ValueError, "missing", partial_trace, basis_state(["e", "m"]), {0}, basis=[("1",)]))
+    # |e 1> and |m 1> share the traced label; only the first is in the basis
+    test_rejects_basis_missing_a_later_ket_of_a_group = refusals(
+        refuse(ValueError, r"\('m',\) missing from the supplied basis",
+               partial_trace, StateVector({BasisKet(("e", "1")): 0.6, BasisKet(("m", "1")): 0.8}), {0}, basis=[("e",)]))
 
 
 class TestHsDistance:
@@ -211,7 +230,9 @@ class TestHsDistance:
         bumped[0, 0] += 1e-13
         assert hs_distance(mixed, DensityMatrix(basis, bumped)) <= 2e-13
 
-    test_basis_mismatch_rejected = kept("test_qstate.py::TestHsDistance::test_basis_mismatch_rejected")
+    test_basis_mismatch_rejected = refusals(
+        refuse(ValueError, "bases", hs_distance, DensityMatrix.maximally_mixed(product_basis(ABELIAN, 1)),
+               DensityMatrix.maximally_mixed(product_basis(ISING, 1))))
 
 
 class TestDenseLayout:
@@ -223,7 +244,9 @@ class TestDenseLayout:
         kets = tagged_basis(ABELIAN, state.n_registers)[0]
         assert list(back.amplitudes) == [ket for ket in kets if ket in state.amplitudes]
 
-    test_foreign_shape_rejected = kept("test_qstate.py::TestDenseLayout::test_foreign_shape_rejected")
+    test_foreign_shape_rejected = refusals(
+        refuse(ValueError, r"shape \(3, 3, 3\) are not in the dense layout of 4 labels",
+               dense_state, np.zeros((3, 3, 3), dtype=complex), ABELIAN))
 
 
 class TestDensityMatrix:
@@ -242,9 +265,12 @@ class TestDensityMatrix:
         assert np.linalg.eigvalsh(rho)[0] == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho - 0.1 * np.eye(16))[0] < -1e-10
 
-    test_entries_are_frozen = kept("test_qstate.py::TestDensityMatrix::test_entries_are_frozen")
-    test_entries_of_another_shape_are_refused = kept(
-        "test_qstate.py::TestDensityMatrix::test_entries_of_another_shape_are_refused")
+    test_entries_are_frozen = refusals(
+        refuse(ValueError, None, operator.setitem, DensityMatrix.maximally_mixed(product_basis(ABELIAN, 1)).entries,
+               (0, 0), 9.0))
+    test_entries_of_another_shape_are_refused = refusals(
+        refuse(ValueError, r"^entries shape \(3, 3\) does not match basis size 4$",
+               DensityMatrix, product_basis(ABELIAN, 1), np.eye(3)))
 
 
 class TestStateVector:
@@ -261,11 +287,47 @@ class TestStateVector:
         s2 = StateVector({BasisKet(("e",)): 1.0, BasisKet(("m",)): 1e-3})
         assert max_amplitude_diff(s1, s2) == pytest.approx(1e-3)
 
-    test_nan_amplitude_rejected = kept("test_qstate.py::TestStateVector::test_nan_amplitude_rejected")
-    test_infinite_amplitude_rejected = kept("test_qstate.py::TestStateVector::test_infinite_amplitude_rejected")
-    test_an_amplitude_that_is_no_number_rejected = kept(
-        "test_qstate.py::TestStateVector::test_an_amplitude_that_is_no_number_rejected")
-    test_mixed_register_counts_rejected = kept("test_qstate.py::TestStateVector::test_mixed_register_counts_rejected")
+    # a NaN amplitude used to be pruned away as if it were zero
+    test_nan_amplitude_rejected = refusals(*(
+        refuse(ValueError, "NaN", StateVector, {BasisKet(("e",)): bad, BasisKet(("m",)): 1.0}, id=str(bad))
+        for bad in [math.nan, complex(1, math.nan)]
+    ))
+    # a kept infinite amplitude would turn every marginal into NaN
+    test_infinite_amplitude_rejected = refusals(*(
+        refuse(ValueError, r"amplitude of \|e> is not finite",
+               StateVector, {BasisKet(("e",)): bad, BasisKet(("m",)): 1.0}, id=str(bad))
+        for bad in [math.inf, complex(0, -math.inf)]
+    ))
+    # "1", True and np.True_ were stored as 1+0j, and None raised TypeError
+    test_an_amplitude_that_is_no_number_rejected = refusals(*(
+        refuse(ValueError, rf"^amplitude of \|e> is not a number: {re.escape(repr(bad))}$",
+               StateVector, {BasisKet(("e",)): bad, BasisKet(("m",)): 1.0}, id=repr(bad))
+        for bad in ["1", True, np.True_, None, [1.0]]
+    ))
+    test_mixed_register_counts_rejected = refusals(
+        refuse(ValueError, "register count", StateVector, {BasisKet(("e",)): 1.0, BasisKet(("e", "m")): 1.0}))
+
+
+# (coefficients, message): every taker of unit coefficients gives the message, the finite-only takers the first four;
+# the parameter ids show a message up to the array it shows
+BAD_COEFFS = [
+    ([1, 0], "expected 3 coefficients, got shape (2,)"),
+    ([[1, 0, 0]], "expected 3 coefficients, got shape (1, 3)"),
+    ([math.nan, 0, 0], f"coefficients must be finite, got {np.array([math.nan, 0, 0], dtype=complex)}"),
+    ([1, math.inf, 0], f"coefficients must be finite, got {np.array([1, math.inf, 0], dtype=complex)}"),
+    ([1, 1, 0], "coefficients must have unit norm, got |coeffs|^2 = 2.0"),
+    ([0, 0, 0], "coefficients must have unit norm, got |coeffs|^2 = 0.0"),
+]
+UNIT_TAKERS = [
+    (unit_coeffs, lambda c: (c, 3)),
+    (encode, lambda c: (ISING_SCHEME, c)),
+    (payload_state, lambda c: (c,)),
+    (run_teleport, lambda c: (c,)),
+]
+FINITE_TAKERS = [
+    (finite_coeffs, lambda c: (c, 3)),
+    (bipartite_encode, lambda c: (cyclic_triple(3), ISING, c)),
+]
 
 
 class TestCoefficientChecks:
@@ -276,7 +338,27 @@ class TestCoefficientChecks:
         assert coeffs.dtype == complex and coeffs.tolist() == [0.6, 0.8j, 0j]
         assert finite_coeffs([2, 0, 0], 3).tolist() == [2, 0, 0]
 
-    test_unit_coefficient_takers_refuse_alike = kept(
-        "test_qstate.py::TestCoefficientChecks::test_unit_coefficient_takers_refuse_alike")
-    test_the_bipartite_encoder_refuses_alike = kept(
-        "test_qstate.py::TestCoefficientChecks::test_the_bipartite_encoder_refuses_alike")
+    test_unit_coefficient_takers_refuse_alike = refusals(*(
+        refuse(ValueError, whole(message), entry, *args(coeffs), id=f"coeffs{i}-{message.split('[')[0]}")
+        for i, (coeffs, message) in enumerate(BAD_COEFFS)
+        for entry, args in UNIT_TAKERS
+    ))
+    test_the_bipartite_encoder_refuses_alike = refusals(*(
+        refuse(ValueError, whole(message), entry, *args(coeffs), id=f"coeffs{i}-{message.split('[')[0]}")
+        for i, (coeffs, message) in enumerate(BAD_COEFFS[:4])
+        for entry, args in FINITE_TAKERS
+    ))
+    # a complex array holds "1" and True as 1, so run_teleport(["1", "0", "0"]) passed, and None as a NaN
+    # the caller never gave
+    test_a_coefficient_that_is_no_number_is_refused = refusals(
+        *(refuse(ValueError, whole(message), unit_coeffs, coeffs, 3, id=repr(coeffs)) for coeffs, message in [
+            (["1", 0, 0], "coefficient 0 is not a number: '1'"),
+            ([True, 0, 0], "coefficient 0 is not a number: True"),
+            ([b"1", 0, 0], "coefficient 0 is not a number: b'1'"),
+            (np.array([True, False, False]), "coefficient 0 is not a number: np.True_"),
+            ([None, 1, 0], "coefficient 0 is not a number: None"),
+            ([0.6, 0.8j, "0"], "coefficient 2 is not a number: '0'"),
+        ]),
+        refuse(ValueError, whole("coefficient 0 is not a number: '1'"), run_teleport, ["1", "0", "0"],
+               id="run_teleport"),
+    )

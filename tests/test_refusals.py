@@ -1,104 +1,41 @@
-"""Every refusal of the package, one row each, checked by one function; a new refusal is one more row.
+"""Every refusal of the package is a row, and one function, ``check``, checks every row.
 
-A library row names an entry point, its arguments, the exception it must
-raise and a pattern its message must match (``re.search``, as
-``pytest.raises`` reads it; None checks the type only).  A CLI row gives
-the argv of ``cli.main`` (``{tmp}`` is a fresh empty directory), any
+A library row, ``refuse(error, match, entry, *args, **kwargs)``, names an
+entry point, its arguments, the exception it must raise and a pattern its
+message must match (``re.search``, as ``pytest.raises`` reads it; None
+checks the type only).  A CLI row, ``refuse_argv(err, *argv)``, gives the argv of
+``cli.main`` (``{tmp}`` is a fresh empty directory), any
 ``ANYONMASK_SEED``, whether argparse raises ``SystemExit(2)`` or ``main``
 returns 2, and a pattern searched in stderr; every CLI row also runs with
 warnings as errors and must print nothing to stdout, no traceback to
 stderr, and write no file.
 
-A row's name says which test checks it.  A row named after a test,
-``file::Class::test`` or ``file::test`` with an optional ``[id]``, is
-checked by that test, which its file builds with ``kept()``; that way the
-refusal tests older than the table keep their names and parameters.
-``test_refused`` checks every other row.
+``test_x = refusals(row, ...)`` is a test of rows, written beside the
+other tests of the code the rows call.  Rows given an ``id`` make one
+parameter each, every row of that id in it; rows with none make one test.
+A new refusal is one more row, and a refusal that is one step of a
+longer test calls ``check``: the guard at the end fails on
+``pytest.raises`` outside ``check``, but in the files it names.
 """
 
 from __future__ import annotations
 
 import ast
-import importlib
-import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-import numpy as np
 import pytest
 
-from anyonmask.anyons import SIGMA, VAC, E, FusionChannelError, M, UnknownSectorError, abelian_c0, fuse, ising_like
-from anyonmask.anyons import phase_from_eighths, r_phase
-from anyonmask.braid import (
-    CHANNEL_MODES,
-    BraidError,
-    BraidOp,
-    ChannelConflictError,
-    apply_ops,
-    circle,
-    exchange,
-    parse_ops,
-    tripartite_braid,
-    verify_invariance,
-)
-from anyonmask.cli import main, parse_complex, parse_model, resolve_scheme
-from anyonmask.latin import (
-    SchemeTriple,
-    Square,
-    are_orthogonal,
-    constant_row_square,
-    cyclic_square,
-    cyclic_triple,
-    find_mols_pair,
-    parse_square,
-    parse_triple,
-    square_to_text,
-)
-from anyonmask.masker import (
-    MaskingScheme,
-    abelian_standard_scheme,
-    bipartite_control,
-    bipartite_encode,
-    encode,
-    encoder_rows,
-    ising_cyclic_scheme,
-    run_masking_campaign,
-    verify_masking,
-)
-from anyonmask.qstate import (
-    BasisKet,
-    DensityMatrix,
-    StateVector,
-    basis_state,
-    check_seed,
-    dense_state,
-    finite_coeffs,
-    hs_distance,
-    inner,
-    partial_trace,
-    product_basis,
-    tensor,
-    unit_coeffs,
-)
-from anyonmask.teleport import (
-    alice_measure,
-    build_channel,
-    build_joint,
-    correct,
-    payload_state,
-    permutation_encode,
-    run_teleport,
-)
-from anyonmask.trials import evaluate_trials
+from anyonmask.anyons import abelian_c0, ising_like
+from anyonmask.cli import main
+from anyonmask.masker import abelian_standard_scheme, ising_cyclic_scheme
 
+# rows are built at import, before any fixture, so they share these
 ABELIAN, ISING = abelian_c0(), ising_like(1)
 ABELIAN_SCHEME, ISING_SCHEME = abelian_standard_scheme(), ising_cyclic_scheme()
-ISING_LABELS = ("1", "eps", "sigma")
-ENCODED = permutation_encode(build_joint([1.0, 0.0, 0.0]))
 
 
 @dataclass(frozen=True)
@@ -108,6 +45,7 @@ class Call:
     kwargs: dict
     error: type[Exception]
     match: Optional[str]
+    id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -116,605 +54,25 @@ class Cli:
     err: str
     exits: bool = False
     env: Optional[str] = None
+    id: Optional[str] = None
 
 
-def refuse(name: str, error: type[Exception], match: Optional[str], entry: Callable, /, *args: Any, **kwargs: Any):
-    return pytest.param(Call(entry, args, kwargs, error, match), id=name)
+def refuse(error: type[Exception], match: Optional[str], entry: Callable, /, *args: Any, id: Optional[str] = None,
+           **kwargs: Any) -> Call:
+    return Call(entry, args, kwargs, error, match, id)
 
 
-def cli(name: str, err: str, *argv: str, exits: bool = False, env: Optional[str] = None):
-    return pytest.param(Cli(argv, err, exits, env), id=name)
-
-
-def anchored(message: str) -> str:
-    """A message and nothing else; ``$`` also takes a final newline."""
-    return f"^{re.escape(message)}$"
+def refuse_argv(err: str, *argv: str, exits: bool = False, env: Optional[str] = None,
+                id: Optional[str] = None) -> Cli:
+    return Cli(argv, err, exits, env, id)
 
 
 def whole(text: str) -> str:
-    """Exactly ``text``, up to its last character."""
+    """The pattern of exactly ``text``."""
     return f"^{re.escape(text)}\\Z"
 
 
-ANYON_ROWS = [
-    # phase_from_eighths(2.5) returned exp(2.5 i pi / 8) and True ran as 1
-    *(
-        refuse(f"test_anyons.py::TestPhaseFromEighths::test_no_whole_number_of_eighths_is_refused[{k!r}]", ValueError,
-               rf"^eighths k must be an integer, got {re.escape(repr(k))}$",
-               phase_from_eighths, k)
-        for k in [2.5, 4.0, True, np.True_, "4", None, 1j]
-    ),
-    refuse("test_anyons.py::TestFusion::test_foreign_label_rejected", UnknownSectorError, None, fuse, ISING, E, SIGMA),
-    refuse("test_anyons.py::TestRPhases::test_bad_channel_rejected", FusionChannelError, None,
-           r_phase, ABELIAN, E, M, VAC),
-    refuse("test_anyons.py::TestTopologicalData::test_even_c_rejected", ValueError, "odd", ising_like, 2),
-    # ising_like(1.5) built "ising-c1.5", whose braids passed, and True ran as c = 1
-    *(
-        refuse(f"test_anyons.py::TestTopologicalData::test_a_chern_number_that_is_no_integer_is_refused[{c!r}]",
-               ValueError, rf"^Chern number c must be an integer, got {re.escape(repr(c))}$",
-               ising_like, c)
-        for c in [1.5, 1.0, True, np.True_, "1", None]
-    ),
-]
-
-SIGMA_PAIR = ("sigma", "sigma", "1")
-
-# (BraidOp fields, message): an op that cannot run must not exist, or its token could name it in a report
-BAD_OPS = [
-    ({"kind": "bogus"}, "unknown op kind 'bogus'"),
-    ({"kind": "exchange", "x": 0, "y": 1, "mode": "both"}, "channel mode must be one of"),
-    ({"kind": "circle", "x": 0, "y": 1, "mode": "eps "}, "channel mode must be one of"),
-    ({"kind": "exchange"}, r"exchange needs integer parties x and y, got x=None, y=None"),
-    ({"kind": "exchange", "x": 1.0, "y": 2}, r"exchange needs integer parties x and y, got x=1.0, y=2"),
-    ({"kind": "circle", "x": 0, "y": True}, r"circle needs integer parties x and y, got x=0, y=True"),
-    ({"kind": "tripartite", "x": 0, "y": 1}, r"the tripartite braid takes no parties, got x=0, y=1"),
-    ({"kind": "tripartite", "y": 2}, r"the tripartite braid takes no parties, got x=None, y=2"),
-    # a negative party read a register from the end; its token read "xCA"
-    ({"kind": "exchange", "x": -1, "y": 0}, r"exchange needs integer parties x and y, got x=-1, y=0"),
-    ({"kind": "exchange", "x": 0, "y": 2}, r"exchange requires adjacent parties, got \(0, 2\)"),
-    ({"kind": "circle", "x": 1, "y": 1}, "cannot circle a party around itself"),
-    # a mode on an op that has no channel to resolve ran as "split"
-    ({"kind": "circle", "x": 0, "y": 1, "mode": "eps"}, "only an exchange takes a channel mode"),
-    ({"kind": "tripartite", "mode": "1"}, "only an exchange takes a channel mode"),
-    ({"kind": "circle", "x": 0, "y": 26}, r"parties must be below 26 to have a letter, got \(0, 26\)"),
-]
-
-# (text, message): a token outside the grammar that BraidOp.token writes, or one naming no op
-BAD_TOKENS = [
-    ("xAB:split", "unknown op token 'xAB:split'"),
-    ("xAB:", "unknown op token 'xAB:'"),
-    ("xab", "unknown op token 'xab'"),
-    ("xABC", "unknown op token 'xABC'"),
-    ("cAB:eps", "only an exchange takes a channel mode"),
-    ("t3:1", "only an exchange takes a channel mode"),
-    ("t3AB", "the tripartite braid takes no parties"),
-    ("xAC:1", r"exchange requires adjacent parties, got \(0, 2\)"),
-    ("cDD", "cannot circle a party around itself"),
-]
-
-BRAID_ROWS = [
-    refuse("test_braid.py::TestExchange::test_non_adjacent_rejected", BraidError, "adjacent",
-           exchange, ABELIAN, basis_state(["1", "e", "m"]), 0, 2),
-    refuse("test_braid.py::TestExchange::test_out_of_range_rejected", BraidError, "out of range",
-           exchange, ABELIAN, basis_state(["1", "e"]), 1, 2),
-    refuse("test_braid.py::TestExchange::test_resolved_mode_conflicting_tag_rejected", ChannelConflictError, None,
-           exchange, ISING, basis_state(SIGMA_PAIR, tag="1"), 0, 1, mode="eps"),
-    # a channel-1 part larger than the residue PRUNE_EPS allows is a conflict
-    refuse("apply_ops-conflict-past-a-residue", ChannelConflictError,
-           "already fuses in channel '1'; cannot resolve to 'eps'",
-           apply_ops, ISING, StateVector({BasisKet(SIGMA_PAIR): 1.0, BasisKet(SIGMA_PAIR, "1"): -0.5}),
-           (BraidOp("exchange", 0, 1), BraidOp("exchange", 0, 1, "eps"))),
-    # the tag is no channel of the pair, so no mode can find it in conflict
-    *(
-        refuse(f"test_braid.py::TestExchange::test_a_foreign_tag_is_no_channel_in_every_mode[{mode}]",
-               FusionChannelError, r"'zz' is not a fusion channel of \(sigma, sigma\)",
-               exchange, ISING, basis_state(SIGMA_PAIR, tag="zz"), 0, 1, mode=mode)
-        for mode in CHANNEL_MODES
-    ),
-    refuse("test_braid.py::TestExchange::test_bad_mode_rejected", BraidError, "channel mode",
-           exchange, ISING, basis_state(SIGMA_PAIR), 0, 1, mode="both"),
-    refuse("test_braid.py::TestCircle::test_same_party_rejected", BraidError, "itself",
-           circle, ISING, basis_state(["1", "1", "1"]), 1, 1),
-    refuse("test_braid.py::TestTripartiteBraid::test_non_ising_model_rejected", BraidError, "Ising",
-           tripartite_braid, ABELIAN, basis_state(["1", "1", "1"])),
-    refuse("test_braid.py::TestTripartiteBraid::test_four_registers_rejected", BraidError,
-           "^the tripartite braid needs 3 registers, got 4$",
-           apply_ops, ISING, basis_state(["1"] * 4), parse_ops("t3")),
-    refuse("test_braid.py::TestOpStrings::test_unknown_token_rejected", BraidError, "unknown op token",
-           parse_ops, "xBC;zap"),
-    refuse("test_braid.py::TestOpStrings::test_unknown_party_rejected", BraidError, "unknown op token 'xBz'",
-           parse_ops, "xBz"),
-    refuse("test_braid.py::TestOpStrings::test_a_party_letter_past_c_reaches_the_op_check", BraidError,
-           r"exchange requires adjacent parties, got \(1, 3\)",
-           parse_ops, "xBD"),
-    refuse("test_braid.py::TestOpStrings::test_empty_rejected", BraidError, "empty", parse_ops, " ; "),
-    *(
-        refuse(f"test_braid.py::TestOpStrings::test_op_with_unknown_kind_or_mode_is_refused[fields{i}-{message}]",
-               BraidError, message,
-               BraidOp, **fields)
-        for i, (fields, message) in enumerate(BAD_OPS)
-    ),
-    *(
-        refuse(f"test_op_grammar.py::test_a_token_outside_the_grammar_or_no_op_is_refused[{text}-{message}]",
-               BraidError, message,
-               parse_ops, text)
-        for text, message in BAD_TOKENS
-    ),
-    refuse("test_braid.py::TestOpTables::test_a_channel_conflict_on_the_rows_is_refused", ChannelConflictError,
-           "already fuses in channel 'eps'; cannot resolve to '1'",
-           verify_invariance, ISING_SCHEME, (BraidOp("exchange", 0, 1, "eps"), BraidOp("exchange", 0, 1, "1")),
-           trials=5),
-    # the dict loop of the tripartite braid read any tag but "1" as "eps"
-    refuse("test_braid.py::TestOpTables::test_a_foreign_tag_on_a_sigma_pair_is_no_channel_of_it", FusionChannelError,
-           r"'zz' is not a fusion channel of \(sigma, sigma\)",
-           tripartite_braid, ISING, basis_state(SIGMA_PAIR, tag="zz")),
-    # the dict loops never looked at party C during xAB, nor at a tag they did not read
-    refuse("test_braid.py::TestOpTables::test_what_the_dict_loops_passed_on_is_refused", UnknownSectorError,
-           "'zz' is not in the ising-c1 alphabet",
-           exchange, ISING, basis_state(("1", "eps", "zz")), 0, 1),
-    refuse("test_braid.py::TestOpTables::test_what_the_dict_loops_passed_on_is_refused", FusionChannelError,
-           "channel tag 'zz' is not one of",
-           circle, ISING, basis_state(("1", "eps", "1"), tag="zz"), 0, 1),
-    # an op string is a sequence of one-letter "ops", which failed with AttributeError
-    refuse("apply_ops-op-string", BraidError,
-           anchored("an op must be a BraidOp, got 'xAB'; parse_ops reads an op string"),
-           apply_ops, ISING, basis_state(["1", "1", "1"]), "xAB"),
-    refuse("verify_invariance-op-string", BraidError,
-           anchored("an op must be a BraidOp, got 'xAB'; parse_ops reads an op string"),
-           verify_invariance, ISING_SCHEME, "xAB", 5),
-]
-
-BAD_CHERN_NUMBERS = ["x", "1_5", "\u0663", "\uff11", ""]
-
-CLI_LIBRARY_ROWS = [
-    *(
-        refuse(f"test_cli.py::TestComplexLiterals::test_invalid_forms[{text}]", ValueError, "complex literal",
-               parse_complex, text)
-        for text in ["", "one", "1+2j", "i2", "1 + 2i", "--3", "nan", "inf", "-inf", "infinity",
-                     "nani", "1+infi", "1e", "e5", "1e5.0", "1e-5e3", "1e+i"]
-    ),
-    # \d and \s also take the digits and spaces of other scripts, and float() reads them
-    *(
-        refuse(f"test_cli.py::TestComplexLiterals::test_only_ascii_digits_and_spaces_parse[{text}]", ValueError,
-               "cannot parse complex literal",
-               parse_complex, text)
-        for text in ["\u0661", "\u0661.\u0665", "0.5+\u0663i", "\uff11", "1\u2003", "\u00a01", "\U0001d7d9e5"]
-    ),
-    # float() turns each of these into inf, which a teleport would normalize into NaN
-    *(
-        refuse(f"test_cli.py::TestComplexLiterals::test_a_part_too_large_for_a_float_is_refused[{text}]", ValueError,
-               "too large for a float",
-               parse_complex, text)
-        for text in ["1e400", "-1e400i", "9" * 400, "1+1e309i"]
-    ),
-    refuse("test_cli.py::TestSelectors::test_even_chern_rejected", ValueError, "odd", parse_model, "ising:2"),
-    refuse("test_cli.py::TestSelectors::test_unknown_model_rejected", ValueError, "unknown model",
-           parse_model, "fibonacci"),
-    # int() reads "1_5" as 15 and the Arabic-Indic or fullwidth digits as 3 and 1
-    *(
-        refuse(f"test_cli.py::TestSelectors::test_a_chern_number_not_in_ascii_digits_is_refused[{chern}]", ValueError,
-               anchored(f"bad Chern number in model selector {f'ising:{chern}'!r}"),
-               parse_model, f"ising:{chern}")
-        for chern in BAD_CHERN_NUMBERS
-    ),
-    refuse("test_cli.py::TestSelectors::test_missing_scheme_rejected", ValueError, "neither",
-           resolve_scheme, ISING, "no-such-scheme"),
-]
-
-# (cells, the cell the message names, the value it shows)
-BAD_CELLS = [
-    (((0, 1.9), (1.2, 0)), "(0, 1)", "1.9"),
-    ((("0", "1"), ("1", "0")), "(0, 0)", "'0'"),
-    (((0, 1), (True, 0)), "(1, 0)", "True"),
-    (((0, 1), (1, None)), "(1, 1)", "None"),
-    (((0, -1), (1, 0)), "(0, 1)", "-1"),
-]
-
-LATIN_ROWS = [
-    *(
-        refuse(f"test_latin.py::TestSquareCells::test_a_non_index_cell_is_refused_by_position[cells{i}-{cell}-{value}]",
-               ValueError, anchored(f"cell {cell} must be a non-negative integer, got {value}"),
-               Square, cells)
-        for i, (cells, cell, value) in enumerate(BAD_CELLS)
-    ),
-    refuse("test_latin.py::TestSquareCells::test_a_ragged_row_is_refused", ValueError,
-           "^square rows must all have length d$",
-           Square, ((0, 1), (1,))),
-    refuse("test_latin.py::TestSquareCells::test_a_cell_of_the_order_or_more_is_refused", ValueError,
-           r"^cell value 2 outside 0\.\.1$",
-           Square, ((0, 1), (2, 0))),
-    # validate_triple called a triple of three empty squares valid
-    refuse("Square-empty", ValueError, "^a square needs at least one row$", Square, ()),
-    refuse("test_latin.py::TestOrthogonality::test_dimension_mismatch_rejected", ValueError, "order mismatch",
-           are_orthogonal, cyclic_square(3, "forward"), cyclic_square(4, "forward")),
-    refuse("test_latin.py::TestCyclicSquares::test_bad_direction_rejected", ValueError, "direction",
-           cyclic_square, 3, "sideways"),
-    refuse("test_latin.py::TestValidateTriple::test_mismatched_orders_rejected", ValueError, "share one order",
-           SchemeTriple, a=constant_row_square(3), b=cyclic_square(4, "forward"), c=cyclic_square(3, "backward")),
-    refuse("test_latin.py::TestFindMolsPair::test_search_bound", ValueError, "bounded", find_mols_pair, 9),
-    refuse("test_latin.py::TestTextFormat::test_unknown_label_rejected", ValueError, "unknown label",
-           parse_square, "1 eps bogus\n", ISING_LABELS),
-    refuse("test_latin.py::TestTextFormat::test_wrong_row_count_rejected", ValueError, "rows",
-           parse_square, "1 eps sigma\n", ISING_LABELS),
-    refuse("test_latin.py::TestTextFormat::test_wrong_block_count_rejected", ValueError, "three",
-           parse_triple, "1 eps sigma\neps sigma 1\nsigma 1 eps\n", ISING_LABELS),
-    refuse("test_latin.py::TestTextFormat::test_alphabet_size_checked", ValueError, "alphabet",
-           square_to_text, cyclic_square(4, "forward"), ISING_LABELS),
-]
-
-MASKER_ROWS = [
-    refuse("test_masker.py::TestEncode::test_wrong_length_rejected", ValueError, "coefficients",
-           encode, ABELIAN_SCHEME, [1.0, 0.0, 0.0]),
-    refuse("test_masker.py::TestEncode::test_non_unit_norm_rejected", ValueError, "unit norm",
-           encode, ABELIAN_SCHEME, [1.0, 1.0, 0.0, 0.0]),
-    # a NaN once passed the norm check and encoded to an empty state
-    *(
-        refuse(f"test_masker.py::TestEncode::test_non_finite_rejected[{bad}]", ValueError, "finite",
-               encode, ABELIAN_SCHEME, [bad, 0.0, 0.0, 0.0])
-        for bad in [math.nan, math.inf, complex(0, math.nan)]
-    ),
-    refuse("test_masker.py::TestEncode::test_bipartite_non_finite_rejected", ValueError, "finite",
-           bipartite_encode, ABELIAN_SCHEME.triple, ABELIAN.alphabet, [math.nan, 0, 0, 0]),
-    refuse("test_masker.py::TestVerifyMasking::test_register_count_checked", ValueError, "3 registers",
-           verify_masking, StateVector({BasisKet(("1", "1")): 1.0}), ABELIAN.alphabet),
-    refuse("test_masker.py::TestSchemeVariants::test_order_mismatch_rejected", ValueError, "alphabet size",
-           MaskingScheme, model=ISING, triple=ABELIAN_SCHEME.triple),
-    refuse("test_masker.py::TestSchemeVariants::test_invalid_triple_rejected", ValueError, "invalid scheme triple",
-           MaskingScheme, model=ISING,
-           triple=SchemeTriple(a=ISING_SCHEME.triple.a, b=cyclic_square(3, "forward"), c=cyclic_square(3, "forward"))),
-    refuse("test_masker.py::TestCampaign::test_trials_validated", ValueError, "trials",
-           run_masking_campaign, ISING_SCHEME, trials=0, seed=1),
-    # the encoder used to fail on it as "expected 3 coefficients, got shape (4,)"
-    refuse("test_masker.py::TestBipartiteControl::test_a_triple_of_another_order_is_refused", ValueError,
-           "triple order 3 does not match the abelian-c0 alphabet size 4",
-           bipartite_control, ABELIAN, cyclic_triple(3)),
-    refuse("test_masker.py::TestBipartiteControl::test_an_invalid_triple_is_refused", ValueError,
-           "invalid scheme triple: B-C-not-orthogonal",
-           bipartite_control, ISING, SchemeTriple(a=cyclic_square(3), b=cyclic_square(3), c=cyclic_square(3))),
-]
-
-# (coefficients, message): every taker of unit coefficients gives the message, the finite-only takers the first four
-BAD_COEFFS = [
-    ([1, 0], "expected 3 coefficients, got shape (2,)"),
-    ([[1, 0, 0]], "expected 3 coefficients, got shape (1, 3)"),
-    ([math.nan, 0, 0], "coefficients must be finite, got [nan+0.j  0.+0.j  0.+0.j]"),
-    ([1, math.inf, 0], "coefficients must be finite, got [ 1.+0.j inf+0.j  0.+0.j]"),
-    ([1, 1, 0], "coefficients must have unit norm, got |coeffs|^2 = 2.0"),
-    ([0, 0, 0], "coefficients must have unit norm, got |coeffs|^2 = 0.0"),
-]
-UNIT_TAKERS = {
-    "unit_coeffs": (unit_coeffs, lambda c: (c, 3)),
-    "encode": (encode, lambda c: (ISING_SCHEME, c)),
-    "payload_state": (payload_state, lambda c: (c,)),
-    "run_teleport": (run_teleport, lambda c: (c,)),
-}
-FINITE_TAKERS = {
-    "finite_coeffs": (finite_coeffs, lambda c: (c, 3)),
-    "bipartite_encode": (bipartite_encode, lambda c: (cyclic_triple(3), ISING_LABELS, c)),
-}
-
-
-def start(message: str) -> str:
-    """A coefficient message up to the array it shows, as the coefficient tests name their parameters."""
-    return message.split("[")[0]
-
-
-QSTATE_ROWS = [
-    refuse("test_qstate.py::TestTensor::test_two_tagged_inputs_rejected", ValueError, "tag",
-           tensor, basis_state(["sigma"], tag="eps"), basis_state(["sigma"], tag="eps")),
-    # 0 would pass for orthogonal states of one register count
-    refuse("test_qstate.py::TestInnerNormScale::test_inner_of_two_register_counts_rejected", ValueError,
-           "states of 1 and 2 registers",
-           inner, basis_state(("1",)), basis_state(("1", "1"))),
-    refuse("test_qstate.py::TestInnerNormScale::test_inner_of_two_register_counts_rejected", ValueError,
-           "states of 2 and 1 registers",
-           inner, basis_state(("1", "1")), basis_state(("1",))),
-    refuse("test_qstate.py::TestPartialTrace::test_rejects_empty_keep", ValueError, "at least one",
-           partial_trace, basis_state(["e", "m"]), set()),
-    refuse("test_qstate.py::TestPartialTrace::test_rejects_out_of_range", ValueError, "out of range",
-           partial_trace, basis_state(["e", "m"]), {2}),
-    # True ran as register 1; 1.5 and 1.0 failed with TypeError when slicing
-    *(
-        refuse(f"test_qstate.py::TestPartialTrace::test_rejects_a_kept_index_that_is_no_integer[{index!r}]", ValueError,
-               f"^keep must be a non-negative integer, got {re.escape(repr(index))}$",
-               partial_trace, basis_state(["e", "m", "1"]), [index])
-        for index in [True, 1.5, 1.0, -1]
-    ),
-    refuse("test_qstate.py::TestPartialTrace::test_rejects_basis_missing_support", ValueError, "missing",
-           partial_trace, basis_state(["e", "m"]), {0}, basis=[("1",)]),
-    # |e 1> and |m 1> share the traced label; only the first is in the basis
-    refuse("test_qstate.py::TestPartialTrace::test_rejects_basis_missing_a_later_ket_of_a_group", ValueError,
-           r"\('m',\) missing from the supplied basis",
-           partial_trace, StateVector({BasisKet(("e", "1")): 0.6, BasisKet(("m", "1")): 0.8}), {0}, basis=[("e",)]),
-    refuse("test_qstate.py::TestHsDistance::test_basis_mismatch_rejected", ValueError, "bases",
-           hs_distance, DensityMatrix.maximally_mixed(product_basis(ABELIAN.alphabet, 1)),
-           DensityMatrix.maximally_mixed(product_basis(ISING_LABELS, 1))),
-    refuse("test_qstate.py::TestDenseLayout::test_foreign_shape_rejected", ValueError,
-           r"shape \(3, 3, 3\) are not in the dense layout of 4 labels",
-           dense_state, np.zeros((3, 3, 3), dtype=complex), ABELIAN.alphabet),
-    refuse("test_qstate.py::TestDensityMatrix::test_entries_are_frozen", ValueError, None,
-           operator.setitem, DensityMatrix.maximally_mixed(product_basis(ABELIAN.alphabet, 1)).entries, (0, 0), 9.0),
-    refuse("test_qstate.py::TestDensityMatrix::test_entries_of_another_shape_are_refused", ValueError,
-           r"^entries shape \(3, 3\) does not match basis size 4$",
-           DensityMatrix, product_basis(ABELIAN.alphabet, 1), np.eye(3)),
-    # a NaN amplitude used to be pruned away as if it were zero
-    *(
-        refuse(f"test_qstate.py::TestStateVector::test_nan_amplitude_rejected[{bad}]", ValueError, "NaN",
-               StateVector, {BasisKet(("e",)): bad, BasisKet(("m",)): 1.0})
-        for bad in [math.nan, complex(1, math.nan)]
-    ),
-    # a kept infinite amplitude would turn every marginal into NaN
-    *(
-        refuse(f"test_qstate.py::TestStateVector::test_infinite_amplitude_rejected[{bad}]", ValueError,
-               r"amplitude of \|e> is not finite",
-               StateVector, {BasisKet(("e",)): bad, BasisKet(("m",)): 1.0})
-        for bad in [math.inf, complex(0, -math.inf)]
-    ),
-    # "1", True and np.True_ were stored as 1+0j, and None raised TypeError
-    *(
-        refuse(f"test_qstate.py::TestStateVector::test_an_amplitude_that_is_no_number_rejected[{bad!r}]", ValueError,
-               rf"^amplitude of \|e> is not a number: {re.escape(repr(bad))}$",
-               StateVector, {BasisKet(("e",)): bad, BasisKet(("m",)): 1.0})
-        for bad in ["1", True, np.True_, None, [1.0]]
-    ),
-    refuse("test_qstate.py::TestStateVector::test_mixed_register_counts_rejected", ValueError, "register count",
-           StateVector, {BasisKet(("e",)): 1.0, BasisKet(("e", "m")): 1.0}),
-    # one check of shape, finite values and unit norm behind every function that takes coefficients
-    *(
-        refuse("test_qstate.py::TestCoefficientChecks::test_unit_coefficient_takers_refuse_alike"
-               f"[coeffs{i}-{start(message)}]", ValueError, anchored(message),
-               entry, *args(coeffs))
-        for i, (coeffs, message) in enumerate(BAD_COEFFS)
-        for entry, args in UNIT_TAKERS.values()
-    ),
-    *(
-        refuse("test_qstate.py::TestCoefficientChecks::test_the_bipartite_encoder_refuses_alike"
-               f"[coeffs{i}-{start(message)}]", ValueError, anchored(message),
-               entry, *args(coeffs))
-        for i, (coeffs, message) in enumerate(BAD_COEFFS[:4])
-        for entry, args in FINITE_TAKERS.values()
-    ),
-    # a complex array holds "1" and True as 1, so run_teleport(["1", "0", "0"]) passed, and None as a NaN
-    # the caller never gave
-    *(
-        refuse(f"unit_coeffs-{coeffs!r}", ValueError, anchored(message), unit_coeffs, coeffs, 3)
-        for coeffs, message in [
-            (["1", 0, 0], "coefficient 0 is not a number: '1'"),
-            ([True, 0, 0], "coefficient 0 is not a number: True"),
-            ([b"1", 0, 0], "coefficient 0 is not a number: b'1'"),
-            (np.array([True, False, False]), "coefficient 0 is not a number: np.True_"),
-            ([None, 1, 0], "coefficient 0 is not a number: None"),
-            ([0.6, 0.8j, "0"], "coefficient 2 is not a number: '0'"),
-        ]
-    ),
-    refuse("run_teleport-strings", ValueError, anchored("coefficient 0 is not a number: '1'"),
-           run_teleport, ["1", "0", "0"]),
-]
-
-TELEPORT_ROWS = [
-    refuse("test_teleport.py::TestBuildJoint::test_non_unit_rejected", ValueError, "unit norm",
-           build_joint, [1.0, 1.0, 0.0]),
-    refuse("test_teleport.py::TestBuildJoint::test_wrong_arity_rejected", ValueError, "3 coefficients",
-           build_joint, [1.0, 0.0]),
-    refuse("test_teleport.py::TestPermutationEncode::test_tagged_state_rejected", ValueError, "untagged",
-           permutation_encode, StateVector({BasisKet(("1", "1", "1"), "eps"): 1.0})),
-    refuse("test_teleport.py::TestPermutationEncode::test_register_count_checked", ValueError, "3 registers",
-           permutation_encode, build_channel()),
-    refuse("test_teleport.py::TestAliceMeasure::test_outcome_range_checked", ValueError, "outcome",
-           alice_measure, ENCODED, 0),
-    # Alice's pairs |1 1> and |eps eps> have y = x, phase 1 in every projector, so the kets cancel
-    refuse("test_teleport.py::TestAliceMeasure::test_an_outcome_of_zero_probability_is_refused", ValueError,
-           "^outcome 1 has zero probability on this state$",
-           alice_measure, StateVector({BasisKet(("1", "1", "1")): 1 / math.sqrt(2),
-                                       BasisKet(("eps", "eps", "1")): -1 / math.sqrt(2)}), 1),
-    refuse("test_teleport.py::TestCorrect::test_outcome_range_checked", ValueError, "outcome",
-           correct, payload_state([1.0, 0.0, 0.0]), 4),
-    # each map refuses a state it cannot read, by name, rather than misreading it
-    refuse("test_teleport.py::TestForeignInput::test_foreign_label_is_named[permutation_encode]", ValueError,
-           "label 'zz' is not in the Ising alphabet",
-           permutation_encode, StateVector({BasisKet(("1", "zz", "1")): 1.0})),
-    refuse("test_teleport.py::TestForeignInput::test_foreign_label_is_named[alice_measure]", ValueError,
-           "label 'zz' is not in the Ising alphabet",
-           alice_measure, StateVector({BasisKet(("1", "zz", "1")): 1.0}), 1),
-    refuse("test_teleport.py::TestForeignInput::test_foreign_label_is_named[correct]", ValueError,
-           "label 'zz' is not in the Ising alphabet",
-           correct, StateVector({BasisKet(("zz",)): 1.0}), 2),
-    # read as untagged, |1 1 1>_eps gave outcome 1 probability 1/9
-    refuse("test_teleport.py::TestForeignInput::test_measure_refuses_a_tagged_state", ValueError, "untagged",
-           alice_measure, StateVector({BasisKet(("1", "1", "1"), "eps"): 1.0}), 1),
-    refuse("test_teleport.py::TestForeignInput::test_correct_refuses_a_tagged_state", ValueError, "untagged",
-           correct, StateVector({BasisKet(("eps",), "1"): 1.0}), 2),
-    # Bob holds one register; a pair was phased by its first label
-    refuse("test_teleport.py::TestForeignInput::test_correct_refuses_two_registers", ValueError, "1 register, got 2",
-           correct, StateVector({BasisKet(("1", "eps")): 1.0}), 2),
-    refuse("test_teleport.py::TestRunTeleport::test_non_unit_rejected", ValueError, "unit norm",
-           run_teleport, [1.0, 1.0, 1.0]),
-    # was "encoding needs 3 registers, got 0" from an empty payload state
-    *(
-        refuse(f"test_teleport.py::TestRunTeleport::test_non_finite_rejected[{bad}]", ValueError, "finite",
-               run_teleport, [bad, 0.0, 0.0])
-        for bad in [math.nan, math.inf]
-    ),
-]
-
-# (entry, the arguments before the integer, the name the message gives, how it must be, value): orders,
-# row indices and teleport outcomes had their own range tests, which let a bool or a float through:
-# find_mols_pair(True) returned a 1 x 1 pair, alice_measure(enc, True) ran as outcome 1, and
-# alice_measure(enc, 2.0) failed later with an error that did not name it
-NON_INTEGERS = [
-    (find_mols_pair, (), "order d", "positive", True),
-    (find_mols_pair, (), "order d", "positive", 2.5),
-    (cyclic_square, (), "order d", "positive", 2.5),
-    (alice_measure, (ENCODED,), "outcome", "positive", 2.0),
-    (alice_measure, (ENCODED,), "outcome", "positive", True),
-    (correct, (payload_state([1.0, 0.0, 0.0]),), "outcome", "positive", True),
-]
-
-# None drew from fresh OS entropy and recorded "seed": null, True ran as seed 1, and -1 raised numpy's
-# own message naming neither the argument nor the flag
-BAD_SEEDS = [None, True, -1, 1.5, "3"]
-# True ran one trial recorded as "trials": true, and 2.5 or None raised TypeError from range
-BAD_TRIAL_COUNTS = [True, 0, -1, 2.5, 3.0, None, "3"]
-# (entry, the arguments before trials and seed, any other keyword it needs)
-SEEDED = {
-    "evaluate_trials": (evaluate_trials, (encoder_rows(ISING_SCHEME),), {"tol": 1e-12}),
-    "run_masking_campaign": (run_masking_campaign, (ISING_SCHEME,), {}),
-    "verify_invariance": (verify_invariance, (ISING_SCHEME, parse_ops("xAB")), {}),
-}
-
-# an infinite tolerance passed a product state as masked, and a NaN one failed every trial of a correct
-# campaign; a bool ran as 1.0, and a value that is no real number raised TypeError
-BAD_TOLS = [math.inf, math.nan, 0.0, -1.0, True, "1e-12", None]
-TOLERANT = {
-    "verify_masking": (verify_masking, (basis_state(("1", "1", "1")), ISING.alphabet)),
-    "run_masking_campaign": (run_masking_campaign, (ISING_SCHEME, 5, 1)),
-    "verify_invariance": (verify_invariance, (ISING_SCHEME, parse_ops("xAB"), 5)),
-    "evaluate_trials": (evaluate_trials, (encoder_rows(ISING_SCHEME), 5, 1)),
-    "run_teleport": (run_teleport, ([1.0, 0.0, 0.0],)),
-}
-
-RULE_ROWS = [
-    *(
-        refuse(f"test_integer_rule.py::test_a_non_integer_is_refused_by_name[{entry.__name__}-{value!r}]", ValueError,
-               f"^{argument} must be a {sign} integer, got {re.escape(repr(value))}$",
-               entry, *before, value)
-        for entry, before, argument, sign, value in NON_INTEGERS
-    ),
-    *(
-        refuse(f"test_seeds.py::test_bad_seed_rejected[{name}-{seed!r}]", ValueError,
-               "seed must be a non-negative integer",
-               entry, *args, trials=5, seed=seed, **other)
-        for name, (entry, args, other) in sorted(SEEDED.items())
-        for seed in BAD_SEEDS
-    ),
-    refuse("test_seeds.py::test_the_message_names_the_argument", ValueError,
-           r"--seed must be a non-negative integer, got -1",
-           check_seed, -1, "--seed"),
-    *(
-        refuse(f"test_seeds.py::test_bad_trial_count_rejected[{name}-{count!r}]", ValueError,
-               f"trials must be a positive integer, got {re.escape(repr(count))}",
-               entry, *args, trials=count, seed=3, **other)
-        for name, (entry, args, other) in sorted(SEEDED.items())
-        for count in BAD_TRIAL_COUNTS
-    ),
-    *(
-        refuse(f"test_tolerance.py::test_bad_tol_rejected[{name}-{tol}]", ValueError, "tol must be finite and positive",
-               entry, *args, tol=tol)
-        for name, (entry, args) in sorted(TOLERANT.items())
-        for tol in BAD_TOLS
-    ),
-]
-
-# int() and float() take other scripts' digits and grouping underscores
-NON_ASCII_NUMBERS = [
-    ("verify", "--trials", "1_0"),
-    ("verify", "--trials", "2", "--seed", "\u0663"),
-    ("braid", "--ops", "xAB", "--seed", "\uff13"),
-    ("verify", "--tol", "\uff11e-12"),
-    ("teleport", "--input", "1,0,0", "--tol", "1e-1_2"),
-    ("mols", "--dim", "\u0663"),
-]
-
-OVERFLOW = "1" * 400
-
-CLI_ROWS = [
-    # int() reads "1_5" as 15 and the Arabic-Indic or fullwidth digits as 3 and 1
-    *(
-        cli(f"test_cli.py::TestSelectors::test_a_chern_number_not_in_ascii_digits_is_refused[{chern}]",
-            whole(f"error: bad Chern number in model selector {f'ising:{chern}'!r}\n"),
-            "verify", "--model", f"ising:{chern}", "--trials", "1")
-        for chern in BAD_CHERN_NUMBERS
-    ),
-    cli("test_cli.py::TestVerifyCommand::test_even_chern_is_usage_error", "odd",
-        "verify", "--model", "ising:2", "--trials", "1"),
-    cli("test_cli.py::TestVerifyCommand::test_bad_trials_rejected",
-        whole("error: --trials must be a positive integer, got 0\n"),
-        "verify", "--model", "ising", "--trials", "0"),
-    *(
-        cli(f"test_cli.py::TestVerifyCommand::test_a_number_not_in_ascii_digits_is_usage_error[{list(argv)!r}]",
-            re.escape(f"error: argument {argv[-2]}: invalid {kind} value: {argv[-1]!r}\n") + r"\Z",
-            *argv, exits=True)
-        for argv in NON_ASCII_NUMBERS
-        for kind in ["float" if argv[-2] == "--tol" else "int"]
-    ),
-    # exit 1 means a gated check failed; a report that cannot be written raised FileNotFoundError or
-    # IsADirectoryError out of main
-    cli("test_cli.py::TestVerifyCommand::test_unwritable_out_is_usage_error[missing-directory]", "^error: ",
-        "verify", "--trials", "10", "--out", "{tmp}/missing/r.json"),
-    cli("test_cli.py::TestVerifyCommand::test_unwritable_out_is_usage_error[a-directory]", "^error: ",
-        "verify", "--trials", "10", "--out", "{tmp}"),
-    # --tol nan used to fail every trial (exit 1) and --tol inf to pass every one
-    *(
-        cli(f"test_cli.py::TestVerifyCommand::test_bad_tol_is_usage_error[{tol}-{command[0]}]",
-            "--tol must be finite and positive",
-            *command, f"--tol={tol}")
-        for command in [("verify", "--model", "ising", "--trials", "2"),
-                        ("braid", "--model", "ising", "--ops", "t3", "--trials", "2"), ("teleport", "--input", "1,0,0")]
-        for tol in ["nan", "inf", "-inf", "0", "-1e-12"]
-    ),
-    # int() reads "1_1" and the two Arabic-Indic ones as 11
-    *(
-        cli(f"test_cli.py::TestVerifyCommand::test_a_seed_variable_that_is_no_ascii_integer_is_usage_error[{raw}]",
-            whole(f"error: ANYONMASK_SEED must be an integer, got {raw!r}\n"),
-            "verify", "--model", "ising", "--trials", "2", env=raw)
-        for raw in ["seven", "1_1", "\u0661\u0661"]
-    ),
-    cli("test_seeds.py::test_cli_negative_seed_exits_2[verify]",
-        re.escape("error: --seed must be a non-negative integer, got -1"),
-        "verify", "--model", "ising", "--trials", "5", "--seed", "-1"),
-    cli("test_seeds.py::test_cli_negative_seed_exits_2[braid]",
-        re.escape("error: --seed must be a non-negative integer, got -1"),
-        "braid", "--model", "ising", "--trials", "5", "--seed", "-1", "--ops", "xAB"),
-    cli("test_seeds.py::test_cli_negative_seed_exits_2[verify]",
-        re.escape("error: ANYONMASK_SEED must be a non-negative integer, got -3"),
-        "verify", "--model", "ising", "--trials", "5", env="-3"),
-    cli("test_seeds.py::test_cli_negative_seed_exits_2[braid]",
-        re.escape("error: ANYONMASK_SEED must be a non-negative integer, got -3"),
-        "braid", "--model", "ising", "--trials", "5", "--ops", "xAB", env="-3"),
-    cli("test_cli.py::TestBraidCommand::test_non_adjacent_exchange_rejected", "adjacent",
-        "braid", "--model", "abelian", "--ops", "xAC", "--trials", "5"),
-    cli("test_cli.py::TestBraidCommand::test_unknown_token_rejected", "unknown op token 'frobnicate'",
-        "braid", "--model", "abelian", "--ops", "frobnicate", "--trials", "5"),
-    cli("test_cli.py::TestBraidCommand::test_tripartite_needs_ising", "Ising",
-        "braid", "--model", "abelian", "--ops", "t3", "--trials", "5"),
-    *(
-        cli(f"test_cli.py::TestBraidCommand::test_an_op_string_that_cannot_run_is_usage_error[{ops}-{message}]",
-            re.escape(message),
-            "braid", "--model", "ising", "--ops", ops, "--trials", "5")
-        for ops, message in [
-            ("xAB:eps;xAB:1", "already fuses in channel 'eps'; cannot resolve to '1'"),
-            ("cAB:eps", "only an exchange takes a channel mode"),
-            ("xDE", "party indices (3, 4) out of range for 3 registers"),
-        ]
-    ),
-    cli("test_cli.py::TestMolsCommand::test_dim_nine_bound_error", "bounded", "mols", "--dim", "9"),
-    cli("test_cli.py::TestTeleportCommand::test_arity_error", "3 coefficients", "teleport", "--input", "1,1"),
-    cli("test_cli.py::TestTeleportCommand::test_zero_input_is_usage_error",
-        whole("error: teleport input must be a nonzero vector\n"),
-        "teleport", "--input", "0,0,0"),
-    cli("test_cli.py::TestTeleportCommand::test_bad_literal_error", "complex literal",
-        "teleport", "--input", "1,zap,0"),
-    cli("test_cli.py::TestTeleportCommand::test_a_non_ascii_digit_is_usage_error",
-        whole("error: cannot parse complex literal '\u0661'\n"),
-        "teleport", "--input=\u0661,0,0", "--format", "text", "--out", "{tmp}/tp.txt"),
-    # the token parsed to inf, was "normalized" into NaN with a numpy RuntimeWarning, and the error named
-    # NaN coefficients nobody typed
-    cli("test_cli.py::TestTeleportCommand::test_overflowing_literal_is_usage_error",
-        whole(f"error: complex literal {OVERFLOW!r} is too large for a float\n"),
-        "teleport", f"--input={OVERFLOW},0,0"),
-    *(
-        cli(f"test_cli.py::TestTeleportCommand::test_norm_out_of_float_range_is_usage_error[{text}-{way}]",
-            whole(f"error: teleport input norm^2 {way} a float; scale the coefficients\n"),
-            "teleport", f"--input={text}")
-        for text, way in [("1e200,1e200i,0", "overflows"), ("1e-200,0,0", "underflows")]
-    ),
-]
-
-ROWS = ANYON_ROWS + BRAID_ROWS + CLI_LIBRARY_ROWS + LATIN_ROWS + MASKER_ROWS + QSTATE_ROWS + TELEPORT_ROWS
-ROWS += RULE_ROWS + CLI_ROWS
-
-
-def check(row, tmp_path, monkeypatch, capsys):
+def check(row: Call | Cli, tmp_path, monkeypatch, capsys):
     if isinstance(row, Call):
         with pytest.raises(row.error, match=row.match):
             row.entry(*row.args, **row.kwargs)
@@ -738,56 +96,28 @@ def check(row, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("row", [row for row in ROWS if "::" not in row.id])
-def test_refused(row, tmp_path, monkeypatch, capsys):
-    check(row, tmp_path, monkeypatch, capsys)
-
-
-def kept(test: str):
-    """The test ``test`` (``file::Class::function`` or ``file::function``) that checks the rows named after it.
-
-    It checks the rows named ``test`` itself, or, one parameter each, the rows named ``test[id]``.
-    """
+def refusals(*rows: Call | Cli):
+    """The test that checks ``rows``, in a class or at module level."""
     groups: dict[Optional[str], list] = {}
-    for param in ROWS:
-        name, bracket, rest = param.id.partition("[")
-        if name == test:
-            groups.setdefault(rest[:-1] if bracket else None, []).append(param.values[0])
-    assert groups and (None not in groups or len(groups) == 1), test
-
-    if None in groups:
-        def checks(tmp_path, monkeypatch, capsys):
-            for row in groups[None]:
+    for row in rows:
+        groups.setdefault(row.id, []).append(row)
+    if list(groups) == [None]:
+        def test(tmp_path, monkeypatch, capsys):
+            for row in rows:
                 check(row, tmp_path, monkeypatch, capsys)
     else:
         @pytest.mark.parametrize("rows", [pytest.param(rows, id=id) for id, rows in groups.items()])
-        def checks(rows, tmp_path, monkeypatch, capsys):
+        def test(rows, tmp_path, monkeypatch, capsys):
             for row in rows:
                 check(row, tmp_path, monkeypatch, capsys)
-    checks.kept = test
-    return staticmethod(checks) if test.count("::") == 2 else checks
+    return staticmethod(test)
 
 
-def test_each_named_row_has_its_test():
-    # a row named after a test that no longer exists, or is no longer built by kept(), would go unchecked
-    for test in sorted({row.id.partition("[")[0] for row in ROWS if "::" in row.id}):
-        path, *names = test.split("::")
-        found = importlib.import_module(Path(path).stem)
-        for name in names:
-            found = getattr(found, name, None)
-        assert getattr(found, "kept", None) == test, test
-
-
-# files whose refusals stay out of the table, and why
-OUTSIDE_THE_TABLE = {
-    "test_refusals.py": "the table",
+# files whose refusals are no rows, and why
+NOT_ROWS = {
+    "test_refusals.py": "check, which checks every row",
     "test_batch.py": "bit-for-bit cross-checks, whose refusals need a patched draw or a foreign row array",
     "test_acceptance.py": "the acceptance criteria, which check results",
-}
-# test functions whose refusal is one step of a longer check, and what the step checks
-REFUSAL_STEPS = {
-    ("test_cli.py", "test_main_builds_the_parser_once"): "a refused argv builds no second parser",
-    ("test_cli.py", "test_a_bad_argv_then_a_good_one"): "a refused argv leaves the shared parser usable",
 }
 
 
@@ -800,20 +130,12 @@ def _is_pytest_raises(node: ast.AST) -> bool:
 
 
 def test_a_refusal_is_a_row():
-    # a new refusal is one more row here, not one more test function elsewhere
-    found, steps = [], set()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        if path.name in OUTSIDE_THE_TABLE:
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        exempt = set()
-        for function in ast.walk(tree):
-            if isinstance(function, ast.FunctionDef) and (path.name, function.name) in REFUSAL_STEPS:
-                inside = {id(node) for node in ast.walk(function) if _is_pytest_raises(node)}
-                if inside:
-                    exempt |= inside
-                    steps.add((path.name, function.name))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if _is_pytest_raises(node) and id(node) not in exempt]
+    # a new refusal is one more row, not one more test function; a step of a longer test calls check
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        if path.name not in NOT_ROWS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if _is_pytest_raises(node)
+    ]
     assert found == []
-    assert steps == set(REFUSAL_STEPS)  # an exemption with no refusal left goes too

@@ -6,10 +6,10 @@ nor the flag.  Each now raises ValueError at the call, and the CLI exits
 2 naming ``--seed`` or ``ANYONMASK_SEED``.  A trial count goes through the
 same integer test and must also be positive: True ran one trial recorded
 as ``"trials": true``, and 2.5 or None raised TypeError from ``range``.
-Those refusals are rows of ``test_refusals.py``.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from anyonmask.cli import main
 from anyonmask.masker import encoder_rows, run_masking_campaign
 from anyonmask.qstate import check_seed
 from anyonmask.trials import evaluate_trials
-from test_refusals import kept
+from test_refusals import ISING_SCHEME, refusals, refuse, refuse_argv
 
 ENTRY_POINTS = {
     "evaluate_trials": lambda s, seed=3, trials=5: evaluate_trials(encoder_rows(s), trials, seed, 1e-12),
@@ -64,7 +64,29 @@ def test_a_record_of_numpy_integers_serializes(ising_scheme, name):
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-test_bad_seed_rejected = kept("test_seeds.py::test_bad_seed_rejected")
-test_the_message_names_the_argument = kept("test_seeds.py::test_the_message_names_the_argument")
-test_bad_trial_count_rejected = kept("test_seeds.py::test_bad_trial_count_rejected")
-test_cli_negative_seed_exits_2 = kept("test_seeds.py::test_cli_negative_seed_exits_2")
+BAD_SEEDS = [None, True, -1, 1.5, "3"]
+BAD_TRIAL_COUNTS = [True, 0, -1, 2.5, 3.0, None, "3"]
+test_bad_seed_rejected = refusals(*(
+    refuse(ValueError, "seed must be a non-negative integer", ENTRY_POINTS[name], ISING_SCHEME, seed,
+           id=f"{name}-{seed!r}")
+    for name in sorted(ENTRY_POINTS)
+    for seed in BAD_SEEDS
+))
+test_the_message_names_the_argument = refusals(
+    refuse(ValueError, r"--seed must be a non-negative integer, got -1", check_seed, -1, "--seed"))
+test_bad_trial_count_rejected = refusals(*(
+    refuse(ValueError, f"trials must be a positive integer, got {re.escape(repr(count))}",
+           ENTRY_POINTS[name], ISING_SCHEME, trials=count, id=f"{name}-{count!r}")
+    for name in sorted(ENTRY_POINTS)
+    for count in BAD_TRIAL_COUNTS
+))
+test_cli_negative_seed_exits_2 = refusals(
+    refuse_argv(re.escape("error: --seed must be a non-negative integer, got -1"),
+                "verify", "--model", "ising", "--trials", "5", "--seed", "-1", id="verify"),
+    refuse_argv(re.escape("error: --seed must be a non-negative integer, got -1"),
+                "braid", "--model", "ising", "--trials", "5", "--seed", "-1", "--ops", "xAB", id="braid"),
+    refuse_argv(re.escape("error: ANYONMASK_SEED must be a non-negative integer, got -3"),
+                "verify", "--model", "ising", "--trials", "5", env="-3", id="verify"),
+    refuse_argv(re.escape("error: ANYONMASK_SEED must be a non-negative integer, got -3"),
+                "braid", "--model", "ising", "--trials", "5", "--ops", "xAB", env="-3", id="braid"),
+)

@@ -31,9 +31,10 @@ from anyonmask.teleport import (
     run_teleport,
 )
 from helpers import dense_vector, max_amplitude_diff
-from test_refusals import kept
+from test_refusals import refusals, refuse
 
 LABELS = ISING_ALPHABET
+ENCODED = permutation_encode(build_joint([1.0, 0.0, 0.0]))
 
 
 def encoded_expected(coeffs) -> StateVector:
@@ -119,8 +120,8 @@ class TestBuildJoint:
         rng = np.random.default_rng(43)
         assert norm(build_joint(random_unit_coeffs(3, rng))) == pytest.approx(1.0, abs=1e-12)
 
-    test_non_unit_rejected = kept("test_teleport.py::TestBuildJoint::test_non_unit_rejected")
-    test_wrong_arity_rejected = kept("test_teleport.py::TestBuildJoint::test_wrong_arity_rejected")
+    test_non_unit_rejected = refusals(refuse(ValueError, "unit norm", build_joint, [1.0, 1.0, 0.0]))
+    test_wrong_arity_rejected = refusals(refuse(ValueError, "3 coefficients", build_joint, [1.0, 0.0]))
 
 
 class TestPermutationEncode:
@@ -180,8 +181,9 @@ class TestPermutationEncode:
             latin = masker._combined(rows, coeffs, ISING_ALPHABET)
             assert permutation_encode(build_joint(coeffs)).amplitudes == latin.amplitudes
 
-    test_tagged_state_rejected = kept("test_teleport.py::TestPermutationEncode::test_tagged_state_rejected")
-    test_register_count_checked = kept("test_teleport.py::TestPermutationEncode::test_register_count_checked")
+    test_tagged_state_rejected = refusals(
+        refuse(ValueError, "untagged", permutation_encode, StateVector({BasisKet(("1", "1", "1"), "eps"): 1.0})))
+    test_register_count_checked = refusals(refuse(ValueError, "3 registers", permutation_encode, build_channel()))
 
 
 class TestProjectorStates:
@@ -237,9 +239,12 @@ class TestAliceMeasure:
         total = sum(alice_measure(encoded, i)[0] for i in (1, 2, 3))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    test_outcome_range_checked = kept("test_teleport.py::TestAliceMeasure::test_outcome_range_checked")
-    test_an_outcome_of_zero_probability_is_refused = kept(
-        "test_teleport.py::TestAliceMeasure::test_an_outcome_of_zero_probability_is_refused")
+    test_outcome_range_checked = refusals(refuse(ValueError, "outcome", alice_measure, ENCODED, 0))
+    # Alice's pairs |1 1> and |eps eps> have y = x, phase 1 in every projector, so the kets cancel
+    test_an_outcome_of_zero_probability_is_refused = refusals(
+        refuse(ValueError, "^outcome 1 has zero probability on this state$",
+               alice_measure, StateVector({BasisKet(("1", "1", "1")): 1 / math.sqrt(2),
+                                           BasisKet(("eps", "eps", "1")): -1 / math.sqrt(2)}), 1))
 
 
 class TestCorrect:
@@ -261,7 +266,7 @@ class TestCorrect:
         fixed = correct(twisted, outcome)
         assert max_amplitude_diff(fixed, payload_state(coeffs)) <= 1e-12
 
-    test_outcome_range_checked = kept("test_teleport.py::TestCorrect::test_outcome_range_checked")
+    test_outcome_range_checked = refusals(refuse(ValueError, "outcome", correct, payload_state([1.0, 0.0, 0.0]), 4))
 
 
 class TestRunTeleport:
@@ -302,16 +307,29 @@ class TestRunTeleport:
             assert run.alice_marginal_deviations == tuple(want[:2])
             assert run.held_marginal_deviation == want[2]
 
-    test_non_unit_rejected = kept("test_teleport.py::TestRunTeleport::test_non_unit_rejected")
-    test_non_finite_rejected = kept("test_teleport.py::TestRunTeleport::test_non_finite_rejected")
+    test_non_unit_rejected = refusals(refuse(ValueError, "unit norm", run_teleport, [1.0, 1.0, 1.0]))
+    # was "encoding needs 3 registers, got 0" from an empty payload state
+    test_non_finite_rejected = refusals(*(
+        refuse(ValueError, "finite", run_teleport, [bad, 0.0, 0.0], id=str(bad)) for bad in [math.nan, math.inf]
+    ))
 
 
 class TestForeignInput:
     """Each map refuses a state it cannot read, by name, rather than misreading it."""
 
-    test_foreign_label_is_named = kept("test_teleport.py::TestForeignInput::test_foreign_label_is_named")
-    test_measure_refuses_a_tagged_state = kept(
-        "test_teleport.py::TestForeignInput::test_measure_refuses_a_tagged_state")
-    test_correct_refuses_a_tagged_state = kept(
-        "test_teleport.py::TestForeignInput::test_correct_refuses_a_tagged_state")
-    test_correct_refuses_two_registers = kept("test_teleport.py::TestForeignInput::test_correct_refuses_two_registers")
+    test_foreign_label_is_named = refusals(
+        refuse(ValueError, "label 'zz' is not in the Ising alphabet",
+               permutation_encode, StateVector({BasisKet(("1", "zz", "1")): 1.0}), id="permutation_encode"),
+        refuse(ValueError, "label 'zz' is not in the Ising alphabet",
+               alice_measure, StateVector({BasisKet(("1", "zz", "1")): 1.0}), 1, id="alice_measure"),
+        refuse(ValueError, "label 'zz' is not in the Ising alphabet",
+               correct, StateVector({BasisKet(("zz",)): 1.0}), 2, id="correct"),
+    )
+    # read as untagged, |1 1 1>_eps gave outcome 1 probability 1/9
+    test_measure_refuses_a_tagged_state = refusals(
+        refuse(ValueError, "untagged", alice_measure, StateVector({BasisKet(("1", "1", "1"), "eps"): 1.0}), 1))
+    test_correct_refuses_a_tagged_state = refusals(
+        refuse(ValueError, "untagged", correct, StateVector({BasisKet(("eps",), "1"): 1.0}), 2))
+    # Bob holds one register; a pair was phased by its first label
+    test_correct_refuses_two_registers = refusals(
+        refuse(ValueError, "1 register, got 2", correct, StateVector({BasisKet(("1", "eps")): 1.0}), 2))

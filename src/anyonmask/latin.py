@@ -11,12 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .qstate import ValidationReport, check_seed
-
-LATIN = "latin"
-CONSTANT_ROW = "constant_row"
-CONSTANT_COLUMN = "constant_column"
-OTHER = "other"
+from .qstate import ValidationReport, check_seed, first_repeat
 
 MOLS_SEARCH_BOUND = 5
 
@@ -47,35 +42,11 @@ class Square:
     def d(self) -> int:
         return len(self.cells)
 
-    def row(self, j: int) -> tuple[int, ...]:
-        return self.cells[j]
-
-    def column(self, k: int) -> tuple[int, ...]:
-        return tuple(row[k] for row in self.cells)
-
 
 def is_latin(square: Square) -> bool:
     """True iff every value appears exactly once per row and per column."""
     full = set(range(square.d))
-    for j in range(square.d):
-        if set(square.row(j)) != full:
-            return False
-    for k in range(square.d):
-        if set(square.column(k)) != full:
-            return False
-    return True
-
-
-def classify(square: Square) -> str:
-    if square.d == 1:
-        return LATIN
-    if square == constant_row_square(square.d):
-        return CONSTANT_ROW
-    if square == constant_column_square(square.d):
-        return CONSTANT_COLUMN
-    if is_latin(square):
-        return LATIN
-    return OTHER
+    return all(set(line) == full for line in (*square.cells, *zip(*square.cells)))
 
 
 def are_orthogonal(s1: Square, s2: Square) -> bool:
@@ -107,7 +78,7 @@ def cyclic_square(d: int, direction: str = "forward") -> Square:
     return Square(tuple(tuple((k + sign * r) % d for k in range(d)) for r in range(d)))
 
 
-@lru_cache(maxsize=16)  # the A of each built-in triple, and classify's first test; a Square is frozen
+@lru_cache(maxsize=16)  # the A of each built-in triple, and validate_triple's first test; a Square is frozen
 def constant_row_square(d: int) -> Square:
     return Square(tuple(tuple(range(d)) for _ in range(d)))
 
@@ -147,12 +118,11 @@ def validate_triple(triple: SchemeTriple) -> ValidationReport:
         bad.append("C-not-latin")
     if not bad and not are_orthogonal(triple.b, triple.c):
         bad.append("B-C-not-orthogonal")
-    a_class = classify(triple.a)
-    if a_class == LATIN:
-        if not (are_orthogonal(triple.a, triple.b) and are_orthogonal(triple.a, triple.c)):
+    if triple.a != constant_row_square(triple.d) and triple.a != constant_column_square(triple.d):
+        if not is_latin(triple.a):
+            bad.append("A-not-constant-or-latin")
+        elif not (are_orthogonal(triple.a, triple.b) and are_orthogonal(triple.a, triple.c)):
             bad.append("A-latin-but-not-orthogonal-to-B-and-C")
-    elif a_class == OTHER:
-        bad.append("A-not-constant-or-latin")
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
@@ -247,6 +217,8 @@ def square_to_text(square: Square, alphabet: Sequence[str]) -> str:
 
 def parse_square(text: str, alphabet: Sequence[str]) -> Square:
     index = {label: i for i, label in enumerate(alphabet)}
+    if len(index) != len(alphabet):
+        raise ValueError(f"alphabet repeats the label {first_repeat(alphabet)!r}")
     rows = []
     for line in text.splitlines():
         line = line.strip()

@@ -157,8 +157,15 @@ class DensityMatrix:
         return DensityMatrix(basis, np.eye(d, dtype=complex) / d)
 
 
+def first_repeat(items: Sequence):
+    """The first item of ``items`` equal to an earlier one; call it only when one is."""
+    return next(item for i, item in enumerate(items) if item in items[:i])
+
+
 def product_basis(alphabet: Sequence[str], n_registers: int) -> tuple[tuple[str, ...], ...]:
-    """All label tuples of the given length, in alphabet (row-major) order."""
+    """All label tuples of the given length, in alphabet (row-major) order; ValueError if a label repeats."""
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError(f"alphabet repeats the label {first_repeat(alphabet)!r}")
     out: list[tuple[str, ...]] = [()]
     for _ in range(n_registers):
         out = [prefix + (a,) for prefix in out for a in alphabet]
@@ -210,6 +217,8 @@ def partial_trace(
     else:
         basis = tuple(map(tuple, basis))
     index = {b: i for i, b in enumerate(basis)}
+    if len(index) != len(basis):
+        raise ValueError(f"basis repeats the label tuple {first_repeat(basis)}")
 
     # kets sharing the traced labels and the tag, as (row of rho, amplitude)
     groups: dict[tuple, list[tuple[int, complex]]] = {}

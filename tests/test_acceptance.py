@@ -22,11 +22,9 @@ from anyonmask.anyons import (
     VAC,
     abelian_c0,
     ising_like,
-    monodromy,
     monodromy_angle,
     phase_from_eighths,
     r_angle,
-    r_phase,
     validate_model,
 )
 from anyonmask.braid import circle, op_set, verify_invariance
@@ -88,18 +86,15 @@ def test_criterion_1_model_data_exact():
     ok = True
     for (a, b, ch), k in ABELIAN_R_TABLE.items():
         ok &= r_angle(abelian, a, b, ch) == k
-        ok &= r_phase(abelian, a, b, ch) == phase_from_eighths(k)
     ising = ising_like(1)
     for (a, b, ch), k in ISING_C1_R_TABLE.items():
         ok &= r_angle(ising, a, b, ch) == k
-        ok &= r_phase(ising, a, b, ch) == phase_from_eighths(k)
-    ok &= ising.theta(SIGMA) == phase_from_eighths(1)
-    ok &= abs(ising.theta(SIGMA) - cmath.exp(1j * math.pi / 8)) <= 1e-15
+    ok &= ising.theta_eighths[SIGMA] == 1
+    ok &= abs(phase_from_eighths(ising.theta_eighths[SIGMA]) - cmath.exp(1j * math.pi / 8)) <= 1e-15
     ok &= ising.kappa[SIGMA] == 1
-    ok &= monodromy(abelian, E, M, EPS) == -1
+    ok &= monodromy_angle(abelian, E, M, EPS) == 8
     ok &= monodromy_angle(ising, SIGMA, SIGMA, VAC) == (-2) % 16
-    ok &= monodromy(ising, SIGMA, SIGMA, VAC) == phase_from_eighths(-2)
-    ok &= abs(monodromy(ising, SIGMA, SIGMA, VAC) - cmath.exp(-1j * math.pi / 4)) <= 1e-15
+    ok &= abs(phase_from_eighths(monodromy_angle(ising, SIGMA, SIGMA, VAC)) - cmath.exp(-1j * math.pi / 4)) <= 1e-15
     _report("1 model tables and monodromies exact", ok)
 
 

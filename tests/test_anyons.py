@@ -19,11 +19,9 @@ from anyonmask.anyons import (
     UnknownSectorError,
     fuse,
     ising_like,
-    monodromy,
     monodromy_angle,
     phase_from_eighths,
     r_angle,
-    r_phase,
     table_lines,
     validate_model,
 )
@@ -63,6 +61,25 @@ STRUCTURAL_VIOLATIONS = [
     ("theta-sigma", "ising", "theta_eighths", SIGMA, 3),
     ("kappa-sigma", "ising", "kappa", SIGMA, -1),
     ("unknown-kind:fibonacci", "ising", "kind", None, "fibonacci"),
+    # the monodromy check read R(m, e; eps) and raised FusionChannelError
+    ("fusion-commutativity:(e,m)", "abelian", "fusion", (M, E), (VAC,)),
+]
+
+# (violation, model, field, key): one entry dropped from one table, which no other check may then read
+MISSING_ENTRIES = [
+    ("r-missing:(sigma,sigma;eps)", "ising", "r_eighths", (SIGMA, SIGMA, EPS)),
+    ("r-missing:(sigma,sigma;1)", "ising", "r_eighths", (SIGMA, SIGMA, VAC)),
+    ("r-missing:(eps,sigma;sigma)", "ising", "r_eighths", (EPS, SIGMA, SIGMA)),
+    ("r-missing:(m,e;eps)", "abelian", "r_eighths", (M, E, EPS)),
+    ("fusion-missing:(sigma,eps)", "ising", "fusion", (SIGMA, EPS)),
+    ("fusion-missing:(1,eps)", "ising", "fusion", (VAC, EPS)),
+    ("fusion-missing:(eps,eps)", "ising", "fusion", (EPS, EPS)),
+    ("fusion-missing:(e,m)", "abelian", "fusion", (E, M)),
+    ("theta-missing:sigma", "ising", "theta_eighths", SIGMA),
+    ("theta-missing:eps", "ising", "theta_eighths", EPS),
+    ("theta-missing:e", "abelian", "theta_eighths", E),
+    ("kappa-missing:sigma", "ising", "kappa", SIGMA),
+    ("kappa-missing:m", "abelian", "kappa", M),
 ]
 
 
@@ -137,30 +154,28 @@ class TestRPhases:
     def test_abelian_table_complete_and_exact(self, abelian_model):
         for (a, b, ch), k in ABELIAN_R_TABLE.items():
             assert r_angle(abelian_model, a, b, ch) == k
-            assert r_phase(abelian_model, a, b, ch) == phase_from_eighths(k)
 
     def test_vortex_exchange_asymmetry(self, abelian_model):
-        assert r_phase(abelian_model, E, M, EPS) == 1
-        assert r_phase(abelian_model, M, E, EPS) == -1
+        assert r_angle(abelian_model, E, M, EPS) == 0
+        assert r_angle(abelian_model, M, E, EPS) == 8
 
     def test_ising_c1_table_complete_and_exact(self, ising_model):
         for (a, b, ch), k in ISING_C1_R_TABLE.items():
             assert r_angle(ising_model, a, b, ch) == k
-            assert r_phase(ising_model, a, b, ch) == phase_from_eighths(k)
-        assert r_phase(ising_model, SIGMA, SIGMA, VAC) == pytest.approx(
+        assert phase_from_eighths(r_angle(ising_model, SIGMA, SIGMA, VAC)) == pytest.approx(
             cmath.exp(-1j * math.pi / 8), abs=1e-15
         )
-        assert r_phase(ising_model, SIGMA, SIGMA, EPS) == pytest.approx(
+        assert phase_from_eighths(r_angle(ising_model, SIGMA, SIGMA, EPS)) == pytest.approx(
             cmath.exp(3j * math.pi / 8), abs=1e-15
         )
-        assert r_phase(ising_model, EPS, SIGMA, SIGMA) == -1j
+        assert phase_from_eighths(r_angle(ising_model, EPS, SIGMA, SIGMA)) == -1j
 
     @pytest.mark.parametrize("model_name", ["abelian", "ising"])
     def test_vacuum_braiding_trivial(self, model_name, abelian_model, ising_model):
         model = abelian_model if model_name == "abelian" else ising_model
         for x in model.alphabet:
-            assert r_phase(model, VAC, x, x) == 1
-            assert r_phase(model, x, VAC, x) == 1
+            assert r_angle(model, VAC, x, x) == 0
+            assert r_angle(model, x, VAC, x) == 0
 
     @pytest.mark.parametrize("model_name", ["abelian", "ising"])
     def test_all_phases_unit_modulus(self, model_name, abelian_model, ising_model):
@@ -168,14 +183,14 @@ class TestRPhases:
         for a in model.alphabet:
             for b in model.alphabet:
                 for ch in fuse(model, a, b):
-                    assert abs(abs(r_phase(model, a, b, ch)) - 1.0) == 0.0
+                    assert abs(abs(phase_from_eighths(r_angle(model, a, b, ch))) - 1.0) == 0.0
 
-    test_bad_channel_rejected = refusals(refuse(FusionChannelError, None, r_phase, ABELIAN, E, M, VAC))
+    test_bad_channel_rejected = refusals(refuse(FusionChannelError, None, r_angle, ABELIAN, E, M, VAC))
 
 
 class TestMonodromy:
     def test_vortex_circling_is_minus_one(self, abelian_model):
-        assert monodromy(abelian_model, E, M, EPS) == -1
+        assert monodromy_angle(abelian_model, E, M, EPS) == 8
 
     def test_all_distinct_nontrivial_abelian_pairs(self, abelian_model):
         nontrivial = [x for x in ABELIAN_ALPHABET if x != VAC]
@@ -184,41 +199,42 @@ class TestMonodromy:
                 if a == b:
                     continue
                 ch = tuple(fuse(abelian_model, a, b))[0]
-                assert monodromy(abelian_model, a, b, ch) == -1
+                assert monodromy_angle(abelian_model, a, b, ch) == 8
 
     def test_abelian_self_monodromy_trivial(self, abelian_model):
         for x in (E, M, EPS):
-            assert monodromy(abelian_model, x, x, VAC) == 1
+            assert monodromy_angle(abelian_model, x, x, VAC) == 0
 
     def test_sigma_pair_circling(self, ising_model):
         assert monodromy_angle(ising_model, SIGMA, SIGMA, VAC) == 14
-        assert monodromy(ising_model, SIGMA, SIGMA, VAC) == phase_from_eighths(-2)
-        assert monodromy(ising_model, SIGMA, SIGMA, VAC) == pytest.approx(
+        assert phase_from_eighths(monodromy_angle(ising_model, SIGMA, SIGMA, VAC)) == pytest.approx(
             cmath.exp(-1j * math.pi / 4), abs=1e-15
         )
 
     def test_sigma_around_fermion_is_minus_one(self, ising_model):
-        assert monodromy(ising_model, EPS, SIGMA, SIGMA) == -1
+        assert monodromy_angle(ising_model, EPS, SIGMA, SIGMA) == 8
 
     @pytest.mark.parametrize("model_name", ["abelian", "ising"])
     def test_vacuum_monodromy_trivial(self, model_name, abelian_model, ising_model):
         model = abelian_model if model_name == "abelian" else ising_model
         for x in model.alphabet:
-            assert monodromy(model, VAC, x, x) == 1
+            assert monodromy_angle(model, VAC, x, x) == 0
 
 
 class TestTopologicalData:
     def test_abelian_spins_and_indicators(self, abelian_model):
         for x in ABELIAN_ALPHABET:
-            assert abelian_model.theta(x) == 1
+            assert phase_from_eighths(abelian_model.theta_eighths[x]) == 1
             assert abelian_model.kappa[x] == 1
 
     def test_ising_c1_vortex_data(self, ising_model):
-        assert ising_model.theta(SIGMA) == pytest.approx(cmath.exp(1j * math.pi / 8), abs=1e-15)
+        assert phase_from_eighths(ising_model.theta_eighths[SIGMA]) == pytest.approx(
+            cmath.exp(1j * math.pi / 8), abs=1e-15
+        )
         assert ising_model.theta_eighths[SIGMA] == 1
         assert ising_model.kappa[SIGMA] == 1
-        assert ising_model.theta(VAC) == 1
-        assert ising_model.theta(EPS) == -1
+        assert phase_from_eighths(ising_model.theta_eighths[VAC]) == 1
+        assert phase_from_eighths(ising_model.theta_eighths[EPS]) == -1
 
     @pytest.mark.parametrize("c", [1, 3, 5, 7, 9, 11, 13, 15, -3, 17])
     def test_odd_c_parameterization(self, c):
@@ -292,6 +308,14 @@ class TestValidateModel:
         report = validate_model(replace(model, **{field: table}))
         assert not report.ok
         assert violation in report.violations
+
+    @pytest.mark.parametrize("violation, kind, field, key", MISSING_ENTRIES, ids=[case[0] for case in MISSING_ENTRIES])
+    def test_each_missing_entry_is_named_alone(self, violation, kind, field, key, abelian_model, ising_model):
+        # a missing R entry passed, and a missing pair, spin or indicator raised KeyError
+        model = abelian_model if kind == "abelian" else ising_model
+        table = {k: v for k, v in getattr(model, field).items() if k != key}
+        report = validate_model(replace(model, **{field: table}))
+        assert (report.ok, report.violations) == (False, (violation,))
 
     def test_float_tables_are_refused(self, ising_model):
         # every phase as a float (ising_like itself refuses a float Chern number)

@@ -1,10 +1,12 @@
-"""The braid rules are exact; one function turns them into floats.
+"""Phases are exact eighths of pi; one function in the package turns them into floats.
 
-Each per-ket rule in ``braid.py`` returns its image as (ket, phase in
-eighths of pi, split flag), and ``_compile_kets`` alone converts a phase
-with ``phase_from_eighths`` and a split with ``_INV_SQRT2``.  A float made
-anywhere else is a second copy of that conversion, and a step away from
-exact amplitudes.
+The model tables hold exchange phases and spins as integer eighths, the
+readers in ``anyons.py`` (``r_angle``, ``monodromy_angle``) return eighths,
+and each per-ket rule in ``braid.py`` returns its image as (ket, phase in
+eighths, split flag).  ``_compile_kets`` alone converts a phase with
+``phase_from_eighths`` and a split with ``_INV_SQRT2``.  A float made
+anywhere else in ``src/anyonmask`` is a second copy of that conversion, and
+a step away from exact amplitudes.
 
 The dense path is then an exact linear map: ``_braid_dense`` composes the
 gathers and prunes nothing, and a channel conflict is table data that
@@ -14,7 +16,8 @@ gathers and prunes nothing, and a channel conflict is table data that
 import ast
 from pathlib import Path
 
-BRAID = Path(__file__).resolve().parents[1] / "src" / "anyonmask" / "braid.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anyonmask"
+BRAID = PACKAGE / "braid.py"
 FLOAT_NAMES = {"phase_from_eighths", "_INV_SQRT2"}
 
 
@@ -30,8 +33,8 @@ def _uses(node: ast.AST) -> list[ast.AST]:
     return [sub for sub in ast.walk(node) if _name(sub) in FLOAT_NAMES]
 
 
-def _tree() -> ast.Module:
-    return ast.parse(BRAID.read_text(encoding="utf-8"), str(BRAID))
+def _tree(path: Path = BRAID) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
@@ -40,10 +43,15 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
 
 
 def test_only_compile_kets_turns_braid_phases_into_floats():
-    tree = _tree()
-    compile_kets = _function(tree, "_compile_kets")
-    inside = _uses(compile_kets)
-    outside = [f"braid.py:{sub.lineno}" for sub in _uses(tree) if all(sub is not use for use in inside)]
+    # every module: the definition and the __init__ re-export are no reads
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    inside = _uses(_function(trees["braid.py"], "_compile_kets"))
+    outside = [
+        f"{name}:{sub.lineno}"
+        for name, tree in trees.items()
+        for sub in _uses(tree)
+        if all(sub is not use for use in inside)
+    ]
     assert outside == []
     assert {_name(use) for use in inside} == FLOAT_NAMES
 

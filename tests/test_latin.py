@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonmask.latin import (
-    CONSTANT_COLUMN,
-    CONSTANT_ROW,
-    LATIN,
-    OTHER,
     SchemeTriple,
     Square,
     are_orthogonal,
-    classify,
     constant_column_square,
     constant_row_square,
     cyclic_square,
@@ -135,7 +130,7 @@ class TestCyclicSquares:
     @pytest.mark.parametrize("d", range(1, 8))
     def test_row_zero_is_identity(self, d):
         for direction in ("forward", "backward"):
-            assert cyclic_square(d, direction).row(0) == tuple(range(d))
+            assert cyclic_square(d, direction).cells[0] == tuple(range(d))
 
     @pytest.mark.parametrize(
         "square",
@@ -153,35 +148,14 @@ class TestCyclicSquares:
     test_bad_direction_rejected = refusals(refuse(ValueError, "direction", cyclic_square, 3, "sideways"))
 
 
-class TestClassify:
-    def test_constant_row(self):
-        assert classify(constant_row_square(4)) == CONSTANT_ROW
-
-    def test_constant_column(self):
-        assert classify(constant_column_square(3)) == CONSTANT_COLUMN
-
-    def test_latin(self):
-        assert classify(cyclic_square(4, "forward")) == LATIN
-
-    def test_repeated_identity_rows_is_constant_row(self):
-        assert classify(Square(((0, 1), (0, 1)))) == CONSTANT_ROW
-
-    def test_other(self):
-        assert classify(Square(((0, 0, 1), (0, 1, 2), (1, 2, 0)))) == OTHER
-
-    def test_order_one_is_latin(self):
-        # the one 1 x 1 square is also constant-row and constant-column
-        assert classify(Square(((0,),))) == LATIN
-
-
 class TestStandardSquaresD4:
     def test_b_row_one(self):
         # (e, 1, eps, m) over the alphabet (1, e, m, eps)
-        assert standard_squares_d4().b.row(1) == (1, 0, 3, 2)
+        assert standard_squares_d4().b.cells[1] == (1, 0, 3, 2)
 
     def test_c_row_one(self):
         # (eps, m, e, 1)
-        assert standard_squares_d4().c.row(1) == (3, 2, 1, 0)
+        assert standard_squares_d4().c.cells[1] == (3, 2, 1, 0)
 
     def test_validates(self):
         assert validate_triple(standard_squares_d4()).ok
@@ -196,6 +170,19 @@ class TestValidateTriple:
         report = validate_triple(SchemeTriple(a=constant_row_square(3), b=fwd, c=fwd))
         assert not report.ok
         assert "B-C-not-orthogonal" in report.violations
+
+    def test_order_one_passes(self):
+        # the one 1 x 1 square is Latin, constant-row and constant-column at once
+        one = Square(((0,),))
+        report = validate_triple(SchemeTriple(a=one, b=one, c=one))
+        assert report.ok and report.violations == ()
+
+    def test_a_latin_a_must_be_orthogonal_to_b_and_c(self):
+        std = standard_squares_d4()
+        third = Square(((0, 1, 2, 3), (2, 3, 0, 1), (3, 2, 1, 0), (1, 0, 3, 2)))
+        assert validate_triple(SchemeTriple(a=third, b=std.b, c=std.c)).violations == ()
+        report = validate_triple(SchemeTriple(a=std.b, b=std.b, c=std.c))
+        assert report.violations == ("A-latin-but-not-orthogonal-to-B-and-C",)
 
     def test_constant_column_a_passes(self):
         triple = SchemeTriple(
@@ -323,6 +310,9 @@ class TestTextFormat:
         assert parse_triple(text, ISING) == triple
 
     test_unknown_label_rejected = refusals(refuse(ValueError, "unknown label", parse_square, "1 eps bogus\n", ISING))
+    # "a a\na a" over ("a", "a") parsed as ((1, 1), (1, 1))
+    test_a_repeated_label_is_refused = refusals(
+        refuse(ValueError, whole("alphabet repeats the label 'a'"), parse_square, "a a\na a", ("a", "a")))
     test_wrong_row_count_rejected = refusals(refuse(ValueError, "rows", parse_square, "1 eps sigma\n", ISING))
     test_wrong_block_count_rejected = refusals(
         refuse(ValueError, "three", parse_triple, "1 eps sigma\neps sigma 1\nsigma 1 eps\n", ISING))

@@ -38,7 +38,7 @@ from helpers import (
     reference_encode_row,
     unit_coeffs,
 )
-from test_refusals import ABELIAN, ABELIAN_SCHEME, ISING, ISING_SCHEME, refusals, refuse
+from test_refusals import ABELIAN, ABELIAN_SCHEME, ISING, ISING_SCHEME, refusals, refuse, whole
 
 
 def display_state(rows, coeffs):
@@ -258,6 +258,10 @@ class TestVerifyMasking:
 
     test_register_count_checked = refusals(
         refuse(ValueError, "3 registers", verify_masking, StateVector({BasisKet(("1", "1")): 1.0}), ABELIAN.alphabet))
+    # an encoded state against an alphabet that repeats "e" had verdict False
+    test_an_alphabet_that_repeats_a_label_is_refused = refusals(
+        refuse(ValueError, whole("alphabet repeats the label 'e'"),
+               verify_masking, encode(ABELIAN_SCHEME, [1.0, 0.0, 0.0, 0.0]), ("1", "e", "m", "eps", "e")))
 
 
 class TestSchemeVariants:

@@ -25,8 +25,8 @@ PUBLIC_NAMES = (
     "alice_measure", "apply_ops", "are_orthogonal", "basis_state", "bipartite_control",
     "build_channel", "build_joint", "circle", "correct", "cyclic_square", "cyclic_triple",
     "encode", "exchange", "find_mols_pair", "fuse", "hs_distance", "inner",
-    "is_latin", "ising_cyclic_scheme", "ising_like", "monodromy", "norm", "parse_ops",
-    "partial_trace", "permutation_encode", "phase_from_eighths", "r_phase",
+    "is_latin", "ising_cyclic_scheme", "ising_like", "monodromy_angle", "norm", "parse_ops",
+    "partial_trace", "permutation_encode", "phase_from_eighths", "r_angle",
     "run_masking_campaign", "run_teleport", "standard_squares_d4", "tensor",
     "tripartite_braid", "validate_model", "validate_triple", "verify_invariance",
     "verify_masking",

@@ -206,6 +206,10 @@ class TestPartialTrace:
     test_rejects_basis_missing_a_later_ket_of_a_group = refusals(
         refuse(ValueError, r"\('m',\) missing from the supplied basis",
                partial_trace, StateVector({BasisKet(("e", "1")): 0.6, BasisKet(("m", "1")): 0.8}), {0}, basis=[("e",)]))
+    # a repeated tuple gave a 2 x 2 matrix with a zero row
+    test_rejects_a_basis_that_repeats_a_label_tuple = refusals(
+        refuse(ValueError, whole("basis repeats the label tuple ('e',)"),
+               partial_trace, basis_state(["e", "m"]), {0}, [("e",), ("e",)]))
 
 
 class TestHsDistance:
@@ -247,6 +251,10 @@ class TestDenseLayout:
     test_foreign_shape_rejected = refusals(
         refuse(ValueError, r"shape \(3, 3, 3\) are not in the dense layout of 4 labels",
                dense_state, np.zeros((3, 3, 3), dtype=complex), ABELIAN))
+    # product_basis(("a", "a"), 1) gave (("a",), ("a",)), and tagged_basis 6 kets but 3 index entries
+    test_an_alphabet_that_repeats_a_label_is_refused = refusals(
+        refuse(ValueError, whole("alphabet repeats the label 'a'"), product_basis, ("a", "a"), 1),
+        refuse(ValueError, whole("alphabet repeats the label 'e'"), tagged_basis, ("1", "e", "m", "e"), 2))
 
 
 class TestDensityMatrix:

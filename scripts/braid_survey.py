@@ -4,24 +4,36 @@ The op set is both adjacent exchanges, all three circles, and (for the
 Ising model) the tripartite braid.  Prints the worst marginal deviation
 over the whole sweep and lists any failing sequences.
 
-Usage: python scripts/braid_survey.py [--model abelian|ising] [--max-len L] [--trials N]
+Numbers are read as the command line reads them: ASCII digits, no
+``_``; a count, seed or tolerance it refuses exits 2.
+
+Usage: python scripts/braid_survey.py [--model abelian|ising] [--max-len L] [--trials N] [--tol T] [--seed S]
 """
 
 import argparse
 import itertools
 
 from anyonmask.braid import op_set, verify_invariance
-from anyonmask.masker import abelian_standard_scheme, ising_cyclic_scheme
+from anyonmask.cli import _ascii
+from anyonmask.masker import DEFAULT_TOL, abelian_standard_scheme, ising_cyclic_scheme
+from anyonmask.qstate import check_seed, check_tol
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", choices=("abelian", "ising"), default="ising")
-    parser.add_argument("--max-len", type=int, default=3)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--tol", type=float, default=2e-12)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--max-len", type=_ascii(int), default=3)
+    parser.add_argument("--trials", type=_ascii(int), default=100)
+    parser.add_argument("--tol", type=_ascii(float), default=DEFAULT_TOL)
+    parser.add_argument("--seed", type=_ascii(int), default=7)
     args = parser.parse_args()
+    try:
+        check_seed(args.max_len, "--max-len", positive=True)
+        check_seed(args.trials, "--trials", positive=True)
+        check_seed(args.seed, "--seed")
+        check_tol(args.tol, "--tol")
+    except ValueError as exc:
+        parser.error(str(exc))
 
     scheme = abelian_standard_scheme() if args.model == "abelian" else ising_cyclic_scheme()
     ops = op_set(args.model)

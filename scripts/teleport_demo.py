@@ -1,5 +1,8 @@
 """Run the teleportation pipeline on a few inputs and print the records.
 
+Numbers are read as the command line reads them: ASCII digits, no
+``_``; a count or seed it refuses exits 2.
+
 Usage: python scripts/teleport_demo.py [--random N] [--seed S]
 """
 
@@ -7,7 +10,9 @@ import argparse
 
 import numpy as np
 
+from anyonmask.cli import _ascii
 from anyonmask.masker import random_unit_coeffs
+from anyonmask.qstate import check_seed
 from anyonmask.teleport import run_teleport
 
 
@@ -29,9 +34,14 @@ def show(label: str, coeffs) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--random", type=int, default=3, help="number of random inputs")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--random", type=_ascii(int), default=3, help="number of random inputs")
+    parser.add_argument("--seed", type=_ascii(int), default=7)
     args = parser.parse_args()
+    try:
+        check_seed(args.random, "--random")
+        check_seed(args.seed, "--seed")
+    except ValueError as exc:
+        parser.error(str(exc))
 
     show("basis |1>", [1.0, 0.0, 0.0])
     show("0.6|1> + 0.8i|eps>", [0.6, 0.8j, 0.0])

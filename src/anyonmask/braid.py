@@ -35,7 +35,7 @@ import math
 import re
 import string
 from dataclasses import dataclass
-from typing import NoReturn, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +49,9 @@ from .anyons import (
     monodromy_angle,
     phase_from_eighths,
     r_angle,
+    validate_model,
 )
-from .masker import MaskingReport, MaskingScheme, _combined, encode, encoder_rows, verify_masking
+from .masker import DEFAULT_TOL, MaskingReport, MaskingScheme, _combined, encode, encoder_rows, verify_masking
 from .qstate import PRUNE_EPS, TAGS, BasisKet, StateVector, check_seed, check_tol, dense_state, tagged_basis
 from .trials import evaluate_trials
 
@@ -274,8 +275,12 @@ def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     rule runs on the tagged kets of those registers, in ascending order
     with the op's orientation kept, and the n-register table follows by
     index arithmetic: a source is the output ket with the touched labels
-    and the tag replaced by those of the local table's source.
+    and the tag replaced by those of the local table's source.  A model
+    that ``validate_model`` does not pass is refused before any rule reads it.
     """
+    report = validate_model(model)
+    if not report.ok:
+        raise BraidError(f"model {model.name} is not valid: {', '.join(report.violations)}")
     _check_domain(model, op, n)
     touched = (0, 1, 2) if op.kind == TRIPARTITE else tuple(sorted((op.x, op.y)))
     local = op if op.kind == TRIPARTITE else BraidOp(op.kind, int(op.x > op.y), int(op.x < op.y), op.mode)
@@ -318,19 +323,6 @@ def _gather(table: _OpTable, psi: np.ndarray) -> np.ndarray:
     for src, amp in zip(table.src[1:], table.amp[1:]):
         out += amp * psi.take(src, axis=-1)
     return out
-
-
-def _refuse(model: AnyonModel, op: BraidOp, ket: BasisKet) -> NoReturn:
-    """Raise for a ket outside the tagged basis, as the per-term loop did.
-
-    The op's per-ket rule raises for a foreign label among the op's own
-    parties, or for a foreign tag where it reads the tag; otherwise the
-    first foreign label, or else the tag, is named.
-    """
-    _RULES[op.kind](model, ket, op)
-    for label in ket.labels:
-        model.check_label(label)
-    raise FusionChannelError(f"channel tag {ket.tag!r} is not one of {TAGS}")
 
 
 def exchange(
@@ -399,7 +391,10 @@ def _op_tuple(ops: Sequence[BraidOp]) -> tuple[BraidOp, ...]:
 
 
 def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> StateVector:
-    """Apply the ops in order: dense once, a gather per op, labeled once."""
+    """Apply the ops in order: dense once, a gather per op, labeled once.
+
+    A ket outside the tagged basis is named by its first foreign label, or else its tag.
+    """
     ops = _op_tuple(ops)
     if not ops:
         return state
@@ -410,7 +405,9 @@ def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> 
     for ket, amp in state.items():
         i = index.get(ket)
         if i is None:
-            _refuse(model, ops[0], ket)
+            for label in ket.labels:
+                model.check_label(label)
+            raise FusionChannelError(f"channel tag {ket.tag!r} is not one of {TAGS}")
         psi[i] = amp
     psi = _braid_dense(model, ops, n, psi)
     return dense_state(psi.reshape((model.d,) * n + (len(TAGS),)), model.alphabet)
@@ -455,7 +452,7 @@ def verify_invariance(
     scheme: MaskingScheme,
     ops: Sequence[BraidOp],
     trials: int = 100,
-    tol: float = 2e-12,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> BraidReport:
     """Encode seeded random inputs, braid them, and re-verify the masking.
@@ -467,12 +464,15 @@ def verify_invariance(
     over them (``evaluate_trials``).  The worst trial is replayed through
     the labeled ``verify_masking``, before the braid from ``encode`` and
     after it as the same combination of the braided rows, and both
-    reports must pass too.
+    reports must pass too.  The unbraided run is ``run_masking_campaign``,
+    so at least one op is needed: a report's ops run again through ``--ops``.
     """
     check_tol(tol)
     seed = check_seed(seed)
     trials = check_seed(trials, "trials", positive=True)
     ops = _op_tuple(ops)
+    if not ops:
+        raise BraidError("no ops to braid with; run_masking_campaign checks the unbraided scheme")
     alphabet = scheme.model.alphabet
     rows = _braided_rows(scheme, ops)
     batch = evaluate_trials(rows, trials, seed, tol)

@@ -105,9 +105,7 @@ def parse_model(selector: str) -> AnyonModel:
     raise ValueError(f"unknown model selector {selector!r} (use abelian or ising[:c])")
 
 
-def resolve_scheme(model: AnyonModel, selector: Optional[str]) -> MaskingScheme:
-    if selector is None:
-        selector = default_triple_name(model)
+def resolve_scheme(model: AnyonModel, selector: str) -> MaskingScheme:
     if selector in BUILTIN_TRIPLES:
         triple = BUILTIN_TRIPLES[selector]()
     else:
@@ -172,6 +170,11 @@ def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheme", default=None, help="standard-d4, cyclic-d3, or a triple file")
     parser.add_argument("--trials", type=_ascii(int), default=100)
     parser.add_argument("--seed", type=_ascii(int), default=None)
+    _report_args(parser)
+
+
+def _report_args(parser: argparse.ArgumentParser) -> None:
+    """The options of every command that writes a report: its bound, its path and its format."""
     parser.add_argument("--tol", type=_ascii(float), default=DEFAULT_TOL)
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument(
@@ -208,11 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='three comma-separated complex coefficients, e.g. "0.6,0.8i,0"',
     )
-    p_teleport.add_argument("--tol", type=_ascii(float), default=DEFAULT_TOL)
-    p_teleport.add_argument("--out", default=None)
-    p_teleport.add_argument(
-        "--format", choices=("structured", "text"), default="structured", dest="fmt"
-    )
+    _report_args(p_teleport)
 
     return parser
 

@@ -207,7 +207,7 @@ def partial_trace(
     n = state.n_registers
     if not kept:
         raise ValueError("keep must name at least one register")
-    if n and kept[-1] >= n:
+    if kept[-1] >= n:  # a state with no kets has no registers
         raise ValueError(f"keep indices {kept} out of range for {n} registers")
     traced = [i for i in range(n) if i not in kept]
     take_kept, take_traced = _label_getter(kept), _label_getter(traced)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anyonmask import braid
-from anyonmask.anyons import SIGMA, VAC, FusionChannelError, UnknownSectorError, abelian_c0, ising_like
+from anyonmask.anyons import EPS, SIGMA, VAC, FusionChannelError, UnknownSectorError, abelian_c0, ising_like
 from anyonmask.braid import (
     CHANNEL_MODES,
     SPLIT,
@@ -25,7 +25,8 @@ from anyonmask.braid import (
     tripartite_braid,
     verify_invariance,
 )
-from anyonmask.masker import encode, random_unit_coeffs, verify_masking
+from anyonmask.latin import cyclic_triple
+from anyonmask.masker import MaskingScheme, encode, random_unit_coeffs, verify_masking
 from anyonmask.qstate import (
     PRUNE_EPS,
     BasisKet,
@@ -58,6 +59,15 @@ REPS_SS = cmath.exp(3j * math.pi / 8)
 NEG_EXCHANGE_PAIRS = {("m", "e"), ("eps", "e"), ("m", "eps"), ("eps", "eps")}
 
 SIGMA_PAIR = ("sigma", "sigma", "1")
+FOREIGN_LABEL = "label '{}' is not in the ising-c1 alphabet ('1', 'eps', 'sigma')"
+
+# Ising models the op tables cannot read, each with the violation validate_model names
+UNREADABLE = [
+    (dataclasses.replace(ISING, r_eighths={k: v for k, v in ISING.r_eighths.items() if k != (SIGMA, SIGMA, EPS)}),
+     "r-missing:(sigma,sigma;eps)"),
+    (dataclasses.replace(ISING, fusion={k: v for k, v in ISING.fusion.items() if k != (EPS, SIGMA)}),
+     "fusion-missing:(eps,sigma)"),
+]
 
 
 def abelian_exchange_phase(a, b):
@@ -163,9 +173,9 @@ class TestExchange:
         refuse(ChannelConflictError, "already fuses in channel '1'; cannot resolve to 'eps'",
                apply_ops, ISING, StateVector({BasisKet(SIGMA_PAIR): 1.0, BasisKet(SIGMA_PAIR, "1"): -0.5}),
                (BraidOp("exchange", 0, 1), BraidOp("exchange", 0, 1, "eps"))))
-    # the tag is no channel of the pair, so no mode can find it in conflict
+    # the tag is none of TAGS, so no mode can find it in conflict
     test_a_foreign_tag_is_no_channel_in_every_mode = refusals(*(
-        refuse(FusionChannelError, r"'zz' is not a fusion channel of \(sigma, sigma\)",
+        refuse(FusionChannelError, "^channel tag 'zz' is not one of ",
                exchange, ISING, basis_state(SIGMA_PAIR, tag="zz"), 0, 1, mode=mode, id=mode)
         for mode in CHANNEL_MODES
     ))
@@ -434,6 +444,13 @@ class TestVerifyInvariance:
             out = apply_ops(ising_scheme.model, state, [ops_pool[i] for i in picks])
             assert abs(norm(out) - 1.0) <= 1e-12
 
+    # the unbraided run is run_masking_campaign, and a report's empty ops would not parse
+    test_no_ops_is_no_braid_campaign = refusals(*(
+        refuse(BraidError, whole("no ops to braid with; run_masking_campaign checks the unbraided scheme"),
+               verify_invariance, ISING_SCHEME, ops)
+        for ops in ((), [])
+    ))
+
 
 def every_op(kind):
     """The sweep ops plus, for Ising, both exchanges resolved into each channel."""
@@ -612,28 +629,36 @@ class TestOpTables:
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (op, name)
 
-    def test_foreign_label_messages_match_the_dict_loops(self, ising_model):
-        # the op's own parties are checked first, as the dict loops did
-        cases = [
-            (parse_ops("xAB"), ("1", "zz", "eps"), None, UnknownSectorError),
-            (parse_ops("xBC"), ("1", "yy", "zz"), None, UnknownSectorError),
-            (parse_ops("cCA"), ("yy", "1", "zz"), None, UnknownSectorError),
-            (parse_ops("t3"), ("sigma", "zz", "yy"), None, UnknownSectorError),
-            (parse_ops("xAB"), ("sigma", "sigma", "1"), "zz", FusionChannelError),
+    # a ket outside the tagged basis is named by its first foreign label, or else its tag, whatever the op
+    test_a_foreign_ket_names_its_first_foreign_label_or_else_its_tag = refusals(*(
+        refuse(error, whole(message), apply_ops, ISING,
+               StateVector({BasisKet(("1", "1", "1")): 0.6, BasisKet(labels, tag): 0.8}), parse_ops(ops))
+        for ops, labels, tag, error, message in [
+            ("xAB", ("1", "zz", "eps"), None, UnknownSectorError, FOREIGN_LABEL.format("zz")),
+            ("xBC", ("1", "yy", "zz"), None, UnknownSectorError, FOREIGN_LABEL.format("yy")),
+            ("cCA", ("yy", "1", "zz"), None, UnknownSectorError, FOREIGN_LABEL.format("yy")),
+            ("t3", ("sigma", "zz", "yy"), None, UnknownSectorError, FOREIGN_LABEL.format("zz")),
+            ("xAB", ("sigma", "sigma", "1"), "zz", FusionChannelError,
+             "channel tag 'zz' is not one of (None, '1', 'eps')"),
         ]
-        for ops, labels, tag, error in cases:
-            state = StateVector({BasisKet(("1", "1", "1")): 0.6, BasisKet(labels, tag): 0.8})
-            want = outcome(lambda: reference_ops(ising_model, state, ops))
-            assert want[0] is error
-            assert outcome(lambda: apply_ops(ising_model, state, ops)) == want
-
+    ))
+    # a missing entry failed mid-compile with a bare KeyError
+    test_a_model_the_tables_cannot_read_is_refused_by_name = refusals(*(
+        refuse(BraidError, whole(f"model ising-c1 is not valid: {violation}"), entry, *args,
+               id=f"{entry.__name__}-{violation}")
+        for model, violation in UNREADABLE
+        for entry, args in [
+            (apply_ops, (model, basis_state(SIGMA_PAIR, tag="1"), parse_ops("xAB"))),
+            (verify_invariance, (MaskingScheme(model, cyclic_triple(3)), parse_ops("xAB"))),
+        ]
+    ))
     test_a_channel_conflict_on_the_rows_is_refused = refusals(
         refuse(ChannelConflictError, "already fuses in channel 'eps'; cannot resolve to '1'",
                verify_invariance, ISING_SCHEME, (BraidOp("exchange", 0, 1, "eps"), BraidOp("exchange", 0, 1, "1")),
                trials=5))
     # the dict loop of the tripartite braid read any tag but "1" as "eps"
     test_a_foreign_tag_on_a_sigma_pair_is_no_channel_of_it = refusals(
-        refuse(FusionChannelError, r"'zz' is not a fusion channel of \(sigma, sigma\)",
+        refuse(FusionChannelError, "^channel tag 'zz' is not one of ",
                tripartite_braid, ISING, basis_state(SIGMA_PAIR, tag="zz")))
     # the dict loops never looked at party C during xAB, nor at a tag they did not read
     test_what_the_dict_loops_passed_on_is_refused = refusals(

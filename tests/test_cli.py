@@ -10,6 +10,7 @@ import pytest
 from anyonmask import __version__, cli
 from anyonmask.cli import build_parser, main, parse_complex, parse_model, render_text, resolve_scheme
 from anyonmask.latin import cyclic_triple, triple_to_text
+from anyonmask.masker import default_triple_name
 from test_refusals import ISING, check, refusals, refuse, refuse_argv, whole
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -80,8 +81,9 @@ class TestSelectors:
         assert parse_model("ising:3").name == "ising-c3"
 
     def test_default_schemes(self):
-        assert resolve_scheme(parse_model("abelian"), None).d == 4
-        assert resolve_scheme(parse_model("ising"), None).d == 3
+        for selector, d in (("abelian", 4), ("ising", 3)):
+            model = parse_model(selector)
+            assert resolve_scheme(model, default_triple_name(model)).d == d
 
     def test_scheme_file(self, tmp_path):
         model = parse_model("ising")

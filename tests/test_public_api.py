@@ -51,8 +51,9 @@ def test_public_names_resolve():
 
 
 def test_tracer_targets_exist():
+    # exchange and norm have no caller inside the package, so only this notices their removal
     targets = tracer_targets()
-    assert targets
+    assert ("braid", "exchange") in targets and ("qstate", "norm") in targets
     missing = [
         f"{mod}.{name}"
         for mod, name in targets

@@ -200,6 +200,12 @@ class TestPartialTrace:
                partial_trace, basis_state(["e", "m", "1"]), [index], id=repr(index))
         for index in [True, 1.5, 1.0, -1]
     ))
+    # a state with no kets has no registers, and it gave a zero matrix over the basis
+    test_rejects_a_state_with_no_kets = refusals(*(
+        refuse(ValueError, whole(f"keep indices [{index}] out of range for 0 registers"),
+               partial_trace, StateVector({}), {index}, product_basis(ISING, 1))
+        for index in (0, 9)
+    ))
     test_rejects_basis_missing_support = refusals(
         refuse(ValueError, "missing", partial_trace, basis_state(["e", "m"]), {0}, basis=[("1",)]))
     # |e 1> and |m 1> share the traced label; only the first is in the basis

@@ -6,7 +6,9 @@ the call, as ``--tol`` does at the command line.  So do a bool, which ran
 as 1.0, and a value that is no real number, which raised TypeError.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,25 @@ test_bad_tol_rejected = refusals(*(
     for name in sorted(ENTRY_POINTS)
     for tol in BAD_TOLS
 ))
+
+
+def tol_defaults() -> dict[str, str]:
+    """Every ``tol`` parameter default in the package, as source text by ``module.function``."""
+    found = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "anyonmask").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+                pairs += [(arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+                found.update({f"{path.stem}.{node.name}": ast.unparse(default)
+                              for arg, default in pairs if arg.arg == "tol"})
+    return found
+
+
+def test_every_tol_default_is_default_tol():
+    # one default bound: a library call without tol checks what the CLI checks without --tol
+    defaults = tol_defaults()
+    assert {"masker.verify_masking", "braid.verify_invariance"} <= set(defaults)
+    assert {name: text for name, text in defaults.items() if text != "DEFAULT_TOL"} == {}

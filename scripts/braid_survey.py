@@ -15,7 +15,7 @@ import itertools
 
 from anyonmask.braid import op_set, verify_invariance
 from anyonmask.cli import _ascii
-from anyonmask.masker import DEFAULT_TOL, abelian_standard_scheme, ising_cyclic_scheme
+from anyonmask.masker import DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, abelian_standard_scheme, ising_cyclic_scheme
 from anyonmask.qstate import check_seed, check_tol
 
 
@@ -23,9 +23,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", choices=("abelian", "ising"), default="ising")
     parser.add_argument("--max-len", type=_ascii(int), default=3)
-    parser.add_argument("--trials", type=_ascii(int), default=100)
+    parser.add_argument("--trials", type=_ascii(int), default=DEFAULT_TRIALS)
     parser.add_argument("--tol", type=_ascii(float), default=DEFAULT_TOL)
-    parser.add_argument("--seed", type=_ascii(int), default=7)
+    parser.add_argument("--seed", type=_ascii(int), default=DEFAULT_SEED)
     args = parser.parse_args()
     try:
         check_seed(args.max_len, "--max-len", positive=True)

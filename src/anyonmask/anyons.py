@@ -103,9 +103,6 @@ class AnyonModel:
                 f"label {label!r} is not in the {self.name} alphabet {self.alphabet}"
             ) from None
 
-    def check_label(self, label: str) -> None:
-        self.index(label)
-
     @cached_property
     def content_key(self) -> tuple:
         """Every table of the model as one hashable value, the name left out.
@@ -229,8 +226,8 @@ def ising_like(c: int = 1) -> AnyonModel:
 
 def fuse(model: AnyonModel, a: str, b: str) -> tuple[str, ...]:
     """Full channel multiset of a x b: one channel, or two where the pair splits."""
-    model.check_label(a)
-    model.check_label(b)
+    model.index(a)
+    model.index(b)
     return model.fusion[(a, b)]
 
 

@@ -51,7 +51,10 @@ from .anyons import (
     r_angle,
     validate_model,
 )
-from .masker import DEFAULT_TOL, MaskingReport, MaskingScheme, _combined, encode, encoder_rows, verify_masking
+from .masker import (
+    DEFAULT_SEED, DEFAULT_TOL, DEFAULT_TRIALS, MaskingReport, MaskingScheme, _combined, encode, encoder_rows,
+    verify_masking,
+)
 from .qstate import PRUNE_EPS, TAGS, BasisKet, StateVector, check_seed, check_tol, dense_state, tagged_basis
 from .trials import evaluate_trials
 
@@ -69,6 +72,9 @@ _KINDS = {name: kind for kind, name in _KIND_NAMES.items()}
 _TOKEN = re.compile(rf"({'|'.join(_KINDS)})([{_PARTY_LETTERS}]{{2}})?(?::({VAC}|{EPS}))?")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# The largest tagged basis ``apply_ops`` lays out; it and its tables grow as 3 d^n (10 Abelian registers: 1.6 GB)
+MAX_TAGGED_KETS = 2**16
 
 
 class BraidError(ValueError):
@@ -394,11 +400,15 @@ def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> 
     """Apply the ops in order: dense once, a gather per op, labeled once.
 
     A ket outside the tagged basis is named by its first foreign label, or else its tag.
+    A state whose tagged basis has more than ``MAX_TAGGED_KETS`` kets is refused before any is built.
     """
     ops = _op_tuple(ops)
     if not ops:
         return state
     n = state.n_registers
+    size = len(TAGS) * model.d**n
+    if size > MAX_TAGGED_KETS:
+        raise BraidError(f"{n} registers make {size} tagged kets, more than the dense layout's {MAX_TAGGED_KETS}")
     _table(model, ops[0], n)  # an op outside its domain is refused before any ket
     kets, index = tagged_basis(model.alphabet, n)
     psi = np.zeros(len(kets), dtype=complex)
@@ -406,7 +416,7 @@ def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> 
         i = index.get(ket)
         if i is None:
             for label in ket.labels:
-                model.check_label(label)
+                model.index(label)
             raise FusionChannelError(f"channel tag {ket.tag!r} is not one of {TAGS}")
         psi[i] = amp
     psi = _braid_dense(model, ops, n, psi)
@@ -451,9 +461,9 @@ class BraidReport:
 def verify_invariance(
     scheme: MaskingScheme,
     ops: Sequence[BraidOp],
-    trials: int = 100,
+    trials: int = DEFAULT_TRIALS,
     tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> BraidReport:
     """Encode seeded random inputs, braid them, and re-verify the masking.
 

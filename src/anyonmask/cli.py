@@ -38,15 +38,16 @@ from .braid import parse_ops, verify_invariance
 from .latin import find_mols_pair, parse_triple, square_to_text
 from .masker import (
     BUILTIN_TRIPLES,
+    DEFAULT_SEED,
     DEFAULT_TOL,
+    DEFAULT_TRIALS,
     MaskingScheme,
     default_triple_name,
     run_masking_campaign,
 )
-from .qstate import check_seed, check_tol
+from .qstate import UNIT_NORM_TOL, check_seed, check_tol
 from .teleport import run_teleport
 
-DEFAULT_SEED = 7
 SEED_ENV_VAR = "ANYONMASK_SEED"
 
 # a decimal number with an optional exponent, as Python prints a float, in ASCII digits
@@ -168,7 +169,7 @@ def _report_result(args: argparse.Namespace, command: str, config: dict, result)
 def _campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="abelian", help="abelian or ising[:c] (odd c)")
     parser.add_argument("--scheme", default=None, help="standard-d4, cyclic-d3, or a triple file")
-    parser.add_argument("--trials", type=_ascii(int), default=100)
+    parser.add_argument("--trials", type=_ascii(int), default=DEFAULT_TRIALS)
     parser.add_argument("--seed", type=_ascii(int), default=None)
     _report_args(parser)
 
@@ -227,7 +228,7 @@ def _validate_campaign(args: argparse.Namespace) -> tuple[MaskingScheme, dict]:
     check_seed(args.trials, "--trials", positive=True)
     check_tol(args.tol, "--tol")
     model = parse_model(args.model)
-    name = args.scheme or default_triple_name(model)
+    name = default_triple_name(model) if args.scheme is None else args.scheme  # "" is refused as no file
     scheme = resolve_scheme(model, name)
     if args.seed is None:
         seed = _default_seed()
@@ -290,7 +291,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     coeffs = np.array([parse_complex(token) for token in parts], dtype=complex)
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(coeffs) ** 2))
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > UNIT_NORM_TOL:
         if not np.any(coeffs):
             raise ValueError("teleport input must be a nonzero vector")
         if not sys.float_info.min <= total <= sys.float_info.max:

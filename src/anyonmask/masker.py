@@ -41,7 +41,10 @@ from .qstate import (
 # bit; it stays importable from here, where callers have always drawn inputs.
 from .trials import evaluate_trials, random_unit_coeffs  # noqa: F401
 
+# a run's defaults where its caller names none, the same for the library and the command line
 DEFAULT_TOL = 1e-12
+DEFAULT_SEED = 7
+DEFAULT_TRIALS = 100
 
 
 @dataclass(frozen=True)

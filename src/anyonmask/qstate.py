@@ -23,6 +23,9 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 PRUNE_EPS = 1e-15
+# how far |coeffs|^2 may be from 1 for an input taken as unit: ``unit_coeffs`` refuses past it and
+# the CLI's teleport normalizes past it, so an input the CLI passes on is never refused
+UNIT_NORM_TOL = 1e-12
 
 
 def _is_number(value) -> bool:
@@ -277,10 +280,10 @@ def finite_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
 
 
 def unit_coeffs(coeffs: Sequence[complex], d: int) -> np.ndarray:
-    """``finite_coeffs``, also refused unless its norm is 1 to within 1e-12."""
+    """``finite_coeffs``, also refused unless its norm is 1 to within ``UNIT_NORM_TOL``."""
     coeffs = finite_coeffs(coeffs, d)
     total = float(np.sum(np.abs(coeffs) ** 2))
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"coefficients must have unit norm, got |coeffs|^2 = {total}")
     return coeffs
 

@@ -642,6 +642,14 @@ class TestOpTables:
              "channel tag 'zz' is not one of (None, '1', 'eps')"),
         ]
     ))
+    # the whole 3 d^n tagged basis and an n-register table were built first: 10 Abelian registers took 1.6 GB
+    test_a_state_past_the_dense_layout_is_refused_before_any_is_built = refusals(*(
+        refuse(BraidError, whole(f"{n} registers make {3 * model.d**n} tagged kets, more than the dense layout's 65536"),
+               entry, model, basis_state((model.alphabet[1],) * n), *args, id=f"{entry.__name__}-{model.name}-{n}")
+        for model, n in [(ABELIAN, 8), (ISING, 10), (ABELIAN, 20), (ISING, 20)]
+        for entry, args in [(apply_ops, (parse_ops("xAB"),)), (exchange, (0, 1)), (circle, (1, 0)),
+                            (tripartite_braid, ())]
+    ))
     # a missing entry failed mid-compile with a bare KeyError
     test_a_model_the_tables_cannot_read_is_refused_by_name = refusals(*(
         refuse(BraidError, whole(f"model ising-c1 is not valid: {violation}"), entry, *args,

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anyonmask import __version__, cli
 from anyonmask.cli import build_parser, main, parse_complex, parse_model, render_text, resolve_scheme
 from anyonmask.latin import cyclic_triple, triple_to_text
-from anyonmask.masker import default_triple_name
+from anyonmask.masker import DEFAULT_SEED, default_triple_name, random_unit_coeffs
+from anyonmask.teleport import run_teleport
 from test_refusals import ISING, check, refusals, refuse, refuse_argv, whole
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -104,6 +106,12 @@ class TestSelectors:
                                 id=chern)]
     ))
     test_missing_scheme_rejected = refusals(refuse(ValueError, "neither", resolve_scheme, ISING, "no-such-scheme"))
+    # `args.scheme or` the default read "" as no --scheme: it ran, and recorded, the default triple
+    test_an_empty_scheme_is_refused = refusals(*(
+        refuse_argv(whole("error: scheme '' is neither a built-in (standard-d4, cyclic-d3) nor a file\n"),
+                    command, "--scheme", "", "--trials", "1", *ops, "--out", "{tmp}/r.json", id=command)
+        for command, ops in [("verify", ()), ("braid", ("--ops", "xAB"))]
+    ))
 
 
 class TestVerifyCommand:
@@ -319,6 +327,24 @@ class TestTeleportCommand:
         # 1e-05 is how Python prints that float; it used to exit 2
         assert main(["teleport", "--input=1e-05,1,0"]) == 0
         assert "normalizing" in capsys.readouterr().err
+
+    def test_a_text_report_holds_every_number_of_a_random_input(self, tmp_path):
+        # seeded random_unit_coeffs draws, written so that each part parses back to the same float
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for _ in range(2):
+            coeffs = random_unit_coeffs(3, rng)
+            text = ",".join(f"{z.real}{z.imag:+}i" for z in coeffs)
+            out = tmp_path / "tp.txt"
+            assert main(["teleport", "--input", text, "--format", "text", "--out", str(out)]) == 0
+            report = dict(line.split(": ", 1) for line in out.read_text().splitlines())
+            run = run_teleport(coeffs)
+            numbers = {f"results.outcomes.{i}.{name}": getattr(outcome, name)
+                       for i, outcome in enumerate(run.outcomes) for name in ("probability", "fidelity")}
+            numbers |= {f"results.alice_marginal_deviations.{i}": dev
+                        for i, dev in enumerate(run.alice_marginal_deviations)}
+            numbers["results.held_marginal_deviation_info"] = run.held_marginal_deviation
+            assert {key: float(report[key]) for key in numbers} == numbers
+            assert (report["results.verdict"], report["verdict"]) == ("pass", "pass")
 
     test_arity_error = refusals(refuse_argv("3 coefficients", "teleport", "--input", "1,1"))
     test_zero_input_is_usage_error = refusals(

@@ -14,7 +14,6 @@ RUNS = {
         ["--max-len", "1", "--trials", "3"],
         ["ising-c1: 6 sequences x 3 trials", "all sequences preserve masking within 1e-12"],
     ),
-    "teleport_demo.py": (["--random", "1"], ["input random 0:", "verdict: pass"]),
 }
 
 # (script, argv, error): numbers are read as the command line reads them, and a
@@ -24,7 +23,6 @@ REFUSED = [
     ("braid_survey.py", ["--trials", "1_0"], "error: argument --trials: invalid int value: '1_0'"),
     ("braid_survey.py", ["--seed", "-1"], "error: --seed must be a non-negative integer, got -1"),
     ("braid_survey.py", ["--tol", "nan"], "error: --tol must be finite and positive, got nan"),
-    ("teleport_demo.py", ["--seed", "٣"], "error: argument --seed: invalid int value: '٣'"),
 ]
 
 

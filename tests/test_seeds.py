@@ -8,18 +8,23 @@ same integer test and must also be positive: True ran one trial recorded
 as ``"trials": true``, and 2.5 or None raised TypeError from ``range``.
 """
 
+import ast
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anyonmask.braid import parse_ops, verify_invariance
 from anyonmask.cli import main
-from anyonmask.masker import encoder_rows, run_masking_campaign
+from anyonmask.masker import DEFAULT_SEED, DEFAULT_TRIALS, encoder_rows, ising_cyclic_scheme, run_masking_campaign
 from anyonmask.qstate import check_seed
 from anyonmask.trials import evaluate_trials
 from test_refusals import ISING_SCHEME, refusals, refuse, refuse_argv
+from test_tolerance import param_defaults
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ENTRY_POINTS = {
     "evaluate_trials": lambda s, seed=3, trials=5: evaluate_trials(encoder_rows(s), trials, seed, 1e-12),
@@ -90,3 +95,38 @@ test_cli_negative_seed_exits_2 = refusals(
     refuse_argv(re.escape("error: ANYONMASK_SEED must be a non-negative integer, got -3"),
                 "braid", "--model", "ising", "--trials", "5", "--ops", "xAB", env="-3", id="braid"),
 )
+
+
+def test_every_seed_and_trials_default_is_the_shared_one():
+    # one default run: a library call without seed or trials runs what the CLI runs without --seed or --trials
+    for name, shared in (("seed", "DEFAULT_SEED"), ("trials", "DEFAULT_TRIALS")):
+        defaults = param_defaults(name)
+        assert "braid.verify_invariance" in defaults
+        assert {function: text for function, text in defaults.items() if text != shared} == {}
+
+
+def option_defaults(path: Path) -> dict[str, str]:
+    """The ``default`` of every ``add_argument`` call in ``path``, as source text by option."""
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+            found.update({node.args[0].value: ast.unparse(kw.value) for kw in node.keywords if kw.arg == "default"})
+    return found
+
+
+def test_every_seed_and_trials_option_reads_the_shared_default():
+    cli_options = option_defaults(ROOT / "src" / "anyonmask" / "cli.py")
+    survey_options = option_defaults(ROOT / "scripts" / "braid_survey.py")
+    # the CLI's --seed stays None, so that ANYONMASK_SEED is read before DEFAULT_SEED
+    assert (cli_options["--trials"], cli_options["--seed"]) == ("DEFAULT_TRIALS", "None")
+    assert (survey_options["--trials"], survey_options["--seed"]) == ("DEFAULT_TRIALS", "DEFAULT_SEED")
+
+
+def test_the_library_default_braid_run_is_the_clis(tmp_path, monkeypatch):
+    # the library defaulted to seed 0 and the CLI to seed 7, so the two default runs recorded different trials
+    monkeypatch.delenv("ANYONMASK_SEED", raising=False)
+    out = tmp_path / "r.json"
+    assert main(["braid", "--model", "ising", "--ops", "xAB", "--out", str(out)]) == 0
+    library = verify_invariance(ising_cyclic_scheme(), parse_ops("xAB")).record()
+    assert json.dumps(library, sort_keys=True) == json.dumps(json.loads(out.read_text())["results"], sort_keys=True)
+    assert (library["seed"], library["trials"]) == (DEFAULT_SEED, DEFAULT_TRIALS)

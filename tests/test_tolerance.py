@@ -44,8 +44,8 @@ test_bad_tol_rejected = refusals(*(
 ))
 
 
-def tol_defaults() -> dict[str, str]:
-    """Every ``tol`` parameter default in the package, as source text by ``module.function``."""
+def param_defaults(name: str) -> dict[str, str]:
+    """Every default of a parameter called ``name`` in the package, as source text by ``module.function``."""
     found = {}
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "anyonmask").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
@@ -55,12 +55,12 @@ def tol_defaults() -> dict[str, str]:
                 pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
                 pairs += [(arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
                 found.update({f"{path.stem}.{node.name}": ast.unparse(default)
-                              for arg, default in pairs if arg.arg == "tol"})
+                              for arg, default in pairs if arg.arg == name})
     return found
 
 
 def test_every_tol_default_is_default_tol():
     # one default bound: a library call without tol checks what the CLI checks without --tol
-    defaults = tol_defaults()
+    defaults = param_defaults("tol")
     assert {"masker.verify_masking", "braid.verify_invariance"} <= set(defaults)
     assert {name: text for name, text in defaults.items() if text != "DEFAULT_TOL"} == {}

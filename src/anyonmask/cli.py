@@ -15,7 +15,7 @@ environment variable, read on every call; an explicit --seed always wins.
 the first call and shared by every later call in the same process, so a
 caller that runs many commands in process does not rebuild the argparse
 tree each time.  Nothing is built at import: a cold ``anyonmask`` process
-builds it once, as before.
+builds it once.
 """
 
 from __future__ import annotations
@@ -108,15 +108,22 @@ def parse_model(selector: str) -> AnyonModel:
 
 def resolve_scheme(model: AnyonModel, selector: str) -> MaskingScheme:
     if selector in BUILTIN_TRIPLES:
-        triple = BUILTIN_TRIPLES[selector]()
-    else:
-        path = Path(selector)
-        if not path.is_file():
-            raise ValueError(
-                f"scheme {selector!r} is neither a built-in ({', '.join(BUILTIN_TRIPLES)}) nor a file"
-            )
-        triple = parse_triple(path.read_text(encoding="utf-8"), model.alphabet)
-    return MaskingScheme(model=model, triple=triple)
+        return MaskingScheme(model=model, triple=BUILTIN_TRIPLES[selector]())
+    path = Path(selector)
+    if not path.is_file():
+        raise ValueError(
+            f"scheme {selector!r} is neither a built-in ({', '.join(BUILTIN_TRIPLES)}) nor a file"
+        )
+    try:
+        # utf-8-sig: a byte-order mark, as some editors write, is no part of the first label
+        triple = parse_triple(path.read_text(encoding="utf-8-sig"), model.alphabet)
+        return MaskingScheme(model=model, triple=triple)
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"scheme file {selector}: not UTF-8, byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"scheme file {selector}: {exc}") from None
 
 
 def _default_seed() -> int:

@@ -30,12 +30,12 @@ class Square:
             tuple(check_seed(x, f"cell ({j}, {k})") for k, x in enumerate(row))
             for j, row in enumerate(self.cells)
         )
-        for row in cells:
+        for j, row in enumerate(cells):
             if len(row) != d:
-                raise ValueError("square rows must all have length d")
-            for x in row:
+                raise ValueError(f"row {j} has length {len(row)}, not d = {d}")
+            for k, x in enumerate(row):
                 if x >= d:
-                    raise ValueError(f"cell value {x} outside 0..{d - 1}")
+                    raise ValueError(f"cell ({j}, {k}) value {x} outside 0..{d - 1}")
         object.__setattr__(self, "cells", cells)
 
     @property
@@ -244,5 +244,11 @@ def parse_triple(text: str, alphabet: Sequence[str]) -> SchemeTriple:
     blocks = [block for block in re.split(r"\n\s*\n", text) if block.strip()]
     if len(blocks) != 3:
         raise ValueError(f"expected three blank-line-separated grids, got {len(blocks)}")
-    a, b, c = (parse_square(block, alphabet) for block in blocks)
+    squares = []
+    for name, block in zip("ABC", blocks):
+        try:
+            squares.append(parse_square(block, alphabet))
+        except ValueError as exc:
+            raise ValueError(f"grid {name}: {exc}") from None
+    a, b, c = squares
     return SchemeTriple(a=a, b=b, c=c)

@@ -38,7 +38,8 @@ from .qstate import (
     unit_coeffs,
 )
 # random_unit_coeffs lives with the batch draws that must match it bit for
-# bit; it stays importable from here, where callers have always drawn inputs.
+# bit; it stays importable from here because bench/tracer.py TARGETS wraps it
+# as masker.random_unit_coeffs and bench/workloads.py calls it here.
 from .trials import evaluate_trials, random_unit_coeffs  # noqa: F401
 
 # a run's defaults where its caller names none, the same for the library and the command line

@@ -114,7 +114,7 @@ def inner(s1: StateVector, s2: StateVector) -> complex:
         return inner(s2, s1).conjugate()
     if s1 and s1.n_registers != s2.n_registers:
         raise ValueError(f"inner product of states of {s1.n_registers} and {s2.n_registers} registers")
-    return sum(a1.conjugate() * s2.amplitude(ket) for ket, a1 in s1.items())
+    return sum((a1.conjugate() * s2.amplitude(ket) for ket, a1 in s1.items()), 0j)
 
 
 def tensor(s1: StateVector, s2: StateVector) -> StateVector:

@@ -28,6 +28,8 @@ NON_ASCII_NUMBERS = [
     ("mols", "--dim", "\u0663"),
 ]
 OVERFLOW = "1" * 400
+# the built-in Ising triple as a scheme file
+CYCLIC_D3 = triple_to_text(cyclic_triple(3), ("1", "eps", "sigma")).encode()
 
 
 class TestComplexLiterals:
@@ -112,6 +114,36 @@ class TestSelectors:
                     command, "--scheme", "", "--trials", "1", *ops, "--out", "{tmp}/r.json", id=command)
         for command, ops in [("verify", ()), ("braid", ("--ops", "xAB"))]
     ))
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(CYCLIC_D3.replace(b"eps sigma 1\n\n", b"\n"), "grid B: expected 3 rows, got 2", id="short-grid"),
+        pytest.param(CYCLIC_D3.replace(b"eps sigma 1\n\n", b"eps sigma\n\n"), "grid B: row 2 has length 2, not d = 3",
+                     id="ragged-row"),
+        pytest.param(CYCLIC_D3.replace(b"eps", b"ep"), "grid A: unknown label 'ep' for alphabet ('1', 'eps', 'sigma')",
+                     id="unknown-label"),
+        pytest.param(CYCLIC_D3.replace(b"eps sigma 1\n\n", b"sigma eps 1\n\n"), "invalid scheme triple: B-not-latin",
+                     id="not-latin"),
+        pytest.param(b"\x80" + CYCLIC_D3, "not UTF-8, byte 0x80 at offset 0", id="not-utf8"),
+    ])
+    def test_a_bad_scheme_file_is_refused_naming_the_file(self, data, message, tmp_path, monkeypatch, capsys):
+        # the errors named neither the file nor the grid, and a byte that is no UTF-8 gave the codec's own message
+        path = tmp_path / "triple.txt"
+        path.write_bytes(data)
+        (tmp_path / "out").mkdir()
+        row = refuse_argv(whole(f"error: scheme file {path}: {message}\n"), "verify", "--model", "ising",
+                          "--scheme", str(path), "--trials", "1", "--out", "{tmp}/r.json")
+        check(row, tmp_path / "out", monkeypatch, capsys)
+
+    def test_a_scheme_file_with_a_byte_order_mark_runs_as_without(self, tmp_path):
+        # the mark was read as part of the first label: unknown label '\ufeff1'
+        runs = []
+        for name, data in (("plain", CYCLIC_D3), ("bom", b"\xef\xbb\xbf" + CYCLIC_D3)):
+            (tmp_path / name).write_bytes(data)
+            out = tmp_path / f"{name}.json"
+            code = main(["verify", "--model", "ising", "--scheme", str(tmp_path / name), "--trials", "5",
+                         "--out", str(out)])
+            runs.append((code, json.loads(out.read_text(encoding="utf-8"))["results"]))
+        assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 class TestVerifyCommand:

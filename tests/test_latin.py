@@ -66,9 +66,9 @@ class TestSquareCells:
         for i, (cells, cell, value) in enumerate(BAD_CELLS)
     ))
     test_a_ragged_row_is_refused = refusals(
-        refuse(ValueError, "^square rows must all have length d$", Square, ((0, 1), (1,))))
+        refuse(ValueError, whole("row 1 has length 1, not d = 2"), Square, ((0, 1), (1,))))
     test_a_cell_of_the_order_or_more_is_refused = refusals(
-        refuse(ValueError, r"^cell value 2 outside 0\.\.1$", Square, ((0, 1), (2, 0))))
+        refuse(ValueError, whole("cell (1, 0) value 2 outside 0..1"), Square, ((0, 1), (2, 0))))
     # validate_triple called a triple of three empty squares valid
     test_an_empty_square_is_refused = refusals(refuse(ValueError, "^a square needs at least one row$", Square, ()))
 

@@ -97,8 +97,11 @@ class TestInnerNormScale:
         assert inner(s1, s2) == pytest.approx(inner(s2, s1).conjugate(), abs=1e-12)
 
     def test_inner_with_an_empty_state_is_zero(self):
-        # the one pair of register counts that may differ
-        assert inner(StateVector({}), basis_state(("1", "1"))) == 0
+        # the one pair of register counts that may differ; a sum started from the int 0 returned the int 0
+        empty, ket = StateVector({}), basis_state(("1", "1"))
+        for pair in ((empty, ket), (ket, empty), (empty, empty)):
+            value = inner(*pair)
+            assert type(value) is complex and value == 0
 
     @given(small_states())
     @settings(max_examples=60, deadline=None)

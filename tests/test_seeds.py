@@ -116,10 +116,8 @@ def option_defaults(path: Path) -> dict[str, str]:
 
 def test_every_seed_and_trials_option_reads_the_shared_default():
     cli_options = option_defaults(ROOT / "src" / "anyonmask" / "cli.py")
-    survey_options = option_defaults(ROOT / "scripts" / "braid_survey.py")
     # the CLI's --seed stays None, so that ANYONMASK_SEED is read before DEFAULT_SEED
     assert (cli_options["--trials"], cli_options["--seed"]) == ("DEFAULT_TRIALS", "None")
-    assert (survey_options["--trials"], survey_options["--seed"]) == ("DEFAULT_TRIALS", "DEFAULT_SEED")
 
 
 def test_the_library_default_braid_run_is_the_clis(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -61,7 +62,7 @@ def phase_from_eighths(k: int) -> complex:
     return cmath.exp(1j * (math.pi * k / 8))
 
 
-# content_key -> content_id, in the order contents were first seen
+# every table of a model, the name left out -> content_id, in the order contents were first seen
 _CONTENT_IDS: dict[tuple, int] = {}
 
 
@@ -79,7 +80,9 @@ class AnyonModel:
 
     Fields hold the fusion table, the exchange phases R(a, b; channel) as
     pi/8 multiples, the topological spins (same encoding), and the
-    Frobenius-Schur indicators (+1 or -1 per sector).
+    Frobenius-Schur indicators (+1 or -1 per sector).  Each table is a
+    read-only copy of the mapping it was built from, so what is derived
+    from a model's tables once stays true of it.
     """
 
     name: str
@@ -90,6 +93,10 @@ class AnyonModel:
     r_eighths: Mapping[tuple[str, str, str], int]
     theta_eighths: Mapping[str, int]
     kappa: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        for name in ("fusion", "r_eighths", "theta_eighths", "kappa"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def d(self) -> int:
@@ -104,31 +111,16 @@ class AnyonModel:
             ) from None
 
     @cached_property
-    def content_key(self) -> tuple:
-        """Every table of the model as one hashable value, the name left out.
-
-        Two models built alike have equal keys, so what is derived from a
-        model's tables can be shared between them; it is computed once per
-        model object.
-        """
-        return (
-            self.kind,
-            self.c,
-            self.alphabet,
-            tuple(sorted(self.fusion.items())),
-            tuple(sorted(self.r_eighths.items())),
-            tuple(sorted(self.theta_eighths.items())),
-            tuple(sorted(self.kappa.items())),
-        )
-
-    @cached_property
     def content_id(self) -> int:
-        """A small int per distinct ``content_key``, equal for models built alike.
+        """A small int per distinct content (every table, the name left out), equal for models built alike.
 
-        A cheap dictionary key: a tuple of every table rehashes on every
-        lookup, this int is found once per model object.
+        What is derived from a model's tables can be shared between models
+        built alike under this key.  A tuple of every table rehashes on
+        every lookup; this int is found once per model object.
         """
-        return _CONTENT_IDS.setdefault(self.content_key, len(_CONTENT_IDS))
+        tables = (self.fusion, self.r_eighths, self.theta_eighths, self.kappa)
+        key = (self.kind, self.c, self.alphabet, *(tuple(sorted(table.items())) for table in tables))
+        return _CONTENT_IDS.setdefault(key, len(_CONTENT_IDS))
 
 
 def abelian_c0() -> AnyonModel:
@@ -171,6 +163,11 @@ def abelian_c0() -> AnyonModel:
     )
 
 
+def _kappa_sigma(c: int) -> int:
+    """The Frobenius-Schur indicator (-1)^((c^2 - 1)/8) of sigma at odd Chern number c."""
+    return (-1) ** (((c * c - 1) // 8) % 2)
+
+
 def ising_like(c: int = 1) -> AnyonModel:
     """An Ising-type model with odd integer Chern number c (taken mod 16).
 
@@ -184,7 +181,7 @@ def ising_like(c: int = 1) -> AnyonModel:
     if reduced % 2 == 0:
         raise ValueError(f"Ising-type models require an odd Chern number, got {c}")
     c = reduced
-    kappa_sigma = (-1) ** (((c * c - 1) // 8) % 2)
+    kappa_sigma = _kappa_sigma(c)
     kappa_shift = 0 if kappa_sigma == 1 else 8
     fusion = {
         (VAC, VAC): (VAC,),
@@ -253,93 +250,89 @@ def _in_eighths(k: int) -> bool:
         return False
 
 
-def _known_monodromy(model: AnyonModel, a: str, b: str, channel: str) -> int | None:
-    """``monodromy_angle``, or None where it would read a missing entry or a channel (b, a) lacks (both named)."""
-    try:
-        return monodromy_angle(model, a, b, channel)
-    except (KeyError, FusionChannelError):
-        return None
-
-
 def validate_model(model: AnyonModel) -> ValidationReport:
     """Check every structural invariant of the model tables by name.
 
-    A missing entry is named (``fusion-missing``, ``r-missing`` for each
-    channel of a pair, ``theta-missing``, ``kappa-missing``), and every
-    check that would read it is skipped rather than raising ``KeyError``.
+    First each entry a later check reads is looked up, and each one absent or
+    foreign is named: ``sector-missing`` (``1``, and ``eps`` and ``sigma`` for
+    Ising), ``fusion-missing`` (a pair with no channel), ``fusion-foreign`` (a
+    channel outside the alphabet), ``r-missing``, ``theta-missing`` and
+    ``kappa-missing``.  Then each phase and spin must be canonical eighths and
+    each R entry a fusion channel; the fusion-structure checks run only on a
+    complete, closed fusion table, and the kind's checks only where nothing
+    was named absent or foreign and every R phase is canonical.  Whatever
+    values the tables hold, a report is returned.
     """
-    bad: list[str] = []
-    alphabet = model.alphabet
-    fusion, theta, kappa = model.fusion, model.theta_eighths, model.kappa
-
+    alphabet, fusion, r = model.alphabet, model.fusion, model.r_eighths
+    theta, kappa = model.theta_eighths, model.kappa
+    sectors = (VAC, EPS, SIGMA) if model.kind == "ising" else (VAC,)
+    fusion_gaps = [f"sector-missing:{x}" for x in sectors if x not in alphabet]
+    missing: list[str] = []
     for a in alphabet:
         for b in alphabet:
-            if (a, b) not in fusion:
-                bad.append(f"fusion-missing:({a},{b})")
+            if (a, b) not in fusion or not fusion[(a, b)]:
+                fusion_gaps.append(f"fusion-missing:({a},{b})")
                 continue
             for ch in fusion[(a, b)]:
-                if (a, b, ch) not in model.r_eighths:
-                    bad.append(f"r-missing:({a},{b};{ch})")
-            if (b, a) in fusion and tuple(sorted(fusion[(a, b)])) != tuple(sorted(fusion[(b, a)])):
-                bad.append(f"fusion-commutativity:({a},{b})")
-        # a missing pair is named above: a passing default skips the checks that read it
-        if fusion.get((VAC, a), (a,)) != (a,):
-            bad.append(f"vacuum-unit:{a}")
-        if VAC not in fusion.get((a, a), (VAC,)):
-            bad.append(f"self-inverse:{a}")
+                if ch not in alphabet:
+                    fusion_gaps.append(f"fusion-foreign:({a},{b};{ch})")
+                elif (a, b, ch) not in r:
+                    missing.append(f"r-missing:({a},{b};{ch})")
         if a not in theta:
-            bad.append(f"theta-missing:{a}")
-        elif not _in_eighths(theta[a]):
-            bad.append(f"theta-eighths:{a}")
+            missing.append(f"theta-missing:{a}")
         if a not in kappa:
-            bad.append(f"kappa-missing:{a}")
+            missing.append(f"kappa-missing:{a}")
+    bad = fusion_gaps + missing
 
-    for (a, b, ch), k in model.r_eighths.items():
+    for x, k in theta.items():
+        if not _in_eighths(k):
+            bad.append(f"theta-eighths:{x}")
+    for (a, b, ch), k in r.items():
         if not _in_eighths(k):
             bad.append(f"r-eighths:({a},{b};{ch})")
-        if ch not in fusion.get((a, b), (ch,)):
+        if ch not in fusion.get((a, b), (ch,)):  # a pair outside the alphabet may have no fusion row
             bad.append(f"r-channel:({a},{b};{ch})")
 
-    # associativity of the flattened channel multisets on all triples
-    for a in alphabet:
-        for b in alphabet:
-            for c in alphabet:
-                left: list[str] = []
-                right: list[str] = []
-                try:
-                    for ab in fusion[(a, b)]:
-                        left.extend(fusion[(ab, c)])
-                    for bc in fusion[(b, c)]:
-                        right.extend(fusion[(a, bc)])
-                except KeyError:
-                    continue  # a missing pair, named above
-                if sorted(left) != sorted(right):
-                    bad.append(f"fusion-associativity:({a},{b},{c})")
+    if not fusion_gaps:
+        for a in alphabet:
+            if fusion[(VAC, a)] != (a,):
+                bad.append(f"vacuum-unit:{a}")
+            if VAC not in fusion[(a, a)]:
+                bad.append(f"self-inverse:{a}")
+            for b in alphabet:
+                if sorted(fusion[(a, b)]) != sorted(fusion[(b, a)]):
+                    bad.append(f"fusion-commutativity:({a},{b})")
+                for c in alphabet:  # associativity of the flattened channel multisets
+                    left = [x for ab in fusion[(a, b)] for x in fusion[(ab, c)]]
+                    right = [x for bc in fusion[(b, c)] for x in fusion[(a, bc)]]
+                    if sorted(left) != sorted(right):
+                        bad.append(f"fusion-associativity:({a},{b},{c})")
 
-    # a missing spin or indicator is named above: the expected value as the default skips its check
+    # the kind's checks add R phases, so they run only on present, canonical ones
+    if fusion_gaps or missing or not all(map(_in_eighths, r.values())):
+        return ValidationReport(ok=False, violations=tuple(bad))
+    # a monodromy is read only in a channel of both orders: fusion-commutativity names one that (b, a) lacks
     if model.kind == "abelian":
         for x in alphabet:
-            if theta.get(x, 0) != 0:
+            if theta[x] != 0:
                 bad.append(f"abelian-theta:{x}")
-            if kappa.get(x, 1) != 1:
+            if kappa[x] != 1:
                 bad.append(f"abelian-kappa:{x}")
         nontrivial = [x for x in alphabet if x != VAC]
         for a in nontrivial:
             for b in nontrivial:
-                if a == b or (a, b) not in fusion:
-                    continue
-                if _known_monodromy(model, a, b, fusion[(a, b)][0]) not in (8, None):
+                ch = fusion[(a, b)][0]
+                if a != b and ch in fusion[(b, a)] and monodromy_angle(model, a, b, ch) != 8:
                     bad.append(f"abelian-distinct-monodromy:({a},{b})")
     elif model.kind == "ising":
-        c = model.c
-        kappa_sigma = (-1) ** (((c * c - 1) // 8) % 2)
-        if theta.get(SIGMA, c % 16) != c % 16:
+        if theta[SIGMA] != model.c % 16:
             bad.append("theta-sigma")
-        if theta.get(VAC, 0) != 0 or theta.get(EPS, 8) != 8:
+        if theta[VAC] != 0 or theta[EPS] != 8:
             bad.append("theta-vacuum-or-fermion")
-        if kappa.get(SIGMA, kappa_sigma) != kappa_sigma:
+        if kappa[SIGMA] != _kappa_sigma(model.c):
             bad.append("kappa-sigma")
-        if _known_monodromy(model, EPS, SIGMA, SIGMA) not in (8, None):
+        both_orders = SIGMA in fusion[(EPS, SIGMA)] and SIGMA in fusion[(SIGMA, EPS)]
+        if both_orders and monodromy_angle(model, EPS, SIGMA, SIGMA) != 8:
             bad.append("ising-eps-sigma-monodromy")
     else:
         bad.append(f"unknown-kind:{model.kind}")

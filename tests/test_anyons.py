@@ -1,11 +1,15 @@
 import cmath
+import contextlib
 import math
+import operator
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonmask.anyons import (
     ABELIAN_ALPHABET,
@@ -17,6 +21,7 @@ from anyonmask.anyons import (
     SIGMA,
     VAC,
     UnknownSectorError,
+    abelian_c0,
     fuse,
     ising_like,
     monodromy_angle,
@@ -25,7 +30,9 @@ from anyonmask.anyons import (
     table_lines,
     validate_model,
 )
-from test_refusals import ABELIAN, ISING, refusals, refuse
+from anyonmask.braid import BraidError, apply_ops, op_set
+from anyonmask.qstate import ValidationReport, basis_state
+from test_refusals import ABELIAN, ISING, refusals, refuse, whole
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -81,6 +88,46 @@ MISSING_ENTRIES = [
     ("kappa-missing:sigma", "ising", "kappa", SIGMA),
     ("kappa-missing:m", "abelian", "kappa", M),
 ]
+
+# (id, model, violations): an entry a check reads is foreign or absent; the first passed, the second passed and
+# braided, and the third raised UnknownSectorError from inside validate_model
+FOREIGN_OR_ABSENT = [
+    ("abelian-without-eps", replace(ABELIAN, alphabet=(VAC, E, M)),
+     ("fusion-foreign:(e,m;eps)", "fusion-foreign:(m,e;eps)")),
+    ("ising-eps-sigma-to-zz",
+     replace(ISING, fusion={**ISING.fusion, (EPS, SIGMA): ("zz",), (SIGMA, EPS): ("zz",)},
+             r_eighths={**{k: v for k, v in ISING.r_eighths.items() if k[:2] not in [(EPS, SIGMA), (SIGMA, EPS)]},
+                        (EPS, SIGMA, "zz"): 12, (SIGMA, EPS, "zz"): 12}),
+     ("fusion-foreign:(eps,sigma;zz)", "fusion-foreign:(sigma,eps;zz)")),
+    ("ising-without-sigma", replace(ISING, alphabet=(VAC, EPS)), ("sector-missing:sigma",)),
+]
+
+TABLES = ("fusion", "r_eighths", "theta_eighths", "kappa")
+# out of 0..15, a float (nan and inf included), or no number at all
+PHASES = st.one_of(st.integers(-16, 32), st.floats(), st.sampled_from((None, "4", 4j)))
+# what an entry of each table may become: fusion channels dropped, foreign or wrong
+ENTRY_VALUES = {
+    "fusion": st.lists(st.sampled_from((*ABELIAN_ALPHABET, SIGMA, "zz")), max_size=3).map(tuple),
+    "r_eighths": PHASES,
+    "theta_eighths": PHASES,
+    "kappa": st.sampled_from((1, -1, 0, 1.0, None)),
+}
+
+
+@st.composite
+def derived_models(draw):
+    """``abelian_c0()`` or ``ising_like(c)``, odd c, with up to three entries dropped or changed and its
+    alphabet permuted or trimmed."""
+    model = draw(st.sampled_from([abelian_c0(), *(ising_like(c) for c in range(1, 16, 2))]))
+    tables = {name: dict(getattr(model, name)) for name in TABLES}
+    entries = [(name, key) for name in TABLES for key in tables[name]]
+    for name, key in draw(st.lists(st.sampled_from(entries), max_size=3)):
+        if draw(st.booleans()):
+            tables[name].pop(key, None)
+        else:
+            tables[name][key] = draw(ENTRY_VALUES[name])
+    alphabet = draw(st.permutations(model.alphabet))
+    return replace(model, alphabet=tuple(alphabet[:draw(st.integers(1, len(alphabet)))]), **tables)
 
 
 class TestPhaseFromEighths:
@@ -339,6 +386,44 @@ class TestValidateModel:
         report = validate_model(replace(ising_model, fusion=fusion))
         assert not report.ok
         assert "vacuum-unit:eps" in report.violations
+
+    @pytest.mark.parametrize("model, violations", [case[1:] for case in FOREIGN_OR_ABSENT],
+                             ids=[case[0] for case in FOREIGN_OR_ABSENT])
+    def test_a_foreign_or_absent_entry_a_check_reads_is_named(self, model, violations):
+        assert validate_model(model) == ValidationReport(ok=False, violations=violations)
+
+    test_a_model_with_a_foreign_or_absent_entry_is_not_braided = refusals(*(
+        refuse(BraidError, whole(f"model {model.name} is not valid: {', '.join(violations)}"),
+               apply_ops, model, basis_state((VAC,) * 3), op_set(model.kind), id=name)
+        for name, model, violations in FOREIGN_OR_ABSENT
+    ))
+
+    @given(model=derived_models(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_validation_returns_a_report_and_a_model_it_passes_braids(self, model, data):
+        report = validate_model(model)
+        assert isinstance(report, ValidationReport) and report.ok == (report.violations == ())
+        if report.ok:
+            labels = data.draw(st.tuples(*[st.sampled_from(model.alphabet)] * 3))
+            for op in op_set(model.kind):
+                with contextlib.suppress(BraidError):
+                    apply_ops(model, basis_state(labels), (op,))
+
+
+class TestReadOnlyTables:
+    # a table changed after the model's first braid kept the op tables compiled from it, old phase and all
+    test_a_table_refuses_item_assignment = refusals(*(
+        refuse(TypeError, "does not support item assignment", operator.setitem, getattr(ising_like(1), name), key,
+               value, id=name)
+        for name, key, value in [("fusion", (EPS, EPS), (SIGMA,)), ("r_eighths", (SIGMA, SIGMA, VAC), 0),
+                                 ("theta_eighths", SIGMA, 0), ("kappa", SIGMA, -1)]
+    ))
+
+    def test_a_table_is_a_copy_of_the_mapping_it_was_built_from(self):
+        r_eighths = dict(ISING.r_eighths)
+        model = replace(ISING, r_eighths=r_eighths)
+        r_eighths[(SIGMA, SIGMA, VAC)] = 0
+        assert model.r_eighths == ising_like(1).r_eighths
 
 
 class TestTableSerialization:

@@ -7,7 +7,10 @@ The corpus holds:
   seed ``40_000 + i`` for the i-th sequence of the model);
 - the ``record()`` of 1000-trial masking campaigns at tol 1e-12 for both
   built-in schemes at seeds 20240, 20241, 0 and 7;
-- one run whose seed and trial count are numpy integers.
+- one run whose seed and trial count are numpy integers;
+- the ``record()`` of ``run_teleport`` on the first 30 draws of criterion 6's
+  stream (``random_unit_coeffs(3, default_rng(20246))``), on ``[1, 0, 0]``,
+  on ``[0.6, 0.8j, 0]`` and on an input with signed-zero parts.
 
 Records hold floats, not digests, so a mismatch names the entry and the
 largest float difference.  The bits depend on the numpy and BLAS build, and
@@ -29,13 +32,20 @@ import numpy as np
 import pytest
 
 from anyonmask.braid import op_set, parse_ops, verify_invariance
-from anyonmask.masker import abelian_standard_scheme, ising_cyclic_scheme, run_masking_campaign
+from anyonmask.masker import abelian_standard_scheme, ising_cyclic_scheme, random_unit_coeffs, run_masking_campaign
+from anyonmask.teleport import run_teleport
 from test_cli_golden import build_id
 
 CORPUS = Path(__file__).parent / "golden" / "records.json"
 
 SWEEP_SEED = 40_000
 CAMPAIGN_SEEDS = (20240, 20241, 0, 7)
+TELEPORT_SEED = 20246
+TELEPORT_INPUTS = {
+    "basis-1": [1, 0, 0],
+    "0.6,0.8j,0": [0.6, 0.8j, 0],
+    "signed-zero": [complex(-0.0, 0.6), complex(0.8, -0.0), -0.0],
+}
 
 SCHEMES = {"abelian": abelian_standard_scheme, "ising": ising_cyclic_scheme}
 
@@ -59,6 +69,11 @@ def build_records() -> dict[str, dict]:
         ising_cyclic_scheme(), parse_ops("t3;cAB"), trials=np.int64(100), tol=2e-12, seed=np.uint32(SWEEP_SEED)
     )
     records["numpy-integers/ising/t3;cAB"] = report.record()
+    rng = np.random.default_rng(TELEPORT_SEED)
+    for i in range(30):
+        records[f"teleport/{TELEPORT_SEED}/{i}"] = run_teleport(random_unit_coeffs(3, rng)).record()
+    for name, coeffs in TELEPORT_INPUTS.items():
+        records[f"teleport/{name}"] = run_teleport(coeffs).record()
     return records
 
 

@@ -341,15 +341,22 @@ def validate_model(model: AnyonModel) -> ValidationReport:
 
 
 def table_lines(model: AnyonModel) -> list[str]:
-    """Flat text serialization (one line per fusion/R/theta/kappa entry)."""
+    """Flat text serialization (one line per fusion/R/theta/kappa entry).
+
+    Like the theta and kappa lines, the fusion and R lines cover the
+    alphabet: an entry naming a label outside it is left out.
+    """
     idx = model.index
+    known = set(model.alphabet)
     lines = [
         f"model {model.name} kind={model.kind} c={model.c}",
         "alphabet " + " ".join(model.alphabet),
     ]
-    for a, b in sorted(model.fusion, key=lambda ab: (idx(ab[0]), idx(ab[1]))):
+    fusion = [ab for ab, channels in model.fusion.items() if known.issuperset(ab + channels)]
+    for a, b in sorted(fusion, key=lambda ab: (idx(ab[0]), idx(ab[1]))):
         lines.append(f"fuse {a} {b} -> " + " ".join(model.fusion[(a, b)]))
-    for a, b, ch in sorted(model.r_eighths, key=lambda k: (idx(k[0]), idx(k[1]), idx(k[2]))):
+    r_keys = [key for key in model.r_eighths if known.issuperset(key)]
+    for a, b, ch in sorted(r_keys, key=lambda k: (idx(k[0]), idx(k[1]), idx(k[2]))):
         lines.append(f"r {a} {b} {ch} {model.r_eighths[(a, b, ch)] % 16}")
     for x in model.alphabet:
         lines.append(f"theta {x} {model.theta_eighths[x] % 16}")

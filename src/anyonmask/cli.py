@@ -292,7 +292,7 @@ def cmd_mols(args: argparse.Namespace) -> int:
 
 def cmd_teleport(args: argparse.Namespace) -> int:
     check_tol(args.tol, "--tol")
-    parts = [token for token in args.input.split(",")]
+    parts = args.input.split(",")
     if len(parts) != 3:
         raise ValueError(f"teleport input needs exactly 3 coefficients, got {len(parts)}")
     coeffs = np.array([parse_complex(token) for token in parts], dtype=complex)

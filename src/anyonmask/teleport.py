@@ -18,6 +18,7 @@ rows, so his held register keeps the input populations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,22 +41,29 @@ OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 _OMEGA_POWERS = (complex(1.0, 0.0), OMEGA, OMEGA.conjugate())
 
-
-class _SectorIndex(dict):
-    """Ising labels to sector indices; a foreign label is a ValueError."""
-
-    def __missing__(self, label):
-        raise ValueError(f"label {label!r} is not in the Ising alphabet {ISING_ALPHABET}")
-
-
-_SECTOR = _SectorIndex((label, i) for i, label in enumerate(ISING_ALPHABET))
+# the 39 untagged Ising kets of 1 to 3 registers by sector indices, and back
+_KETS = {
+    sectors: BasisKet(tuple(ISING_ALPHABET[i] for i in sectors))
+    for n in (1, 2, 3)
+    for sectors in itertools.product(range(3), repeat=n)
+}
+_KET_SECTORS = {ket: sectors for sectors, ket in _KETS.items()}
 
 
-def _check_untagged(state: StateVector, n: int, what: str) -> None:
+def _sectors(state: StateVector, n: int, what: str) -> list[tuple[tuple[int, ...], complex]]:
+    """(sector indices, amplitude) of each ket of an untagged n-register state, in its order."""
     if state.n_registers != n:
         raise ValueError(f"{what} needs {n} register{'s' * (n > 1)}, got {state.n_registers}")
     if state.tagged:
         raise ValueError(f"{what} is defined for untagged states")
+    read = []
+    for ket, amp in state.items():
+        sectors = _KET_SECTORS.get(ket)
+        if sectors is None:
+            label = next(label for label in ket.labels if label not in ISING_ALPHABET)
+            raise ValueError(f"label {label!r} is not in the Ising alphabet {ISING_ALPHABET}")
+        read.append((sectors, amp))
+    return read
 
 
 def _check_outcome(outcome: int) -> None:
@@ -68,20 +76,21 @@ def omega_power(k: int) -> complex:
     return _OMEGA_POWERS[k % 3]
 
 
+def _pattern(i: int, x: int, y: int) -> complex:
+    """The amplitude omega^((i-1)(y-x)) of phase-pattern state i on Alice's pair |x, y>."""
+    return omega_power((i - 1) * (y - x))
+
+
 def payload_state(coeffs: Sequence[complex]) -> StateVector:
     """The single-register state alpha|1> + beta|eps> + gamma|sigma>."""
     coeffs = unit_coeffs(coeffs, 3)
-    return StateVector(
-        {BasisKet((label,)): coeffs[i] for i, label in enumerate(ISING_ALPHABET)}
-    )
+    return StateVector({_KETS[(i,)]: coeffs[i] for i in range(3)})
 
 
 def build_channel() -> StateVector:
     """The shared channel (|11> + |eps eps> + |sigma sigma>) / sqrt(3)."""
     amp = 1.0 / math.sqrt(3.0)
-    return StateVector(
-        {BasisKet((label, label)): amp for label in ISING_ALPHABET}
-    )
+    return StateVector({_KETS[i, i]: amp for i in range(3)})
 
 
 def build_joint(coeffs: Sequence[complex]) -> StateVector:
@@ -94,23 +103,14 @@ def permutation_encode(state: StateVector) -> StateVector:
 
     Basis kets map as |x, y, z> -> |z, y + x, x> (sector indices mod 3):
     register 1 advances by the payload sector and the payload swaps onto
-    Bob's slot.  This is a permutation of basis kets, hence unitary.  On
-    a joint payload-plus-channel state it leaves Alice's pair supported
-    on the three phase-pattern states and maximally mixed registerwise.
+    Bob's slot.  This is a permutation of basis kets, hence unitary, and
+    each amplitude moves untouched.  On a joint payload-plus-channel state
+    it leaves Alice's pair supported on the three phase-pattern states and
+    maximally mixed registerwise.
     """
-    _check_untagged(state, 3, "encoding")
-    out: dict[BasisKet, complex] = {}
-    for ket, amp in state.items():
-        x, y, z = (_SECTOR[label] for label in ket.labels)
-        image = BasisKet(
-            (
-                ISING_ALPHABET[z],
-                ISING_ALPHABET[(y + x) % 3],
-                ISING_ALPHABET[x],
-            )
-        )
-        out[image] = out.get(image, 0j) + amp
-    return StateVector(out)
+    return StateVector(
+        {_KETS[z, (y + x) % 3, x]: amp for (x, y, z), amp in _sectors(state, 3, "encoding")}
+    )
 
 
 def alice_projector_states() -> tuple[StateVector, StateVector, StateVector]:
@@ -119,19 +119,10 @@ def alice_projector_states() -> tuple[StateVector, StateVector, StateVector]:
     State i has amplitude omega^((i-1)(y-x)) on |x, y>; they are pairwise
     orthogonal because the omega powers sum to zero.
     """
-    states = []
-    for i in (1, 2, 3):
-        amps = {
-            BasisKet((ISING_ALPHABET[x], ISING_ALPHABET[y])): omega_power((i - 1) * (y - x))
-            for x in range(3)
-            for y in range(3)
-        }
-        states.append(StateVector(amps))
-    return tuple(states)
-
-
-# the projector amplitudes alice_measure reads, built once
-_PROJECTORS = tuple(state.amplitudes for state in alice_projector_states())
+    return tuple(
+        StateVector({_KETS[x, y]: _pattern(i, x, y) for x in range(3) for y in range(3)})
+        for i in (1, 2, 3)
+    )
 
 
 def alice_measure(encoded: StateVector, outcome: int) -> tuple[float, StateVector]:
@@ -141,30 +132,24 @@ def alice_measure(encoded: StateVector, outcome: int) -> tuple[float, StateVecto
     state on register 2.
     """
     _check_outcome(outcome)
-    _check_untagged(encoded, 3, "measurement")
-    projector = _PROJECTORS[outcome - 1]
     bob = np.zeros(3, dtype=complex)
-    for ket, amp in encoded.items():
-        _, _, z = (_SECTOR[label] for label in ket.labels)  # a foreign label is refused by name
+    for (x, y, z), amp in _sectors(encoded, 3, "measurement"):
         # conjugate of the projector amplitude on Alice's pair, over its norm 3
-        bob[z] += projector[BasisKet(ket.labels[:2])].conjugate() * amp / 3.0
+        bob[z] += _pattern(outcome, x, y).conjugate() * amp / 3.0
     probability = float(np.sum(np.abs(bob) ** 2))
     if probability < 1e-15:
         raise ValueError(f"outcome {outcome} has zero probability on this state")
     bob /= math.sqrt(probability)
-    return probability, StateVector(
-        {BasisKet((label,)): bob[i] for i, label in enumerate(ISING_ALPHABET)}
-    )
+    return probability, StateVector({_KETS[(z,)]: bob[z] for z in range(3)})
 
 
 def correct(bob_state: StateVector, outcome: int) -> StateVector:
     """Bob's diagonal fix-up: multiply sector k by omega^((outcome-1)k)."""
     _check_outcome(outcome)
-    _check_untagged(bob_state, 1, "correction")
     return StateVector(
         {
-            ket: amp * omega_power((outcome - 1) * _SECTOR[ket.labels[0]])
-            for ket, amp in bob_state.items()
+            _KETS[(k,)]: amp * omega_power((outcome - 1) * k)
+            for (k,), amp in _sectors(bob_state, 1, "correction")
         }
     )
 

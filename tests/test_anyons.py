@@ -435,3 +435,24 @@ class TestTableSerialization:
 
     def test_lines_are_deterministic(self, ising_model):
         assert table_lines(ising_model) == table_lines(ising_model)
+
+    def test_a_trimmed_alphabet_serializes_its_own_entries(self, abelian_model):
+        # raised UnknownSectorError on the R entries of m, though validate_model passes the model
+        trimmed = replace(abelian_model, alphabet=("1", "e"))
+        assert validate_model(trimmed).ok
+        assert table_lines(trimmed) == [
+            "model abelian-c0 kind=abelian c=0",
+            "alphabet 1 e",
+            "fuse 1 1 -> 1",
+            "fuse 1 e -> e",
+            "fuse e 1 -> e",
+            "fuse e e -> 1",
+            "r 1 1 1 0",
+            "r 1 e e 0",
+            "r e 1 e 0",
+            "r e e 1 0",
+            "theta 1 0",
+            "theta e 0",
+            "kappa 1 +1",
+            "kappa e +1",
+        ]

@@ -1,4 +1,6 @@
+import ast
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +33,7 @@ from anyonmask.teleport import (
     run_teleport,
 )
 from helpers import dense_vector, max_amplitude_diff
+from test_float_edge import PACKAGE, _function, _name, _tree
 from test_refusals import refusals, refuse
 
 LABELS = ISING_ALPHABET
@@ -142,6 +145,20 @@ class TestPermutationEncode:
                     assert len(out) == 1
                     images.update(out.amplitudes)
         assert len(images) == 27
+
+    def test_moves_each_amplitude_untouched(self):
+        # |x, y, z> -> |z, y + x, x>; summing into 0j turned complex(-0.0, 0.5) into 0.5j
+        amps = {}
+        for x, y, z in itertools.product(range(3), repeat=3):
+            real = -0.0 if (x + y + z) % 2 else 0.0
+            amps[BasisKet((LABELS[x], LABELS[y], LABELS[z]))] = complex(real, 1 + 9 * x + 3 * y + z)
+        encoded = permutation_encode(StateVector(amps))
+        assert len(encoded) == 27
+        for ket, amp in amps.items():
+            x, y, z = (LABELS.index(label) for label in ket.labels)
+            moved = encoded.amplitude(BasisKet((LABELS[z], LABELS[(y + x) % 3], LABELS[x])))
+            assert (moved.real, moved.imag) == (amp.real, amp.imag)
+            assert math.copysign(1.0, moved.real) == math.copysign(1.0, amp.real), ket
 
     def test_norm_preserved_on_random_states(self):
         rng = np.random.default_rng(53)
@@ -333,3 +350,13 @@ class TestForeignInput:
     # Bob holds one register; a pair was phased by its first label
     test_correct_refuses_two_registers = refusals(
         refuse(ValueError, "1 register, got 2", correct, StateVector({BasisKet(("1", "eps")): 1.0}), 2))
+
+
+def test_only_sectors_reads_the_labels_of_a_ket():
+    # one read per ket: every other function takes sector indices from _sectors
+    tree = _tree(PACKAGE / "teleport.py")
+    reads = [sub for sub in ast.walk(tree) if _name(sub) in {"labels", "_KET_SECTORS"}]
+    inside = list(ast.walk(_function(tree, "_sectors")))
+    outside = [sub.lineno for sub in reads if all(sub is not node for node in inside)]
+    assert outside == []
+    assert {_name(sub) for sub in reads} == {"labels", "_KET_SECTORS"}

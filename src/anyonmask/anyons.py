@@ -124,31 +124,16 @@ class AnyonModel:
 
 
 def abelian_c0() -> AnyonModel:
-    """The c = 0 Abelian model: Z2 x Z2 fusion with the vortex/fermion phases."""
-    enc = {VAC: 0, E: 1, M: 2, EPS: 3}
+    """The c = 0 Abelian model: Z2 x Z2 fusion with Kitaev's e-m exchange phases."""
+    enc = {VAC: 0, E: 1, M: 2, EPS: 3}  # the e bit 1 and the m bit 2; eps carries both
     dec = {v: k for k, v in enc.items()}
     fusion = {
         (a, b): (dec[enc[a] ^ enc[b]],)
         for a in ABELIAN_ALPHABET
         for b in ABELIAN_ALPHABET
     }
-    r_eighths: dict[tuple[str, str, str], int] = {}
-    for x in ABELIAN_ALPHABET:
-        r_eighths[(VAC, x, x)] = 0
-        r_eighths[(x, VAC, x)] = 0
-    r_eighths.update(
-        {
-            (E, M, EPS): 0,
-            (M, E, EPS): 8,
-            (E, EPS, M): 0,
-            (EPS, E, M): 8,
-            (EPS, M, E): 0,
-            (M, EPS, E): 8,
-            (E, E, VAC): 0,
-            (M, M, VAC): 0,
-            (EPS, EPS, VAC): 8,
-        }
-    )
+    # R(a, b; a x b) is -1 exactly where a carries m and b carries e
+    r_eighths = {(a, b, ab): 8 * ((enc[a] >> 1) & enc[b] & 1) for (a, b), (ab,) in fusion.items()}
     theta = {x: 0 for x in ABELIAN_ALPHABET}
     kappa = {x: 1 for x in ABELIAN_ALPHABET}
     return AnyonModel(

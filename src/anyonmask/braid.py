@@ -149,23 +149,25 @@ def parse_ops(text: str) -> tuple[BraidOp, ...]:
 _Image = Optional[list[tuple[BasisKet, int, bool]]]
 
 
-def _channel_image(
+def _pair_image(
     model: AnyonModel, ket: BasisKet, labels: tuple[str, ...], pair: tuple[str, str], base: int, mode: str
 ) -> _Image:
-    """``ket`` sent to ``labels``, where ``pair`` fuses in two channels.
+    """``ket`` sent to ``labels``, each image's phase ``base`` plus R(pair; channel).
 
-    A tagged ket stays in its channel (None where the mode names the other);
-    an untagged one splits into both channels (mode ``"split"``) or goes
-    into the mode's channel.  Each image's phase is ``base`` plus R(pair; channel).
+    A pair with one channel keeps the ket's tag.  Where the pair fuses in
+    two channels, a tagged ket stays in its channel (None where the mode
+    names the other); an untagged one splits into both channels (mode
+    ``"split"``) or goes into the mode's channel.
     """
     a, b = pair
+    channels = fuse(model, a, b)
+    if len(channels) == 1:
+        return [(BasisKet(labels, ket.tag), base + r_angle(model, a, b, channels[0]), False)]
     if ket.tag is not None:
-        if mode not in (SPLIT, ket.tag) and ket.tag in fuse(model, a, b):
+        if mode not in (SPLIT, ket.tag) and ket.tag in channels:
             return None
         channels = (ket.tag,)
-    elif mode == SPLIT:
-        channels = fuse(model, a, b)
-    else:
+    elif mode != SPLIT:
         channels = (mode,)
     split = len(channels) > 1
     return [(BasisKet(labels, channel), base + r_angle(model, a, b, channel), split) for channel in channels]
@@ -173,42 +175,32 @@ def _channel_image(
 
 def _exchange_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
     lo, hi = min(op.x, op.y), max(op.x, op.y)
-    a, b = ket.labels[lo], ket.labels[hi]
     swapped = list(ket.labels)
-    swapped[lo], swapped[hi] = b, a
-    labels = tuple(swapped)
-    channels = fuse(model, a, b)
-    if len(channels) == 1:
-        return [(BasisKet(labels, ket.tag), r_angle(model, a, b, channels[0]), False)]
-    return _channel_image(model, ket, labels, (a, b), 0, op.mode)
+    swapped[lo], swapped[hi] = swapped[hi], swapped[lo]
+    return _pair_image(model, ket, tuple(swapped), (ket.labels[lo], ket.labels[hi]), 0, op.mode)
 
 
 def _circle_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
     a, b = ket.labels[op.x], ket.labels[op.y]
+    if model.kind == "ising" and a == b == EPS:
+        return [(ket, 8, False)]  # the Ising fermion pair circles to -1, though its monodromy is 0
     channels = fuse(model, a, b)
-    if len(channels) > 1:
-        channel = ket.tag if ket.tag is not None else VAC
-        angle = monodromy_angle(model, a, b, channel)
-    elif model.kind == "ising" and a == EPS and b == EPS:
-        angle = 8
-    else:
-        angle = monodromy_angle(model, a, b, channels[0])
-    return [(ket, angle, False)]
+    channel = channels[0] if len(channels) == 1 else ket.tag or VAC  # an untagged split pair circles in 1
+    return [(ket, monodromy_angle(model, a, b, channel), False)]
 
 
 def _tripartite_ket(model: AnyonModel, ket: BasisKet, op: BraidOp) -> _Image:
-    kappa_shift = 0 if model.kappa[SIGMA] == 1 else 8
     labels = ket.labels
-    sigma_count = sum(1 for lab in labels if lab == SIGMA)
-    # three sigma: kappa and R(sigma, sigma; 1); otherwise the phases of the other pairs
-    base = kappa_shift + r_angle(model, SIGMA, SIGMA, VAC) if sigma_count == 3 else 0
+    if labels.count(SIGMA) == 3:
+        # kappa and R(sigma, sigma; 1), then the rule of one sigma pair
+        kappa_shift = 0 if model.kappa[SIGMA] == 1 else 8
+        base = kappa_shift + r_angle(model, SIGMA, SIGMA, VAC)
+        return _pair_image(model, ket, labels, (SIGMA, SIGMA), base, op.mode)
+    # the phases of the other pairs, then the rule of the sigma pair (or of the last pair)
     pairs = ((labels[0], labels[1]), (labels[0], labels[2]), (labels[1], labels[2]))
-    for a, b in pairs:
-        if (a, b) != (SIGMA, SIGMA):
-            base += r_angle(model, a, b, fuse(model, a, b)[0])
-    if sigma_count < 2:
-        return [(BasisKet(labels, ket.tag), base, False)]
-    return _channel_image(model, ket, labels, (SIGMA, SIGMA), base, op.mode)
+    *others, last = sorted(pairs, key=lambda pair: pair == (SIGMA, SIGMA))
+    base = sum(r_angle(model, a, b, fuse(model, a, b)[0]) for a, b in others)
+    return _pair_image(model, ket, labels, last, base, op.mode)
 
 
 # -- compiled op tables -------------------------------------------------------
@@ -279,7 +271,8 @@ def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
     An op reads only the labels of the registers it touches (its two
     parties, or all three for the tripartite braid) and the tag, so its
     rule runs on the tagged kets of those registers, in ascending order
-    with the op's orientation kept, and the n-register table follows by
+    (both pair rules read a pair in either order alike, so an exchange or
+    a circle runs at parties (0, 1)), and the n-register table follows by
     index arithmetic: a source is the output ket with the touched labels
     and the tag replaced by those of the local table's source.  A model
     that ``validate_model`` does not pass is refused before any rule reads it.
@@ -289,7 +282,7 @@ def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
         raise BraidError(f"model {model.name} is not valid: {', '.join(report.violations)}")
     _check_domain(model, op, n)
     touched = (0, 1, 2) if op.kind == TRIPARTITE else tuple(sorted((op.x, op.y)))
-    local = op if op.kind == TRIPARTITE else BraidOp(op.kind, int(op.x > op.y), int(op.x < op.y), op.mode)
+    local = op if op.kind == TRIPARTITE else BraidOp(op.kind, 0, 1, op.mode)
     table = _compile_kets(model, local, len(touched))
     shape, local_shape = (model.d,) * n + (len(TAGS),), (model.d,) * len(touched) + (len(TAGS),)
     kept = list(touched) + [n]  # the touched registers and the tag
@@ -409,7 +402,8 @@ def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> 
     size = len(TAGS) * model.d**n
     if size > MAX_TAGGED_KETS:
         raise BraidError(f"{n} registers make {size} tagged kets, more than the dense layout's {MAX_TAGGED_KETS}")
-    _table(model, ops[0], n)  # an op outside its domain is refused before any ket
+    for op in ops:
+        _table(model, op, n)  # every op outside its domain is refused before any ket
     kets, index = tagged_basis(model.alphabet, n)
     psi = np.zeros(len(kets), dtype=complex)
     for ket, amp in state.items():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from anyonmask import braid, trials
-from anyonmask.braid import op_set, parse_ops, verify_invariance
+from anyonmask.braid import parse_ops, verify_invariance
 from anyonmask.latin import SchemeTriple, constant_column_square
 from anyonmask.masker import (
     DEFAULT_TOL,
@@ -464,8 +464,3 @@ class TestNanSurfaces:
         report = verify_invariance(ising_scheme, parse_ops("t3"), trials=count, seed=1)
         assert math.isnan(report.unitarity_defect) and math.isnan(report.record()["unitarity_defect"])
         assert not report.verdict
-
-
-def test_op_set_is_the_sweep_alphabet():
-    assert ";".join(op.token() for op in op_set("abelian")) == "xAB;xBC;cAB;cAC;cBC"
-    assert ";".join(op.token() for op in op_set("ising")) == "xAB;xBC;cAB;cAC;cBC;t3"

@@ -528,6 +528,23 @@ class TestPinnedConventions:
                 ket = basis_state(labels, tag=tag)
                 assert max_amplitude_diff(apply_ops(model, ket, left), apply_ops(model, ket, right)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "model", [abelian_c0()] + [ising_like(c) for c in range(1, 16, 2)], ids=lambda m: m.name
+    )
+    def test_both_party_orders_name_one_map(self, model, n):
+        # xBA is xAB in every mode and cBA is cAB: there is no inverse exchange or circle,
+        # whether the table is laid out from the registers' pair or read off the per-ket rule
+        pairs = [(x, x + 1) for x in range(n - 1)]
+        ops = [BraidOp("exchange", x, y, mode) for x, y in pairs for mode in CHANNEL_MODES]
+        ops += [BraidOp("circle", x, y) for x, y in itertools.combinations(range(n), 2)]
+        for op, compile_ in itertools.product(ops, (braid._compile, braid._compile_kets)):
+            forward = compile_(model, op, n)
+            reverse = compile_(model, dataclasses.replace(op, x=op.y, y=op.x), n)
+            for name in ("src", "amp", "conflicts"):
+                a, b = getattr(reverse, name), getattr(forward, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (op, name)
+
 
 def outcome(fn):
     """A call's result, or the type and message of what it raised."""
@@ -641,6 +658,17 @@ class TestOpTables:
             ("xAB", ("sigma", "sigma", "1"), "zz", FusionChannelError,
              "channel tag 'zz' is not one of (None, '1', 'eps')"),
         ]
+    ))
+    # every op's domain is checked before any ket is read, wherever the op outside it stands
+    test_an_op_outside_its_domain_is_refused_before_any_ket = refusals(*(
+        refuse(BraidError, whole(message), apply_ops, model,
+               StateVector({BasisKet(("1", "1", "1")): 0.6, BasisKet(("1", "zz", "1")): 0.8}), parse_ops(ops),
+               id=f"{model.name}-{ops}")
+        for model, message, orders in [
+            (ABELIAN, "the tripartite braid is defined only for Ising-type models", ("xAB;t3", "t3;xAB")),
+            (ISING, "party indices (3, 4) out of range for 3 registers", ("xAB;xDE", "xDE;xAB")),
+        ]
+        for ops in orders
     ))
     # the whole 3 d^n tagged basis and an n-register table were built first: 10 Abelian registers took 1.6 GB
     test_a_state_past_the_dense_layout_is_refused_before_any_is_built = refusals(*(

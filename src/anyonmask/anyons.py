@@ -169,29 +169,24 @@ def ising_like(c: int = 1) -> AnyonModel:
     kappa_sigma = _kappa_sigma(c)
     kappa_shift = 0 if kappa_sigma == 1 else 8
     fusion = {
-        (VAC, VAC): (VAC,),
-        (VAC, EPS): (EPS,),
-        (EPS, VAC): (EPS,),
-        (VAC, SIGMA): (SIGMA,),
-        (SIGMA, VAC): (SIGMA,),
         (EPS, EPS): (VAC,),
         (EPS, SIGMA): (SIGMA,),
         (SIGMA, EPS): (SIGMA,),
         (SIGMA, SIGMA): (VAC, EPS),
     }
-    r_eighths: dict[tuple[str, str, str], int] = {}
+    r_eighths = {
+        (EPS, EPS, VAC): 8,
+        (SIGMA, SIGMA, VAC): (kappa_shift - c) % 16,
+        (SIGMA, SIGMA, EPS): (kappa_shift + 3 * c) % 16,
+        (EPS, SIGMA, SIGMA): (8 + 4 * c) % 16,
+        (SIGMA, EPS, SIGMA): (8 + 4 * c) % 16,
+    }
+    # the vacuum is the fusion unit and braids trivially
     for x in ISING_ALPHABET:
+        fusion[(VAC, x)] = (x,)
+        fusion[(x, VAC)] = (x,)
         r_eighths[(VAC, x, x)] = 0
         r_eighths[(x, VAC, x)] = 0
-    r_eighths.update(
-        {
-            (EPS, EPS, VAC): 8,
-            (SIGMA, SIGMA, VAC): (kappa_shift - c) % 16,
-            (SIGMA, SIGMA, EPS): (kappa_shift + 3 * c) % 16,
-            (EPS, SIGMA, SIGMA): (8 + 4 * c) % 16,
-            (SIGMA, EPS, SIGMA): (8 + 4 * c) % 16,
-        }
-    )
     theta = {VAC: 0, EPS: 8, SIGMA: c % 16}
     kappa = {VAC: 1, EPS: 1, SIGMA: kappa_sigma}
     return AnyonModel(

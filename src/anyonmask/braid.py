@@ -34,8 +34,9 @@ from __future__ import annotations
 import math
 import re
 import string
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -130,6 +131,8 @@ def parse_ops(text: str) -> tuple[BraidOp, ...]:
     grammar ``BraidOp.token`` writes, so ``parse_ops(op.token()) == (op,)``;
     whether the token names an op is left to ``BraidOp``.
     """
+    if not isinstance(text, str):
+        raise BraidError(f"an op string must be a str, got {text!r}")
     ops: list[BraidOp] = []
     for token in filter(None, map(str.strip, text.split(";"))):
         match = _TOKEN.fullmatch(token)
@@ -381,7 +384,9 @@ def _braid_dense(model: AnyonModel, ops: Sequence[BraidOp], n: int, psi: np.ndar
 
 
 def _op_tuple(ops: Sequence[BraidOp]) -> tuple[BraidOp, ...]:
-    """``ops`` as a tuple; BraidError for anything that is no ``BraidOp``, an op string included."""
+    """``ops`` as a tuple; BraidError unless it is a sequence of ``BraidOp``, an op string included."""
+    if not isinstance(ops, Iterable):
+        raise BraidError(f"ops must be a word, a sequence of ops, got {ops!r}")
     found = (ops,) if isinstance(ops, str) else tuple(ops)
     for op in found:
         if not isinstance(op, BraidOp):

@@ -229,30 +229,12 @@ def bipartite_encode(triple: SchemeTriple, alphabet: Sequence[str], coeffs: Sequ
 class BipartiteControlReport:
     """Witness that two-register encoding leaks input information."""
 
-    model_name: str
-    probe_names: tuple[str, ...]
     max_distance: float
     witness: tuple[str, str, int]  # probe, probe, party
 
-    def record(self) -> dict:
-        return {
-            "model": self.model_name,
-            "probes": list(self.probe_names),
-            "max_marginal_distance": self.max_distance,
-            "witness": {
-                "probe_a": self.witness[0],
-                "probe_b": self.witness[1],
-                "party": self.witness[2],
-            },
-        }
-
 
 def _control_probes(d: int) -> list[tuple[str, np.ndarray]]:
-    probes: list[tuple[str, np.ndarray]] = []
-    for j in range(d):
-        vec = np.zeros(d, dtype=complex)
-        vec[j] = 1.0
-        probes.append((f"basis-{j}", vec))
+    probes = [(f"basis-{j}", vec) for j, vec in enumerate(np.eye(d, dtype=complex))]
     uniform = np.ones(d, dtype=complex) / math.sqrt(d)
     probes.append(("uniform", uniform))
     phased = np.array([1j**j for j in range(d)], dtype=complex) / math.sqrt(d)
@@ -287,8 +269,6 @@ def bipartite_control(model: AnyonModel, triple: Optional[SchemeTriple] = None) 
                     best = dist
                     witness = (name_a, name_b, party)
     return BipartiteControlReport(
-        model_name=model.name,
-        probe_names=tuple(names),
         max_distance=best,
         witness=witness,
     )

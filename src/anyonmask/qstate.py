@@ -12,13 +12,15 @@ pure functions, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,10 +171,7 @@ def product_basis(alphabet: Sequence[str], n_registers: int) -> tuple[tuple[str,
     """All label tuples of the given length, in alphabet (row-major) order; ValueError if a label repeats."""
     if len(set(alphabet)) != len(alphabet):
         raise ValueError(f"alphabet repeats the label {first_repeat(alphabet)!r}")
-    out: list[tuple[str, ...]] = [()]
-    for _ in range(n_registers):
-        out = [prefix + (a,) for prefix in out for a in alphabet]
-    return tuple(out)
+    return tuple(itertools.product(alphabet, repeat=n_registers))
 
 
 @lru_cache(maxsize=None)
@@ -206,6 +205,8 @@ def partial_trace(
     state is used; supply the full product basis when comparing against a
     fixed target such as the maximally mixed state.
     """
+    if not isinstance(keep, Iterable):
+        raise ValueError(f"keep must be an iterable of register indices, got {keep!r}")
     kept = sorted({check_seed(i, "keep") for i in keep})
     n = state.n_registers
     if not kept:

@@ -306,6 +306,24 @@ class TestTopologicalData:
     ))
 
 
+class TestKitaevRelations:
+    """Every built-in Ising model against Kitaev's relations (cond-mat/0506438), as eighths mod 16."""
+
+    @pytest.mark.parametrize("c", range(-15, 16, 2))
+    def test_every_ising_model_obeys_them(self, c):
+        model = ising_like(c)
+        theta, kappa = model.theta_eighths, model.kappa
+        # vacuum: R(1, x; x) = R(x, 1; x) = 1
+        for x in ISING_ALPHABET:
+            assert r_angle(model, VAC, x, x) == r_angle(model, x, VAC, x) == 0
+        # ribbon: R(a, a; 1) = kappa_a theta_a* for the self-dual eps and sigma
+        for a in (EPS, SIGMA):
+            assert r_angle(model, a, a, VAC) == (-theta[a] + (0 if kappa[a] == 1 else 8)) % 16
+        # hexagon: R(sigma, sigma; eps) / R(sigma, sigma; 1) = i^c and R(eps, sigma; sigma) = R(sigma, eps; sigma) = -i^c
+        assert (r_angle(model, SIGMA, SIGMA, EPS) - r_angle(model, SIGMA, SIGMA, VAC)) % 16 == 4 * c % 16
+        assert r_angle(model, EPS, SIGMA, SIGMA) == r_angle(model, SIGMA, EPS, SIGMA) == (8 + 4 * c) % 16
+
+
 class TestValidateModel:
     def test_abelian_passes(self, abelian_model):
         report = validate_model(abelian_model)

@@ -386,6 +386,11 @@ class TestOpStrings:
     test_a_party_letter_past_c_reaches_the_op_check = refusals(
         refuse(BraidError, r"exchange requires adjacent parties, got \(1, 3\)", parse_ops, "xBD"))
     test_empty_rejected = refusals(refuse(BraidError, "empty", parse_ops, " ; "))
+    # None and 5 failed with AttributeError, bytes with TypeError
+    test_an_op_string_that_is_no_str_is_refused = refusals(*(
+        refuse(BraidError, whole(f"an op string must be a str, got {text!r}"), parse_ops, text, id=repr(text))
+        for text in [None, 5, b"xAB"]
+    ))
     test_op_with_unknown_kind_or_mode_is_refused = refusals(*(
         refuse(BraidError, message, BraidOp, **fields, id=f"fields{i}-{message}")
         for i, (fields, message) in enumerate(BAD_OPS)
@@ -397,6 +402,17 @@ class TestOpStrings:
         refuse(BraidError, whole("an op must be a BraidOp, got 'xAB'; parse_ops reads an op string"),
                verify_invariance, ISING_SCHEME, "xAB", 5, id="verify_invariance"),
     )
+    # a bare op, None or 5 failed with TypeError: object is not iterable
+    test_a_word_that_is_no_sequence_is_refused = refusals(*(
+        row
+        for word in [BraidOp("exchange", 0, 1), None, 5]
+        for row in (
+            refuse(BraidError, whole(f"ops must be a word, a sequence of ops, got {word!r}"),
+                   apply_ops, ISING, basis_state(["1", "1", "1"]), word, id=f"apply_ops-{word!r}"),
+            refuse(BraidError, whole(f"ops must be a word, a sequence of ops, got {word!r}"),
+                   verify_invariance, ISING_SCHEME, word, 5, id=f"verify_invariance-{word!r}"),
+        )
+    ))
 
 
 class TestVerifyInvariance:

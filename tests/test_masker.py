@@ -383,11 +383,6 @@ class TestBipartiteControl:
             assert named.d == model.d
             assert bipartite_control(model) == bipartite_control(model, named)
 
-    def test_record_shape(self, abelian_model):
-        record = bipartite_control(abelian_model).record()
-        assert record["max_marginal_distance"] > 0.1
-        assert record["model"] == "abelian-c0"
-
     # the encoder used to fail on it as "expected 3 coefficients, got shape (4,)"
     test_a_triple_of_another_order_is_refused = refusals(
         refuse(ValueError, "triple order 3 does not match the abelian-c0 alphabet size 4",

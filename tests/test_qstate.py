@@ -203,6 +203,12 @@ class TestPartialTrace:
                partial_trace, basis_state(["e", "m", "1"]), [index], id=repr(index))
         for index in [True, 1.5, 1.0, -1]
     ))
+    # a bare index failed with TypeError: 'int' object is not iterable
+    test_rejects_a_keep_that_is_no_iterable = refusals(*(
+        refuse(ValueError, whole(f"keep must be an iterable of register indices, got {keep!r}"),
+               partial_trace, basis_state(["e", "m", "1"]), keep, id=repr(keep))
+        for keep in [0, None]
+    ))
     # a state with no kets has no registers, and it gave a zero matrix over the basis
     test_rejects_a_state_with_no_kets = refusals(*(
         refuse(ValueError, whole(f"keep indices [{index}] out of range for 0 registers"),

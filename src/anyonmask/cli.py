@@ -77,16 +77,9 @@ def parse_complex(text: str) -> complex:
     Each part is a decimal number with an optional exponent (``1e-05``).
     A part too large for a float would parse to inf, so it is refused.
     """
-    match = _COMPLEX_RE.match(text)
-    if match is None:
+    if _COMPLEX_RE.match(text) is None:
         raise ValueError(f"cannot parse complex literal {text!r}")
-    if match.group("imag_only") is not None:
-        real, imag = "0", match.group("imag_only")
-    else:
-        real, imag = match.group("real"), match.group("imag") or "0"
-    if imag in ("", "+", "-"):
-        imag += "1"
-    value = complex(float(real), float(imag))
+    value = complex(text.replace("i", "j"))
     if not cmath.isfinite(value):
         raise ValueError(f"complex literal {text!r} is too large for a float")
     return value

@@ -37,8 +37,8 @@ from .qstate import (
     product_basis,
     unit_coeffs,
 )
-# random_unit_coeffs lives with the batch draws that must match it bit for
-# bit; it stays importable from here because bench/tracer.py TARGETS wraps it
+# random_unit_coeffs, the package's one draw, lives with the trial batches;
+# it stays importable from here because bench/tracer.py TARGETS wraps it
 # as masker.random_unit_coeffs and bench/workloads.py calls it here.
 from .trials import evaluate_trials, random_unit_coeffs  # noqa: F401
 

@@ -171,7 +171,7 @@ def product_basis(alphabet: Sequence[str], n_registers: int) -> tuple[tuple[str,
     """All label tuples of the given length, in alphabet (row-major) order; ValueError if a label repeats."""
     if len(set(alphabet)) != len(alphabet):
         raise ValueError(f"alphabet repeats the label {first_repeat(alphabet)!r}")
-    return tuple(itertools.product(alphabet, repeat=n_registers))
+    return tuple(itertools.product(alphabet, repeat=check_seed(n_registers, "n_registers")))
 
 
 @lru_cache(maxsize=None)

@@ -7,10 +7,10 @@ K_p[j, j'] with K_p[j, j'] = Tr_{not p} |row_j><row_j'|.  The rows arrive
 as one dense array over their three registers and the channel tags (the
 layout of ``qstate.TAGS``), the K_p are formed once from it, and after
 that every trial costs one small matrix product; the trace of its party-0
-marginal is its squared norm.  Coefficients are drawn exactly as
-successive ``random_unit_coeffs`` calls, so a seed names the same trials
-here as in the labeled path; the worst trial's coefficients leave the
-batch with it for a labeled replay.
+marginal is its squared norm.  A chunk's coefficients are one
+``random_unit_coeffs`` block, the same draws as that many one-vector
+calls, so a seed names the same trials here as in the labeled path; the
+worst trial's coefficients leave the batch with it for a labeled replay.
 """
 
 from __future__ import annotations
@@ -35,17 +35,13 @@ from .qstate import check_seed, check_tol
 TRIAL_CHUNK = 1024
 
 
-def random_unit_coeffs(d: int, rng: np.random.Generator) -> np.ndarray:
-    """d independent standard complex Gaussians, normalized to the unit sphere."""
-    raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return raw / np.linalg.norm(raw)
-
-
-def random_unit_coeff_block(d: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """``trials`` successive ``random_unit_coeffs(d, rng)`` draws as rows, bit for bit."""
-    draws = rng.standard_normal((trials, 2, d))
+def random_unit_coeffs(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """d standard complex Gaussians scaled to the unit sphere; with ``size``, that many successive draws as rows."""
+    d = check_seed(d, "d", positive=True)
+    rows = 1 if size is None else check_seed(size, "size", positive=True)
+    draws = rng.standard_normal((rows, 2, d))
     raw = draws[:, 0] + 1j * draws[:, 1]
-    # np.linalg.norm of one vector adds two BLAS dot products, re.re + im.im;
+    # numpy's norm of one vector adds two BLAS dot products, re.re + im.im;
     # a stacked matmul makes the same calls, where a sum along axis 1 rounds
     # differently in the last bit.
     re, im = raw.real[:, None, :], raw.imag[:, None, :]
@@ -54,7 +50,8 @@ def random_unit_coeff_block(d: int, trials: int, rng: np.random.Generator) -> np
     if not usable.all():
         bad = int(np.argmin(usable))
         raise ValueError(f"coefficient draw {bad} is not finite and nonzero: {raw[bad]}")
-    return raw / np.sqrt(squares)
+    coeffs = raw / np.sqrt(squares)
+    return coeffs[0] if size is None else coeffs
 
 
 # The axes of rows[j, a0, a1, a2, tag] with party p's register moved next
@@ -107,19 +104,10 @@ def _trial_chunks(
     """
     kops = _reduced_operators(rows)
     n, d = rows.shape[:2]
-    # The block draw equals the per-trial draw only while BLAS sums as
-    # np.linalg.norm does; a numpy that rounds otherwise would shift every
-    # seeded trial, so trial 0 is checked against ``random_unit_coeffs``,
-    # drawn from the generator's starting state and then undone.
     rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    first = random_unit_coeffs(n, rng)
-    rng.bit_generator.state = state
     for start in range(0, trials, TRIAL_CHUNK):
         size = min(TRIAL_CHUNK, trials - start)
-        coeffs = random_unit_coeff_block(n, size, rng)
-        if start == 0 and not np.array_equal(coeffs[0], first):
-            raise RuntimeError(f"seed {seed}: the block draw of trial 0 is not the per-trial draw")
+        coeffs = random_unit_coeffs(n, rng, size)
         cc = (coeffs[:, :, None] * coeffs[:, None, :].conj()).reshape(size, n * n)
         if size == 1:
             # numpy multiplies one row as a vector (BLAS gemv), rounding apart

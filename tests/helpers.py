@@ -23,7 +23,7 @@ from anyonmask.anyons import EPS, SIGMA, VAC, fuse, monodromy_angle, phase_from_
 from anyonmask.braid import CIRCLE, EXCHANGE, SPLIT, ChannelConflictError
 from anyonmask.masker import MaskingCampaignResult, encode, random_unit_coeffs, verify_masking
 from anyonmask.qstate import BasisKet, StateVector
-from anyonmask.trials import TrialBatch, random_unit_coeff_block
+from anyonmask.trials import TrialBatch
 
 TAG_ORDER = (None, "1", "eps")
 
@@ -207,7 +207,7 @@ def reference_trial_chunks(rows: np.ndarray, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     for start in range(0, trials, REFERENCE_CHUNK):
         size = min(REFERENCE_CHUNK, trials - start)
-        coeffs = random_unit_coeff_block(n, size, rng)
+        coeffs = random_unit_coeffs(n, rng, size)
         if start == 0 and not np.array_equal(coeffs[0], first):
             raise RuntimeError(f"seed {seed}: the block draw of trial 0 is not the per-trial draw")
         cc = (coeffs[:, :, None] * coeffs[:, None, :].conj()).reshape(size, n * n)

@@ -9,7 +9,12 @@ failure counts, and values within ``ATOL``.
 """
 
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +37,6 @@ from anyonmask.trials import (
     _reduced_operators,
     _trial_chunks,
     evaluate_trials,
-    random_unit_coeff_block,
 )
 from helpers import (
     REFERENCE_CHUNK,
@@ -56,6 +60,22 @@ SEQUENCES = {
 def sequential_draws(d, trials, seed):
     rng = np.random.default_rng(seed)
     return np.array([random_unit_coeffs(d, rng) for _ in range(trials)])
+
+
+# a lone row, two, and the chunk edges of the kernel
+BLOCK_SIZES = [1, 2, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1]
+
+# prints the (size, d) of every block that is not its sequential draws, byte for byte
+BLOCKS_OFF_SEQUENTIAL = f"""
+import numpy as np
+from anyonmask.trials import random_unit_coeffs
+for size in {BLOCK_SIZES}:
+    for d in range(1, 6):
+        rng = np.random.default_rng(size)
+        one_by_one = np.array([random_unit_coeffs(d, rng) for _ in range(size)])
+        if random_unit_coeffs(d, np.random.default_rng(size), size).tobytes() != one_by_one.tobytes():
+            print(size, d)
+"""
 
 
 def combine(rows, coeffs):
@@ -103,8 +123,28 @@ class TestCoefficientBlock:
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("seed", [0, 7, 20240, 40_123])
     def test_block_equals_sequential_draws(self, d, seed):
-        block = random_unit_coeff_block(d, 500, np.random.default_rng(seed))
+        block = random_unit_coeffs(d, np.random.default_rng(seed), 500)
         assert np.array_equal(block, sequential_draws(d, 500, seed))
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_a_block_of_any_size_is_its_sequential_draws_byte_for_byte(self, size, d):
+        block = random_unit_coeffs(d, np.random.default_rng(size), size)
+        assert block.shape == (size, d)
+        assert block.tobytes() == sequential_draws(d, size, size).tobytes()
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"), reason="Prescott is an x86-64 OpenBLAS kernel"
+    )
+    def test_blocks_are_sequential_draws_under_a_second_blas_kernel(self):
+        # one draw serves both shapes only while a stacked matmul sums as the
+        # one-row product does; OpenBLAS picks its kernel at load time
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+               "OPENBLAS_CORETYPE": "Prescott"}
+        proc = subprocess.run(
+            [sys.executable, "-c", BLOCKS_OFF_SEQUENTIAL], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_chunked_trials_equal_sequential_draws(self, d, ising_scheme, abelian_scheme):
@@ -137,21 +177,13 @@ class TestCoefficientBlock:
         assert batch.worst_trial == trial
         assert batch.worst_coeffs == tuple(sequential_draws(4, TRIAL_CHUNK + 6, 3)[trial])
 
-    def test_a_block_off_the_sequential_draw_is_refused(self, monkeypatch, ising_scheme):
-        real = trials.random_unit_coeff_block
-        monkeypatch.setattr(
-            trials, "random_unit_coeff_block", lambda *args: real(*args) * (1 + 2**-52)
-        )
-        with pytest.raises(RuntimeError, match="seed 4: the block draw of trial 0 is not the per-trial draw"):
-            evaluate_trials(encoder_rows(ising_scheme), 10, 4, 1e-12)
-
     def test_block_rejects_non_finite_draws(self):
         class NanNormal:
             def standard_normal(self, size):
                 return np.full(size, np.nan)
 
         with pytest.raises(ValueError, match="not finite and nonzero"):
-            random_unit_coeff_block(3, 4, NanNormal())
+            random_unit_coeffs(3, NanNormal(), 4)
 
 
 class TestBitIdentity:
@@ -364,7 +396,7 @@ class TestCampaignAgainstLabeledLoop:
 
     def test_replay_fails_a_kernel_that_sees_nothing(self, monkeypatch, ising_scheme):
         def zero_chunks(rows, count, seed):
-            coeffs = random_unit_coeff_block(len(rows), count, np.random.default_rng(seed))
+            coeffs = random_unit_coeffs(len(rows), np.random.default_rng(seed), count)
             yield coeffs, np.zeros((count, 3)), np.zeros(count)
 
         monkeypatch.setattr(trials, "_trial_chunks", zero_chunks)

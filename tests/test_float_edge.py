@@ -11,6 +11,10 @@ a step away from exact amplitudes.
 The dense path is then an exact linear map: ``_braid_dense`` composes the
 gathers and prunes nothing, and a channel conflict is table data that
 ``_gather`` alone turns into ``ChannelConflictError``.
+
+The seeded inputs have one source too: ``trials.random_unit_coeffs``
+alone draws from the generator, so a seed names the same trials in a
+batch and one at a time.
 """
 
 import ast
@@ -75,3 +79,13 @@ def test_only_gather_raises_a_channel_conflict():
 
 def test_the_dense_path_prunes_nothing():
     assert "PRUNE_EPS" not in {_name(sub) for sub in ast.walk(_function(_tree(), "_braid_dense"))}
+
+
+def test_only_random_unit_coeffs_draws_normals():
+    def draws(node: ast.AST) -> int:
+        return sum(_name(sub) == "standard_normal" for sub in ast.walk(node))
+
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    inside = draws(_function(trees["trials.py"], "random_unit_coeffs"))
+    assert inside >= 1
+    assert {name: draws(tree) for name, tree in trees.items() if draws(tree)} == {"trials.py": inside}

@@ -14,8 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anyonmask.anyons import ISING_ALPHABET
 from anyonmask.latin import cyclic_square, find_mols_pair
+from anyonmask.qstate import product_basis
 from anyonmask.teleport import alice_measure, build_joint, correct, payload_state, permutation_encode
+from anyonmask.trials import random_unit_coeffs
 from test_refusals import refusals, refuse
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anyonmask"
@@ -31,6 +34,11 @@ CALLS = {
     "cyclic_square": (cyclic_square, "order d", "positive"),
     "alice_measure": (lambda outcome: alice_measure(encoded(), outcome), "outcome", "positive"),
     "correct": (lambda outcome: correct(payload_state([1.0, 0.0, 0.0]), outcome), "outcome", "positive"),
+    "random_unit_coeffs": (lambda d: random_unit_coeffs(d, np.random.default_rng(0)).tolist(), "d", "positive"),
+    "random_unit_coeffs-size": (
+        lambda size: random_unit_coeffs(3, np.random.default_rng(0), size).tolist(), "size", "positive"
+    ),
+    "product_basis": (lambda n: product_basis(ISING_ALPHABET, n), "n_registers", "non-negative"),
 }
 
 REFUSED = [
@@ -40,6 +48,11 @@ REFUSED = [
     ("alice_measure", 2.0),
     ("alice_measure", True),
     ("correct", True),
+    # a None d drew one scalar, 0 an empty array, -1 hit numpy's "negative dimensions"
+    *(("random_unit_coeffs", value) for value in (None, 0, True, 1.5, -1)),
+    *(("random_unit_coeffs-size", value) for value in (0, True, 1.5, -1)),
+    # True returned the one-register basis, -1 raised itertools' unnamed error
+    *(("product_basis", value) for value in (True, 1.5, None, -1)),
 ]
 
 test_a_non_integer_is_refused_by_name = refusals(*(
@@ -51,7 +64,8 @@ test_a_non_integer_is_refused_by_name = refusals(*(
 
 
 @pytest.mark.parametrize("name, value", [("find_mols_pair", 3), ("cyclic_square", 3), ("alice_measure", 2),
-                                         ("correct", 3)])
+                                         ("correct", 3), ("random_unit_coeffs", 3), ("random_unit_coeffs-size", 2),
+                                         ("product_basis", 2)])
 def test_a_numpy_integer_runs_as_the_int_it_holds(name, value):
     call = CALLS[name][0]
     assert call(np.int64(value)) == call(value)
@@ -76,3 +90,8 @@ def test_only_the_integer_rule_calls_operator_index():
     ]
     assert found == []
     assert any(map(_calls_operator_index, ast.walk(ast.parse((PACKAGE / "qstate.py").read_text(encoding="utf-8")))))
+
+
+def test_no_registers_is_one_empty_label_tuple():
+    # zero is a count like any other: the basis of a state on no registers
+    assert product_basis(ISING_ALPHABET, 0) == ((),)

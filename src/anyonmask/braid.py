@@ -17,8 +17,10 @@ ket (register labels times a channel tag from ``qstate.TAGS``) to at
 most two kets, each as a phase in eighths of pi and whether it carries
 the 1/sqrt(2) of a channel split, or to none on a channel conflict.
 That map depends only on the model, so each op is compiled once per
-model content and register count into a float gather table over the
-tagged basis (the dense layout of ``qstate``), conflicts included.
+model content and register count, by running its rule on every one of
+the 3 d^n tagged kets, into a float gather table over the tagged basis
+(the dense layout of ``qstate``), conflicts included: under 1 ms per op
+at 3 registers, 0.2-0.3 s at the largest layout (2-vCPU x86-64 VM).
 ``apply_ops`` and ``verify_invariance`` (on the d encoder rows) compose
 these gathers exactly: a labeled result is pruned once, as a
 ``StateVector`` prunes, and a conflict is an amplitude above
@@ -269,35 +271,12 @@ def _compile_kets(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
 
 
 def _compile(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
-    """The op's table on n registers.
-
-    An op reads only the labels of the registers it touches (its two
-    parties, or all three for the tripartite braid) and the tag, so its
-    rule runs on the tagged kets of those registers, in ascending order
-    (both pair rules read a pair in either order alike, so an exchange or
-    a circle runs at parties (0, 1)), and the n-register table follows by
-    index arithmetic: a source is the output ket with the touched labels
-    and the tag replaced by those of the local table's source.  A model
-    that ``validate_model`` does not pass is refused before any rule reads it.
-    """
+    """The op's table on n registers; a model ``validate_model`` does not pass is refused before any rule reads it."""
     report = validate_model(model)
     if not report.ok:
         raise BraidError(f"model {model.name} is not valid: {', '.join(report.violations)}")
     _check_domain(model, op, n)
-    touched = (0, 1, 2) if op.kind == TRIPARTITE else tuple(sorted((op.x, op.y)))
-    local = op if op.kind == TRIPARTITE else BraidOp(op.kind, 0, 1, op.mode)
-    table = _compile_kets(model, local, len(touched))
-    shape, local_shape = (model.d,) * n + (len(TAGS),), (model.d,) * len(touched) + (len(TAGS),)
-    kept = list(touched) + [n]  # the touched registers and the tag
-    digits = np.indices(shape).reshape(n + 1, 1, -1)  # the labels and tag of every ket
-    at = np.ravel_multi_index(tuple(digits[kept, 0]), local_shape)  # the local ket of each ket
-    source = np.repeat(digits, len(table.src), axis=1)
-    source[kept] = np.unravel_index(table.src[:, at], local_shape)
-    src = np.ravel_multi_index(tuple(source), shape)
-    amp = table.amp[:, at]
-    src[amp == 0] = 0  # a missing source has amplitude 0, a real one a phase
-    conflicts = np.flatnonzero(np.isin(at, table.conflicts))
-    return _OpTable(op, tagged_basis(model.alphabet, n)[0], src, amp, conflicts)
+    return _compile_kets(model, op, n)
 
 
 def _table(model: AnyonModel, op: BraidOp, n: int) -> _OpTable:
@@ -376,10 +355,10 @@ def op_set(kind: str) -> tuple[BraidOp, ...]:
     return parse_ops("xAB;xBC;cAB;cAC;cBC" + (";t3" if kind == "ising" else ""))
 
 
-def _braid_dense(model: AnyonModel, ops: Sequence[BraidOp], n: int, psi: np.ndarray) -> np.ndarray:
-    """The ops on dense amplitudes of n registers (last axis): their gathers composed, nothing pruned."""
-    for op in ops:
-        psi = _gather(_table(model, op, n), psi)
+def _braid_dense(tables: Sequence[_OpTable], psi: np.ndarray) -> np.ndarray:
+    """The tables' ops on dense amplitudes over their basis (last axis): their gathers composed, nothing pruned."""
+    for table in tables:
+        psi = _gather(table, psi)
     return psi
 
 
@@ -407,8 +386,7 @@ def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> 
     size = len(TAGS) * model.d**n
     if size > MAX_TAGGED_KETS:
         raise BraidError(f"{n} registers make {size} tagged kets, more than the dense layout's {MAX_TAGGED_KETS}")
-    for op in ops:
-        _table(model, op, n)  # every op outside its domain is refused before any ket
+    tables = [_table(model, op, n) for op in ops]  # every op outside its domain is refused before any ket
     kets, index = tagged_basis(model.alphabet, n)
     psi = np.zeros(len(kets), dtype=complex)
     for ket, amp in state.items():
@@ -418,14 +396,15 @@ def apply_ops(model: AnyonModel, state: StateVector, ops: Sequence[BraidOp]) -> 
                 model.index(label)
             raise FusionChannelError(f"channel tag {ket.tag!r} is not one of {TAGS}")
         psi[i] = amp
-    psi = _braid_dense(model, ops, n, psi)
+    psi = _braid_dense(tables, psi)
     return dense_state(psi.reshape((model.d,) * n + (len(TAGS),)), model.alphabet)
 
 
 def _braided_rows(scheme: MaskingScheme, ops: Sequence[BraidOp]) -> np.ndarray:
     """The d encoder rows after the ops, as one dense array rows[j, a, b, c, tag]."""
     rows = encoder_rows(scheme)
-    return _braid_dense(scheme.model, ops, 3, rows.reshape(scheme.d, -1)).reshape(rows.shape)
+    tables = [_table(scheme.model, op, 3) for op in ops]
+    return _braid_dense(tables, rows.reshape(scheme.d, -1)).reshape(rows.shape)
 
 
 UNITARITY_TOL = 1e-12

@@ -43,14 +43,22 @@ class Square:
         return len(self.cells)
 
 
+def _check_square(square: Square, name: str) -> None:
+    if not isinstance(square, Square):
+        raise ValueError(f"{name} must be a Square, got {square!r}")
+
+
 def is_latin(square: Square) -> bool:
     """True iff every value appears exactly once per row and per column."""
+    _check_square(square, "square")
     full = set(range(square.d))
     return all(set(line) == full for line in (*square.cells, *zip(*square.cells)))
 
 
 def are_orthogonal(s1: Square, s2: Square) -> bool:
     """True iff the d^2 ordered cell pairs (s1[j][k], s2[j][k]) are all distinct."""
+    _check_square(s1, "s1")
+    _check_square(s2, "s2")
     if s1.d != s2.d:
         raise ValueError(f"order mismatch: {s1.d} vs {s2.d}")
     pairs = {
@@ -96,6 +104,8 @@ class SchemeTriple:
     c: Square
 
     def __post_init__(self) -> None:
+        for name in "abc":
+            _check_square(getattr(self, name), name)
         if not (self.a.d == self.b.d == self.c.d):
             raise ValueError("A, B, C must share one order")
 
@@ -111,6 +121,8 @@ def validate_triple(triple: SchemeTriple) -> ValidationReport:
     constant-row or constant-column square, or a third Latin square
     orthogonal to both.
     """
+    if not isinstance(triple, SchemeTriple):
+        raise ValueError(f"triple must be a SchemeTriple, got {triple!r}")
     bad: list[str] = []
     if not is_latin(triple.b):
         bad.append("B-not-latin")

@@ -6,8 +6,10 @@ three teleports per seed.  Its argv lists are written out here, so the check
 does not move when the benchmark does.  The commands run in one process, one
 after another, as ``anyonmask.cli.main`` callers run them.
 
-The bits depend on the numpy and BLAS build, and the golden file records the
-build it was made on: on another build the test skips and names both.
+The bits depend on the numpy and BLAS build and on the OpenBLAS kernel it
+runs (picked for the CPU at load time, or forced by ``OPENBLAS_CORETYPE``),
+and the golden file records the build and kernel it was made on: on another
+the test skips and names both.
 Regenerate the file with ``PYTHONPATH=src python tests/test_cli_golden.py``;
 that is a change to a check, to be recorded with the reason.
 """
@@ -15,10 +17,15 @@ that is a change to a check, to be recorded with the reason.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import os
+import platform
+import re
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -75,8 +82,21 @@ MIX: dict[int, list[tuple[str, ...]]] = {
 }
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs, or "unknown" without that library."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def build_id() -> dict[str, str]:
-    """The numpy version and BLAS library the digests depend on."""
+    """The numpy version, BLAS library and BLAS kernel the digests depend on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
@@ -85,6 +105,7 @@ def build_id() -> dict[str, str]:
         "numpy": np.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
         "blas_config": " ".join(str(blas.get("openblas configuration", "")).split()),
+        "blas_kernel": blas_kernel(),
     }
 
 
@@ -121,6 +142,29 @@ def test_cli_mix_matches_golden_digests(seed, tmp_path):
         for field in ("report_sha256", "stdout_sha256"):
             if new[field] != old[field]:
                 pytest.fail(f"seed {seed}: first difference at `{new['command']}`: {field} {new[field]} != {old[field]}")
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="Prescott is an x86-64 OpenBLAS kernel"
+)
+def test_the_goldens_skip_under_a_second_blas_kernel():
+    # a kernel sums report floats in its own order: the golden and corpus tests
+    # failed under another one, where they must skip and name both kernels
+    if blas_kernel() == "unknown":
+        pytest.skip("numpy bundles no scipy-openblas library whose kernel could be forced")
+    tests = Path(__file__).parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+         f"{tests / 'test_cli_golden.py'}::test_cli_mix_matches_golden_digests",
+         f"{tests / 'test_record_corpus.py'}::test_records_match_the_corpus"],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"}, cwd=tests.parent,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and "failed" not in proc.stdout and "3 skipped" in proc.stdout, proc.stdout
+    golden = json.loads(GOLDEN.read_text())["build"]["blas_kernel"]
+    skips = [re.findall(r"'blas_kernel': '(\w+)'", line) for line in proc.stdout.splitlines()
+             if line.startswith("SKIPPED")]
+    assert len(skips) == 2 and all(kernels[0] == golden != kernels[1] for kernels in skips), proc.stdout
 
 
 if __name__ == "__main__":

@@ -97,6 +97,16 @@ class TestOrthogonality:
 
     test_dimension_mismatch_rejected = refusals(
         refuse(ValueError, "order mismatch", are_orthogonal, cyclic_square(3, "forward"), cyclic_square(4, "forward")))
+    # each failed with an AttributeError on the first attribute it read
+    test_what_is_no_square_is_refused_by_name = refusals(
+        refuse(ValueError, whole("square must be a Square, got 5"), is_latin, 5, id="is_latin"),
+        refuse(ValueError, whole("s1 must be a Square, got 5"), are_orthogonal, 5, 5, id="are_orthogonal-s1"),
+        refuse(ValueError, whole("s2 must be a Square, got ((0,),)"), are_orthogonal, Square(((0,),)), ((0,),),
+               id="are_orthogonal-s2"),
+        refuse(ValueError, whole("b must be a Square, got 'x'"), SchemeTriple, Square(((0,),)), "x", Square(((0,),)),
+               id="SchemeTriple"),
+        refuse(ValueError, whole("triple must be a SchemeTriple, got 'x'"), validate_triple, "x", id="validate_triple"),
+    )
 
 
 class TestCyclicSquares:

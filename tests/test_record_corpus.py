@@ -13,9 +13,9 @@ The corpus holds:
   on ``[0.6, 0.8j, 0]`` and on an input with signed-zero parts.
 
 Records hold floats, not digests, so a mismatch names the entry and the
-largest float difference.  The bits depend on the numpy and BLAS build, and
-the corpus records the build it was made on: on another build the test
-skips and names both.  Regenerate the file with
+largest float difference.  The bits depend on the numpy and BLAS build and
+the OpenBLAS kernel, and the corpus records those it was made on
+(``test_cli_golden.build_id``): on others the test skips and names both.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_record_corpus.py``; that is a change to a
 check, to be recorded with the entries that moved and by how much.
 """

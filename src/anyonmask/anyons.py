@@ -62,7 +62,7 @@ def phase_from_eighths(k: int) -> complex:
     return cmath.exp(1j * (math.pi * k / 8))
 
 
-# every table of a model, the name left out -> content_id, in the order contents were first seen
+# a model's kind, c, alphabet and every table -> content_id, in the order contents were first seen
 _CONTENT_IDS: dict[tuple, int] = {}
 
 
@@ -85,7 +85,6 @@ class AnyonModel:
     from a model's tables once stays true of it.
     """
 
-    name: str
     kind: str  # "abelian" or "ising"
     c: int
     alphabet: tuple[str, ...]
@@ -97,6 +96,11 @@ class AnyonModel:
     def __post_init__(self) -> None:
         for name in ("fusion", "r_eighths", "theta_eighths", "kappa"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    @property
+    def name(self) -> str:
+        """``<kind>-c<c>``, read off the fields, so a model with another c has another name."""
+        return f"{self.kind}-c{self.c}"
 
     @property
     def d(self) -> int:
@@ -112,7 +116,7 @@ class AnyonModel:
 
     @cached_property
     def content_id(self) -> int:
-        """A small int per distinct content (every table, the name left out), equal for models built alike.
+        """A small int per distinct content (kind, c, alphabet and every table), equal for models built alike.
 
         What is derived from a model's tables can be shared between models
         built alike under this key.  A tuple of every table rehashes on
@@ -137,7 +141,6 @@ def abelian_c0() -> AnyonModel:
     theta = {x: 0 for x in ABELIAN_ALPHABET}
     kappa = {x: 1 for x in ABELIAN_ALPHABET}
     return AnyonModel(
-        name="abelian-c0",
         kind="abelian",
         c=0,
         alphabet=ABELIAN_ALPHABET,
@@ -190,7 +193,6 @@ def ising_like(c: int = 1) -> AnyonModel:
     theta = {VAC: 0, EPS: 8, SIGMA: c % 16}
     kappa = {VAC: 1, EPS: 1, SIGMA: kappa_sigma}
     return AnyonModel(
-        name=f"ising-c{c}",
         kind="ising",
         c=c,
         alphabet=ISING_ALPHABET,
@@ -319,27 +321,3 @@ def validate_model(model: AnyonModel) -> ValidationReport:
 
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
-
-def table_lines(model: AnyonModel) -> list[str]:
-    """Flat text serialization (one line per fusion/R/theta/kappa entry).
-
-    Like the theta and kappa lines, the fusion and R lines cover the
-    alphabet: an entry naming a label outside it is left out.
-    """
-    idx = model.index
-    known = set(model.alphabet)
-    lines = [
-        f"model {model.name} kind={model.kind} c={model.c}",
-        "alphabet " + " ".join(model.alphabet),
-    ]
-    fusion = [ab for ab, channels in model.fusion.items() if known.issuperset(ab + channels)]
-    for a, b in sorted(fusion, key=lambda ab: (idx(ab[0]), idx(ab[1]))):
-        lines.append(f"fuse {a} {b} -> " + " ".join(model.fusion[(a, b)]))
-    r_keys = [key for key in model.r_eighths if known.issuperset(key)]
-    for a, b, ch in sorted(r_keys, key=lambda k: (idx(k[0]), idx(k[1]), idx(k[2]))):
-        lines.append(f"r {a} {b} {ch} {model.r_eighths[(a, b, ch)] % 16}")
-    for x in model.alphabet:
-        lines.append(f"theta {x} {model.theta_eighths[x] % 16}")
-    for x in model.alphabet:
-        lines.append(f"kappa {x} {model.kappa[x]:+d}")
-    return lines

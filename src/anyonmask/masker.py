@@ -1,10 +1,14 @@
 """Tripartite Latin-square masking: encoder, verifier, negative control.
 
 The encoder maps a length-d coefficient vector onto a three-register
-state (1/sqrt(d)) * sum_jk coeffs[j] |A[j][k], B[j][k], C[j][k]>.  When
-every row of A is a permutation and B, C are mutually orthogonal Latin
-squares, all three single-party marginals equal I/d for every input: the
-information lives only in the correlations.
+state (1/sqrt(d)) * sum_jk coeffs[j] |A[j][k], B[j][k], C[j][k]>.  The
+masking rule is per party: party p's marginal is I/d for every input
+when every row of square p is a permutation and the other two squares
+are orthogonal.  Where that holds for all three parties, the information
+lives only in the correlations.  Rows of A that are permutations and B,
+C mutually orthogonal Latin squares are not enough: A = B forward cyclic
+and C backward cyclic (d = 3) leaks party 2, as A and B are not orthogonal.
+``validate_triple`` also accepts a constant-column A, which leaks party 0.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,12 +60,14 @@ class MaskingScheme:
     triple: SchemeTriple
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, AnyonModel):
+            raise ValueError(f"model must be an AnyonModel, got {self.model!r}")
+        report = validate_triple(self.triple)  # refuses a triple that is no SchemeTriple by name
         if self.triple.d != self.model.d:
             raise ValueError(
                 f"triple order {self.triple.d} does not match the "
                 f"{self.model.name} alphabet size {self.model.d}"
             )
-        report = validate_triple(self.triple)
         if not report.ok:
             raise ValueError(f"invalid scheme triple: {', '.join(report.violations)}")
 
@@ -242,15 +248,15 @@ def _control_probes(d: int) -> list[tuple[str, np.ndarray]]:
     return probes
 
 
-def bipartite_control(model: AnyonModel, triple: Optional[SchemeTriple] = None) -> BipartiteControlReport:
-    """Show that the two-register encoder cannot mask: some probes' marginals differ.
+def bipartite_control(model: AnyonModel) -> BipartiteControlReport:
+    """Show that the two-register encoder of the kind's shipped pair cannot mask: some probes' marginals differ.
 
+    The pair is the B and C of ``BUILTIN_TRIPLES[default_triple_name(model)]``.
     The probe set is fixed (the d basis inputs plus uniform superpositions
     with phases 1 and i) so the counterexample is deterministic.
     """
-    if triple is None:
-        triple = BUILTIN_TRIPLES[default_triple_name(model)]()
-    MaskingScheme(model, triple)  # the triple's order and validity, by the encoder's one rule
+    triple = BUILTIN_TRIPLES[default_triple_name(model)]()
+    MaskingScheme(model, triple)  # the triple's order against the model, by the encoder's one rule
     alphabet = model.alphabet
     basis = product_basis(alphabet, 1)
     probes = _control_probes(model.d)

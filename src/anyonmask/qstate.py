@@ -102,8 +102,9 @@ class StateVector:
         return self.amplitudes.get(ket, 0j)
 
 
-def basis_state(labels: Sequence[str], tag: str | None = None, amp: complex = 1.0) -> StateVector:
-    return StateVector({BasisKet(tuple(labels), tag): amp})
+def basis_state(labels: Sequence[str], tag: str | None = None) -> StateVector:
+    """The one ket of these labels and channel tag, with amplitude 1."""
+    return StateVector({BasisKet(tuple(labels), tag): 1.0})
 
 
 def norm(state: StateVector) -> float:

@@ -425,6 +425,18 @@ def test_braid_replay_fails_a_kernel_that_sees_nothing(monkeypatch, ising_scheme
 
 
 @pytest.mark.parametrize("kind", ["abelian", "ising"])
+def test_a_norm_drift_past_the_unitarity_bound_alone_fails(kind, monkeypatch, abelian_scheme, ising_scheme):
+    # rows grown by 1e-10 keep every deviation and both replays within tol = 1e-9; only the unitarity bound sees them
+    scheme = abelian_scheme if kind == "abelian" else ising_scheme
+    real = braid._braided_rows
+    monkeypatch.setattr(braid, "_braided_rows", lambda scheme, ops: real(scheme, ops) * (1 + 1e-10))
+    report = verify_invariance(scheme, parse_ops("xAB"), trials=20, tol=1e-9, seed=3)
+    assert report.worst_deviation <= 1e-9 and report.pre_report.verdict and report.post_report.verdict
+    assert report.unitarity_defect == pytest.approx(1e-10, rel=0.01)
+    assert not report.verdict
+
+
+@pytest.mark.parametrize("kind", ["abelian", "ising"])
 @pytest.mark.parametrize("masking", [True, False], ids=["masking", "pinned"])
 def test_braid_replay_equals_braiding_the_encoded_trial(kind, masking, abelian_scheme, ising_scheme):
     # the post-braid replay combines the braided rows; braiding the encoded
